@@ -345,6 +345,12 @@ def main(argv=None):
         return cmd_trace(config, args.spec, args.k, args.target)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
+        if err.sigma is not None:
+            print(f"  sigma: {''.join(map(str, err.sigma))}", file=sys.stderr)
+        if err.partial_sum is not None:
+            print(f"  partial_sum: {err.partial_sum!r}", file=sys.stderr)
+        if err.steps is not None:
+            print(f"  steps: {err.steps}", file=sys.stderr)
         return 3
     except (SpecParseError, PreconditionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

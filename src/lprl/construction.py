@@ -82,7 +82,10 @@ class ConstructionCache:
 
     Nodes are pure functions of (ladder, margin, step budget, sigma), so
     population order never changes values. Completed nodes are immutable
-    and safe to read concurrently.
+    and safe to read concurrently. ``search_memo`` keeps the witness-window
+    search results of the ``extend`` calls made for this cache (the
+    1-extensions at one string length repeat the same searches), and goes
+    away with the cache.
     """
 
     def __init__(self, ladder, margin=DEFAULT_MARGIN, step_budget=DEFAULT_STEP_BUDGET):
@@ -94,6 +97,7 @@ class ConstructionCache:
         self.margin = margin
         self.step_budget = int(step_budget)
         self._nodes = {(): Node((), EMPTY, (), EMPTY)}
+        self.search_memo = {}
 
     def node(self, sigma):
         return build_node(self, sigma)
@@ -148,7 +152,7 @@ def _extend_node(cache, parent, bit):
         step_budget=cache.step_budget,
     )
     try:
-        w = extend(req, cache.margin)
+        w = extend(req, cache.margin, cache.search_memo)
     except ResourceLimitError as err:
         err.sigma = tau
         raise
@@ -295,6 +299,9 @@ def export_cache(cache, path):
     return path
 
 
+_HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
+
+
 def import_cache(path):
     """Rebuild a ConstructionCache from an exported file."""
     lines = Path(path).read_text().splitlines()
@@ -302,19 +309,27 @@ def import_cache(path):
         raise ValueError(f"{path}: not a cache file")
     meta = {}
     body = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("# "):
             for tok in line[2:].split():
                 key, _, val = tok.partition("=")
                 meta[key] = val
         elif line:
-            body.append(line)
+            body.append((lineno, line))
+    for key in _HEADER_KEYS:
+        if key not in meta:
+            raise ValueError(f"{path}: header is missing the key {key!r}")
     explicit = () if meta["explicit"] == "-" else tuple(
         float(v) for v in meta["explicit"].split(","))
     ladder = ExpLadder(float(meta["a"]), float(meta["q"]), explicit)
     cache = ConstructionCache(ladder, Margin(float(meta["eta"])), int(meta["step_budget"]))
-    for line in body:
-        bits_text, m_text, phi_text = line.split("|")
+    for lineno, line in body:
+        try:
+            bits_text, m_text, phi_text = line.split("|")
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: a record needs exactly three '|' fields, "
+                f"got {line!r}") from None
         sigma = () if bits_text == "-" else bitstring(bits_text)
         caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
         phi = _parse_segments(phi_text[4:])

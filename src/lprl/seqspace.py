@@ -242,7 +242,8 @@ class FinSeq:
         """Entrywise initial-segment test, done on segment structure.
 
         Window runs are split at boundaries; a window piece equals a literal
-        piece only if the (bounded) entrywise comparison says so.
+        piece only if their entries are equal (compared exactly, up to
+        ``MATERIALIZE_LIMIT`` entries; longer pieces raise ResourceLimitError).
         """
         if self.length > other.length:
             return False
@@ -284,18 +285,37 @@ class FinSeq:
         return f"FinSeq(<{self.length} entries, {len(self.segments)} segments>)"
 
 
+def _piece_entries(seg, off, count):
+    """Entries off..off+count-1 of a segment, exactly as ``entry`` gives them."""
+    if isinstance(seg, Literal):
+        return np.asarray(seg.values[off:off + count], dtype=np.float64)
+    # entry by entry: numpy's vectorized power can differ from Python's
+    # float power, which defines the entries, in the last bit
+    return np.fromiter((seg.entry(t) for t in range(off, off + count)),
+                       dtype=np.float64, count=count)
+
+
+# Entries per numpy chunk when a literal run is compared with a window.
+_COMPARE_CHUNK = 1 << 16
+
+
 def _pieces_equal(a, off_a, b, off_b, count):
     if isinstance(a, Literal) and isinstance(b, Literal):
         return a.values[off_a:off_a + count] == b.values[off_b:off_b + count]
     if isinstance(a, PowerWindow) and isinstance(b, PowerWindow):
         return (a.p_bottom == b.p_bottom and a.scale == b.scale
                 and a.n_start + off_a == b.n_start + off_b)
-    # mixed literal/window: compare entries, bounded
-    if count > FSUM_CUTOFF:
-        return False
-    get_a = (lambda t: a.values[off_a + t]) if isinstance(a, Literal) else (lambda t: a.entry(off_a + t))
-    get_b = (lambda t: b.values[off_b + t]) if isinstance(b, Literal) else (lambda t: b.entry(off_b + t))
-    return all(get_a(t) == get_b(t) for t in range(count))
+    # mixed literal/window: compare the entries exactly, chunk by chunk
+    if count > MATERIALIZE_LIMIT:
+        raise ResourceLimitError(
+            f"refusing to compare {count} entries of a literal run with a window "
+            f"(limit {MATERIALIZE_LIMIT})")
+    for t in range(0, count, _COMPARE_CHUNK):
+        size = min(_COMPARE_CHUNK, count - t)
+        if not np.array_equal(_piece_entries(a, off_a + t, size),
+                              _piece_entries(b, off_b + t, size)):
+            return False
+    return True
 
 
 EMPTY = FinSeq(())

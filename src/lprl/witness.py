@@ -212,11 +212,28 @@ def _least_end_direct(n0, target, step_budget):
         n += count
 
 
-def extend(req, margin=DEFAULT_MARGIN):
+def _searched(memo, key, search, *args):
+    """``search(*args)``, looked up under ``key`` in ``memo`` when one is given.
+
+    Both window searches are pure, so a stored answer is the answer. A search
+    that raises (for instance ``ResourceLimitError``) stores nothing.
+    """
+    if memo is None:
+        return search(*args)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = search(*args)
+    return hit
+
+
+def extend(req, margin=DEFAULT_MARGIN, memo=None):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
     Pure function of (request, margin): identical inputs give the identical
-    window, which is what makes the tree construction well-defined.
+    window, which is what makes the tree construction well-defined. ``memo``
+    is an optional dict that keeps the results of the two window searches
+    by their full arguments; the block is still built and re-checked by
+    ``verify_witness`` on every call.
     """
     if not isinstance(margin, Margin):
         margin = Margin(float(margin))
@@ -231,8 +248,10 @@ def extend(req, margin=DEFAULT_MARGIN):
     delta = min(slacks, default=math.inf)
     thr = min(delta, req.eps)
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
-    n0 = _least_start(s_tail, thr, margin)
-    n1 = _least_end(n0, req.M, margin, req.step_budget)
+    n0 = _searched(memo, ("start", s_tail, thr, margin.eta),
+                   _least_start, s_tail, thr, margin)
+    n1 = _searched(memo, ("end", n0, req.M, margin.eta, req.step_budget),
+                   _least_end, n0, req.M, margin, req.step_budget)
     w = ClaimWitness(window_seq(pb, n0, n1), n0, n1)
     rep = verify_witness(req, w, margin)
     if not rep.ok:

@@ -103,6 +103,20 @@ class TestMainExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_resource_error_names_node_and_progress(self, tmp_path, capsys):
+        rc = main(["build", "--max-len", "4", "--step-budget", "10",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("resource limit: harmonic window search exhausted "
+                          "the step budget (10 terms)")
+        # (1,) needs 5 terms; (0, 1) is the first 1-extension past the budget
+        assert err[1] == "  sigma: 01"
+        label, value = err[2].split()
+        assert label == "partial_sum:"
+        assert 1.0 < float(value) < 2.0  # ten terms short of the target 2
+        assert err[3:] == ["  steps: 10"]
+
     def test_small_verify_passes(self, tmp_path, capsys):
         rc = main(["verify", "--max-len", "4", "--out", str(tmp_path), "--seed", "1"])
         assert rc == 0

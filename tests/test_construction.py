@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lprl import (
+    ClaimRequest,
     ConstructionCache,
     ExpLadder,
     Margin,
@@ -12,10 +13,13 @@ from lprl import (
     cache_stats,
     check_properties,
     export_cache,
+    extend,
     import_cache,
     least_natural_above,
+    level,
     pnorm_pow,
 )
+from lprl import witness
 
 from oracles import power_sum_plain
 
@@ -125,6 +129,29 @@ class TestExportImport:
         with pytest.raises(ValueError):
             import_cache(bad)
 
+    @pytest.mark.parametrize("key", ["a", "q", "explicit", "eta", "step_budget"])
+    def test_missing_header_key(self, tmp_path, small_cache, key):
+        build_tree(small_cache, 2)
+        path = export_cache(small_cache, tmp_path / "cache.txt")
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:3], 1):
+            lines[i] = " ".join(tok for tok in line.split(" ") if not tok.startswith(key + "="))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"bad.txt.*'{key}'"):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("record", ["1|M=1", "1|M=1|phi=L:0.0|x", "1"])
+    def test_record_needs_three_fields(self, tmp_path, small_cache, record):
+        build_tree(small_cache, 1)
+        path = export_cache(small_cache, tmp_path / "cache.txt")
+        lines = path.read_text().splitlines()
+        lines[-1] = record  # the last record, for the string "1"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"bad.txt: line {len(lines)}:.*{record!r}"):
+            import_cache(bad)
+
 
 class TestResourceHandling:
     def test_budget_error_carries_sigma(self):
@@ -132,3 +159,91 @@ class TestResourceHandling:
         with pytest.raises(ResourceLimitError) as err:
             build_node(cache, (0, 0, 1))  # window of a few hundred direct terms
         assert err.value.sigma == (0, 0, 1)
+
+
+def _request_of(cache, sigma):
+    """The ClaimRequest the construction makes for the 1-extension ``sigma``."""
+    ladder = cache.ladder
+    parent = cache._nodes[sigma[:-1]]
+    l_sigma = level(sigma)
+    return ClaimRequest(
+        u=parent.phi,
+        q=ladder.q,
+        exps=ladder.exponents(l_sigma + 1),
+        caps=tuple(float(c) for c in parent.M[:l_sigma]),
+        M=float(len(sigma)),
+        eps=2.0 ** -len(sigma),
+        step_budget=cache.step_budget,
+    )
+
+
+class TestSearchMemo:
+    @pytest.fixture
+    def end_calls(self, monkeypatch):
+        calls = []
+        least_end = witness._least_end
+
+        def counted(n0, M, margin, step_budget):
+            calls.append((n0, M))
+            return least_end(n0, M, margin, step_budget)
+
+        monkeypatch.setattr(witness, "_least_end", counted)
+        return calls
+
+    def test_one_end_search_per_distinct_key(self, small_cache, end_calls):
+        build_tree(small_cache, 6)
+        assert len(end_calls) == len(set(end_calls)) == 6
+        assert sum(1 for key in small_cache.search_memo if key[0] == "end") == 6
+
+    def test_every_block_is_still_rechecked(self, small_cache, monkeypatch):
+        checked = []
+        verify_witness = witness.verify_witness
+
+        def counted(req, w, margin):
+            checked.append(w)
+            return verify_witness(req, w, margin)
+
+        monkeypatch.setattr(witness, "verify_witness", counted)
+        build_tree(small_cache, 6)
+        assert len(checked) == 2 ** 6 - 1
+
+    def test_blocks_equal_unmemoised_extend(self, small_cache):
+        build_tree(small_cache, 6)
+        ones = [s for s in small_cache._nodes if s and s[-1] == 1]
+        assert len(ones) == 2 ** 6 - 1
+        for sigma in ones:
+            w = extend(_request_of(small_cache, sigma), small_cache.margin)
+            assert small_cache._nodes[sigma].block == w.v
+
+    def test_caches_do_not_share_memo(self, end_calls):
+        c1 = ConstructionCache(ExpLadder(0.0, 2.0))
+        c2 = ConstructionCache(ExpLadder(0.0, 2.0))
+        assert c1.search_memo is not c2.search_memo
+        build_tree(c1, 4)
+        assert c2.search_memo == {}
+        first = len(end_calls)
+        build_tree(c2, 4)
+        assert len(end_calls) == 2 * first
+        assert c1.search_memo == c2.search_memo
+
+    def test_memo_keeps_margin_and_budget_apart(self):
+        memo = {}
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        req = _request_of(cache, (1,))
+        extend(req, Margin(2.0 ** -20), memo)
+        extend(req, Margin(2.0 ** -21), memo)
+        assert len(memo) == 4
+        budget = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
+                              M=req.M, eps=req.eps, step_budget=1000)
+        extend(budget, Margin(2.0 ** -20), memo)
+        assert len(memo) == 5  # same start key, new end key
+
+    def test_failed_search_stores_nothing(self):
+        memo = {}
+        cache = ConstructionCache(ExpLadder(0.0, 2.0), step_budget=10)
+        req = _request_of(cache, (1,))
+        req = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
+                           M=3.0, eps=req.eps, step_budget=10)
+        with pytest.raises(ResourceLimitError):
+            extend(req, cache.margin, memo)
+        assert [key[0] for key in memo] == ["start"]

@@ -224,6 +224,34 @@ class TestFinSeqStructure:
         lit = finseq(w.materialize())
         assert w == lit
 
+    @pytest.mark.parametrize("length", [4096, 4097, 5000, (1 << 16) + 3])
+    def test_equality_mixed_representation_long(self, length):
+        # entries are compared past FSUM_CUTOFF and across numpy chunks
+        w = window_seq(1.0, 0, length - 1)
+        lit = finseq(w.materialize())
+        assert w == lit
+        assert lit == w
+        assert w.is_prefix_of(concat(lit, finseq((0.0,))), proper=True)
+        assert lit.is_prefix_of(concat(w, finseq((0.0,))), proper=True)
+
+    @pytest.mark.parametrize("length", [4096, 4097])
+    def test_inequality_mixed_representation_last_entry(self, length):
+        w = window_seq(0.5, 2, length + 1)
+        vals = list(w.materialize())
+        vals[-1] = math.nextafter(vals[-1], 1.0)
+        lit = finseq(vals)
+        assert w != lit
+        assert lit != w
+
+    def test_mixed_comparison_beyond_limit_raises(self, monkeypatch):
+        w = window_seq(1.0, 0, 99)
+        lit = finseq(w.materialize())
+        monkeypatch.setattr("lprl.seqspace.MATERIALIZE_LIMIT", 64)
+        with pytest.raises(ResourceLimitError):
+            w == lit
+        with pytest.raises(ResourceLimitError):
+            lit == w
+
     def test_entry_indexing(self):
         x = concat(finseq((7.0, 8.0)), window_seq(1.0, 0, 2))
         assert x.entry(0) == 7.0
