@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .construction import (
     ConstructionCache,
-    ExpLadder,
     build_tree,
     cache_stats,
     check_properties,
@@ -43,7 +42,7 @@ from .reduction import (
     unit_ball_check,
 )
 from .reports import CheckReport
-from .seqspace import DEFAULT_ETA, Margin, pnorm_pow
+from .seqspace import DEFAULT_ETA, ExpLadder, Margin, pnorm_pow
 from .witness import DEFAULT_STEP_BUDGET
 
 CORPUS_BLOCK_DEPTH = 12

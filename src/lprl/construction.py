@@ -39,19 +39,6 @@ from .seqspace import (
 )
 from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, extend
 
-__all__ = [
-    "ExpLadder",
-    "Node",
-    "ConstructionCache",
-    "build_node",
-    "build_tree",
-    "check_properties",
-    "least_natural_above",
-    "export_cache",
-    "import_cache",
-    "cache_stats",
-]
-
 
 def least_natural_above(x, margin=DEFAULT_MARGIN):
     """Smallest natural strictly above x, robust to rounding at the boundary.
@@ -330,9 +317,14 @@ def import_cache(path):
             raise ValueError(
                 f"{path}: line {lineno}: a record needs exactly three '|' fields, "
                 f"got {line!r}") from None
-        sigma = () if bits_text == "-" else bitstring(bits_text)
-        caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
-        phi = _parse_segments(phi_text[4:])
+        try:
+            if not (m_text.startswith("M=") and phi_text.startswith("phi=")):
+                raise ValueError("fields must read bits|M=...|phi=...")
+            sigma = () if bits_text == "-" else bitstring(bits_text)
+            caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
+            phi = _parse_segments(phi_text[4:])
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
         if sigma == ():
             continue  # root is pre-seeded
         parent = cache._nodes.get(sigma[:-1])

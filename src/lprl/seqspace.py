@@ -104,10 +104,6 @@ class PowerWindow:
         return self.scale * (self.n_start + 1.0) ** (-1.0 / self.p_bottom)
 
 
-def _segment_length(seg):
-    return seg.length
-
-
 # --- power sums -------------------------------------------------------------
 
 # Window power sums repeat across every descendant node that re-verifies a
@@ -120,49 +116,56 @@ def _window_power_sum(win, p):
     cached = _WINDOW_SUM_CACHE.get(key)
     if cached is not None:
         return cached
-    c = p / win.p_bottom
     factor = win.scale ** p
     if factor == 0.0:
         return 0.0
-    length = win.length
-    if length <= DIRECT_CUTOFF and win.n_end + 2 <= MAX_EXACT_INDEX:
-        if length <= FSUM_CUTOFF:
-            s = math.fsum((n + 1.0) ** (-c) for n in range(win.n_start, win.n_end + 1))
-        else:
-            m = np.arange(win.n_start + 1, win.n_end + 2, dtype=np.float64)
-            s = float(np.sum(m ** (-c)))
-    else:
-        s = _analytic_range_sum(c, win.n_start + 1, win.n_end + 1)
-    out = factor * s
+    out = factor * _range_power_sum(p / win.p_bottom, win.n_start + 1, win.n_end + 1)
     _WINDOW_SUM_CACHE[key] = out
     return out
 
 
-def _analytic_range_sum(c, a, b):
+def _summed_directly(a, b):
+    """Whether ``_range_power_sum`` adds up the terms of [a, b] one by one."""
+    return b is not None and b - a < DIRECT_CUTOFF and b < MAX_EXACT_INDEX
+
+
+def _range_power_sum(c, a, b=None):
+    """sum_{m=a}^{b} m**(-c); ``b=None`` means the tail sum_{m>=a} (c > 1).
+
+    The one summation kernel: window power sums, the witness searches and
+    their re-check all go through it. Windows of at most ``DIRECT_CUTOFF``
+    terms are summed directly (fsum up to ``FSUM_CUTOFF`` terms, numpy
+    above); longer windows and tails are evaluated analytically.
+    """
+    if not _summed_directly(a, b):
+        return _analytic_range_sum(c, a, b)
+    if b - a < FSUM_CUTOFF:
+        return math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
+    m = np.arange(a, b + 1, dtype=np.float64)
+    return float(np.sum(m ** (-c)))
+
+
+def _analytic_range_sum(c, a, b=None):
     """sum_{m=a}^{b} m**(-c) via Hurwitz zeta / harmonic differences.
 
-    Valid for every c > 0 (for c < 1 the Hurwitz zeta terms are the
-    analytic continuation; their difference still equals the finite sum).
-    Working precision scales with the magnitude of the endpoints so that
-    the cancellation between the two tails never eats the answer.
+    ``b=None`` gives the tail zeta(c, a), for c > 1. Valid for every c > 0
+    (for c < 1 the Hurwitz zeta terms are the analytic continuation; their
+    difference still equals the finite sum). Working precision scales with
+    the magnitude of the endpoints so that the cancellation between the two
+    tails never eats the answer.
     """
-    digits = int(math.log10(b + 2)) + 1
+    digits = int(math.log10((a if b is None else b) + 2)) + 1
     dps = 40 + 2 * digits
     if c != 1.0 and abs(c - 1.0) < 1e-3:
         dps += int(-math.log10(abs(c - 1.0))) + 10
     with mp.workdps(dps):
-        if c == 1.0:
+        if b is None:
+            s = mp.zeta(mpf(c), a)
+        elif c == 1.0:
             s = mp.harmonic(mpf(b)) - mp.harmonic(mpf(a - 1))
         else:
             s = mp.zeta(mpf(c), a) - mp.zeta(mpf(c), b + 1)
         return float(s)
-
-
-def _generator_tail(c, n0):
-    """sum_{n >= n0} (n+1)**(-c) for c > 1, i.e. zeta(c, n0+1)."""
-    digits = int(math.log10(n0 + 2)) + 1
-    with mp.workdps(40 + 2 * digits):
-        return float(mp.zeta(mpf(c), n0 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +183,9 @@ class FinSeq:
     __slots__ = ("segments", "length")
 
     def __init__(self, segments=()):
-        segs = tuple(s for s in segments if _segment_length(s) > 0)
+        segs = tuple(s for s in segments if s.length > 0)
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "length", sum(_segment_length(s) for s in segs))
+        object.__setattr__(self, "length", sum(s.length for s in segs))
 
     def __setattr__(self, *a):
         raise AttributeError("FinSeq is immutable")
@@ -193,7 +196,7 @@ class FinSeq:
         if not (0 <= i < self.length):
             raise IndexError(f"index {i} out of range for length {self.length}")
         for seg in self.segments:
-            n = _segment_length(seg)
+            n = seg.length
             if i < n:
                 if isinstance(seg, Literal):
                     return seg.values[i]
@@ -235,9 +238,6 @@ class FinSeq:
 
     # -- structural comparison -----------------------------------------------
 
-    def _runs(self):
-        return list(self.segments)
-
     def is_prefix_of(self, other, proper=False):
         """Entrywise initial-segment test, done on segment structure.
 
@@ -250,22 +250,22 @@ class FinSeq:
         if proper and self.length == other.length:
             return False
         need = self.length
-        mine = self._runs()
-        theirs = other._runs()
+        mine = self.segments
+        theirs = other.segments
         i = j = 0
         off_i = off_j = 0  # consumed entries inside current run
         while need > 0:
             a, b = mine[i], theirs[j]
-            take = min(_segment_length(a) - off_i, _segment_length(b) - off_j, need)
+            take = min(a.length - off_i, b.length - off_j, need)
             if not _pieces_equal(a, off_i, b, off_j, take):
                 return False
             need -= take
             off_i += take
             off_j += take
-            if off_i == _segment_length(a):
+            if off_i == a.length:
                 i += 1
                 off_i = 0
-            if off_j == _segment_length(b):
+            if off_j == b.length:
                 j += 1
                 off_j = 0
         return True

@@ -14,9 +14,11 @@ at the second-smallest exponent certifiably smaller than both the cap
 slack and eps (this also bounds the q-cost, since entries are below one),
 and n1 is the least index whose harmonic window sum clears M plus the
 margin. The divergence rate is harmonic, so the window length grows like
-``n0 * exp(M)``; short windows are searched by direct summation, long ones
-analytically, and windows too long to enumerate under the step budget
-raise a resource error carrying the partial sum reached.
+``n0 * exp(M)``. Both searches sum with ``seqspace._range_power_sum``, the
+kernel that ``verify_witness`` re-sums the block with, so the chosen n1 is
+exact against the re-check at every scale. A directly summed window longer
+than the step budget raises a resource error carrying the partial sum of
+the first step-budget terms.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from .errors import PreconditionError, ResourceLimitError
 from .reports import CheckReport
 from .seqspace import (
     DEFAULT_MARGIN,
-    DIRECT_CUTOFF,
-    FSUM_CUTOFF,
-    MAX_EXACT_INDEX,
     FinSeq,
     Margin,
     as_finseq,
@@ -41,7 +40,8 @@ from .seqspace import (
     concat,
     pnorm_pow,
     window_seq,
-    _generator_tail,
+    _range_power_sum,
+    _summed_directly,
 )
 
 DEFAULT_STEP_BUDGET = 10 ** 8
@@ -121,10 +121,10 @@ def _least_start(s, thr, margin):
     log_est = -(math.log(s - 1.0) + math.log(thr)) / (s - 1.0)
     if log_est <= math.log(1 << 20):
         hi = max(1, math.ceil(math.exp(log_est)) + 1)
-        tail_hi = _generator_tail(s, hi)
+        tail_hi = _range_power_sum(s, hi + 1)
         while not certified_less(tail_hi, thr, margin):
             hi *= 2
-            tail_hi = _generator_tail(s, hi)
+            tail_hi = _range_power_sum(s, hi + 1)
         if hi == 1:
             return 1
         xs = (np.arange(1, hi, dtype=np.float64) + 1.0) ** (-s)  # (n+1)^-s, n=1..hi-1
@@ -134,82 +134,54 @@ def _least_start(s, thr, margin):
     # astronomical start: certify the estimate analytically
     with mp.workdps(40):
         n0 = int(mp.exp(mpf(log_est))) + 1
-    while not certified_less(_generator_tail(s, n0), thr, margin):
+    while not certified_less(_range_power_sum(s, n0 + 1), thr, margin):
         n0 *= 2
     return n0
 
 
-def _harmonic_window(n0, n1):
-    """sum_{n=n0}^{n1} 1/(n+1) evaluated analytically."""
-    digits = int(math.log10(n1 + 2)) + 1
-    with mp.workdps(40 + 2 * digits):
-        return float(mp.harmonic(mpf(n1 + 1)) - mp.harmonic(mpf(n0)))
-
-
 def _least_end(n0, M, margin, step_budget):
-    """Least n1 >= n0 whose harmonic window sum exceeds M + eta."""
+    """Least n1 >= n0 whose harmonic window sum_{m=n0+1}^{n1+1} 1/m exceeds M + eta.
+
+    The window is summed by ``_range_power_sum``, the kernel that
+    ``verify_witness`` re-sums the block with, so the answer is exact
+    against the re-check. A directly summed answer longer than
+    ``step_budget`` terms raises ResourceLimitError.
+    """
     target = M + margin.eta
-    # crude upper estimate from H(m) ~ ln m + gamma
-    log_hi = target + math.log(n0 + 1.0) + 1.0
-    direct_feasible = (
-        log_hi <= math.log(MAX_EXACT_INDEX)
-        and (n0 + 1.0) * math.exp(target) - n0 + 16 <= DIRECT_CUTOFF
-    )
-    if direct_feasible:
-        return _least_end_direct(n0, target, step_budget)
-    if _harmonic_window(n0, n0) > target:
-        return n0
-    with mp.workdps(60):
-        hi = int(mp.exp(mpf(log_hi))) + 2
-    while _harmonic_window(n0, hi) <= target:
-        hi *= 4
-    lo = n0
-    # invariant: W(lo) <= target < W(hi)
+
+    def window(n1):
+        return _range_power_sum(1.0, n0 + 1, n1 + 1)
+
+    # H(m) ~ ln(m + 1/2) + gamma puts the crossing near n1 + 1.5 =
+    # exp(target + H(n0) - gamma); aiming half an ulp past the target finds
+    # where the rounded window first exceeds it
+    digits = int(math.log10(n0 + 2)) + 1
+    with mp.workdps(40 + 2 * digits):
+        aim = mpf(target) + mpf(math.ulp(target)) / 2
+        guess = max(n0, int(mp.exp(aim + mp.harmonic(n0) - mp.euler) - 1.5))
+    # invariant: window(lo) <= target < window(hi); window(n0 - 1) = 0
+    step = 1
+    if window(guess) > target:
+        lo, hi = guess - 1, guess
+        while lo >= n0 and window(lo) > target:
+            hi, step = lo, 2 * step
+            lo = max(guess - step, n0 - 1)
+    else:
+        lo, hi = guess, guess + 1
+        while window(hi) <= target:
+            lo, step = hi, 2 * step
+            hi = guess + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _harmonic_window(n0, mid) > target:
+        if window(mid) > target:
             hi = mid
         else:
             lo = mid
+    if step_budget < hi - n0 + 1 and _summed_directly(n0 + 1, hi + 1):
+        raise ResourceLimitError(
+            f"harmonic window search exhausted the step budget ({step_budget} terms)",
+            partial_sum=window(n0 + step_budget - 1), steps=step_budget)
     return hi
-
-
-def _canonical_harmonic_block(n0, n1):
-    """sum_{n=n0}^{n1} (n+1)**-1 by the same regime rules as pnorm_pow uses."""
-    length = n1 - n0 + 1
-    if length <= FSUM_CUTOFF:
-        return math.fsum((n + 1.0) ** (-1.0) for n in range(n0, n1 + 1))
-    m = np.arange(n0 + 1, n1 + 2, dtype=np.float64)
-    return float(np.sum(m ** (-1.0)))
-
-
-def _least_end_direct(n0, target, step_budget):
-    chunk = 1 << 17
-    total = 0.0
-    steps = 0
-    n = n0
-    while True:
-        count = min(chunk, step_budget - steps)
-        if count <= 0:
-            raise ResourceLimitError(
-                f"harmonic window search exhausted the step budget ({step_budget} terms)",
-                partial_sum=total, steps=steps)
-        block = 1.0 / np.arange(n + 1, n + count + 1, dtype=np.float64)
-        cum = total + np.cumsum(block)
-        hits = np.nonzero(cum > target)[0]
-        if hits.size:
-            # the running cumsum orders additions differently from the
-            # re-summation that verifies the block, so pin the boundary
-            # against the canonical evaluator
-            n1 = n + int(hits[0])
-            while _canonical_harmonic_block(n0, n1) <= target:
-                n1 += 1
-            while n1 > n0 and _canonical_harmonic_block(n0, n1 - 1) > target:
-                n1 -= 1
-            return n1
-        total = float(cum[-1])
-        steps += count
-        n += count
 
 
 def _searched(memo, key, search, *args):

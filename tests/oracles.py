@@ -60,3 +60,15 @@ def generator_tail_bracket(s, n0, terms=200000):
     hi_start = n0 + terms
     upper_tail = hi_start ** (1.0 - s) / (s - 1.0)
     return head, head + upper_tail
+
+
+def power_sum_mp(c, a, b=None, dps=80):
+    """sum_{m=a}^{b} m**-c (the tail m >= a when b is None) in mpmath at fixed precision."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        if b is None:
+            return float(mp.zeta(mpf(c), a))
+        if c == 1.0:
+            return float(mp.harmonic(b) - mp.harmonic(a - 1))
+        return float(mp.zeta(mpf(c), a) - mp.zeta(mpf(c), b + 1))

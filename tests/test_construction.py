@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import pytest
 
@@ -141,7 +143,12 @@ class TestExportImport:
         with pytest.raises(ValueError, match=f"bad.txt.*'{key}'"):
             import_cache(bad)
 
-    @pytest.mark.parametrize("record", ["1|M=1", "1|M=1|phi=L:0.0|x", "1"])
+    @pytest.mark.parametrize("record", [
+        "1|M=1", "1|M=1|phi=L:0.0|x", "1",
+        # well split, but a field is malformed
+        "1|M=x|phi=L:0.0", "1|M=1|phi=L:abc", "1|M=1|phi=W:1.0,1.0,3",
+        "1|M=1|phi=Z:0.0", "1|N=1|phi=L:0.0", "2|M=1|phi=L:0.0",
+    ])
     def test_record_needs_three_fields(self, tmp_path, small_cache, record):
         build_tree(small_cache, 1)
         path = export_cache(small_cache, tmp_path / "cache.txt")
@@ -149,8 +156,24 @@ class TestExportImport:
         lines[-1] = record  # the last record, for the string "1"
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"bad.txt: line {len(lines)}:.*{record!r}"):
+        where = re.escape(f"bad.txt: line {len(lines)}: ")
+        with pytest.raises(ValueError, match=f"{where}.*{re.escape(repr(record))}"):
             import_cache(bad)
+
+
+# SHA-256 of the depth-10 exports; any change to a witness window shows here
+GOLDEN_DEPTH10 = [
+    (0.0, 2.0, "c20991a70d2adecd37df82cd62a853806c7275e5b2998ac6082cda55a66547e1"),
+    (0.0, 0.5, "e4448685c9a769a8d68fd6aa55202988bfe4fc9bdf8831fa80a4fa48642cdfb0"),
+    (1.0, 3.0, "31871ac52fc93b92f462546392ba9b3a0b245c8f1bb56d140e5a4c48f737e3c0"),
+]
+
+
+@pytest.mark.parametrize("a,q,digest", GOLDEN_DEPTH10, ids=["a0-q2", "a0-q0.5", "a1-q3"])
+def test_depth10_export_is_golden(tmp_path, a, q, digest):
+    cache = build_tree(ConstructionCache(ExpLadder(a, q)), 10)
+    path = export_cache(cache, tmp_path / "cache.txt")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestResourceHandling:

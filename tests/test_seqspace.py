@@ -22,9 +22,15 @@ from lprl import (
     sup_norm,
     window_seq,
 )
-from lprl.seqspace import _analytic_range_sum, _window_power_sum
+from lprl.seqspace import (
+    DIRECT_CUTOFF,
+    FSUM_CUTOFF,
+    _analytic_range_sum,
+    _range_power_sum,
+    _window_power_sum,
+)
 
-from oracles import power_sum_plain
+from oracles import power_sum_mp, power_sum_plain
 
 entries = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
@@ -203,6 +209,49 @@ class TestWindowSums:
         w = PowerWindow(1.0, 2 ** 53, 2 ** 53 + 10)
         with pytest.raises(ResourceLimitError):
             w.entry(0)
+
+
+class TestRangePowerSum:
+    """The one summation kernel, on both sides of each regime cutoff."""
+
+    @given(st.floats(min_value=0.3, max_value=3.0), st.integers(1, 10 ** 6),
+           st.integers(-3, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_fsum_cutoff_matches_plain_loop(self, c, a, offset, harmonic):
+        c = 1.0 if harmonic else c
+        b = a + FSUM_CUTOFF - 1 + offset
+        plain = power_sum_plain([m ** -c for m in range(a, b + 1)], 1.0)
+        assert _range_power_sum(c, a, b) == pytest.approx(plain, rel=1e-13)
+
+    @given(st.floats(min_value=0.3, max_value=3.0), st.integers(1, 10 ** 9),
+           st.integers(-3, 3), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_direct_cutoff_matches_mpmath(self, c, a, offset, harmonic):
+        c = 1.0 if harmonic else c
+        b = a + DIRECT_CUTOFF - 1 + offset
+        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_mp(c, a, b), rel=1e-12)
+
+    @given(st.floats(min_value=0.3, max_value=3.0), st.integers(1, 10 ** 30),
+           st.integers(0, 10 ** 20), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_window_matches_mpmath(self, c, a, length, harmonic):
+        c = 1.0 if harmonic else c
+        b = a + length
+        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_mp(c, a, b), rel=1e-12)
+
+    @given(st.floats(min_value=1.05, max_value=4.0), st.integers(1, 10 ** 12),
+           st.integers(0, 2 * DIRECT_CUTOFF))
+    @settings(max_examples=30, deadline=None)
+    def test_tail_additivity(self, c, a, length):
+        b = a + length
+        whole = _range_power_sum(c, a)
+        assert whole == pytest.approx(power_sum_mp(c, a), rel=1e-13)
+        split = _range_power_sum(c, a, b) + _range_power_sum(c, b + 1)
+        assert split == pytest.approx(whole, rel=1e-12)
+
+    def test_window_power_sum_uses_the_kernel(self):
+        w = PowerWindow(0.5, 9, 9 + FSUM_CUTOFF)
+        assert _window_power_sum(w, 1.5) == _range_power_sum(3.0, 10, 10 + FSUM_CUTOFF)
 
 
 class TestFinSeqStructure:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lprl import (
     EMPTY,
@@ -17,7 +19,10 @@ from lprl import (
     pnorm_pow,
     scale,
     verify_witness,
+    window_seq,
 )
+from lprl.seqspace import DIRECT_CUTOFF, _range_power_sum
+from lprl.witness import _least_end
 
 from oracles import generator_tail_bracket, harmonic_first_crossing, power_sum_plain
 
@@ -170,3 +175,44 @@ class TestRandomizedSoundness:
             req = _random_request(rng, q_low, q_high)
             w = extend(req, MARGIN)
             assert verify_witness(req, w, MARGIN).ok
+
+
+def _window(n0, n1):
+    """The harmonic window sum_{m=n0+1}^{n1+1} 1/m as the kernel gives it."""
+    return _range_power_sum(1.0, n0 + 1, n1 + 1)
+
+
+class TestLeastEnd:
+    @given(st.integers(1, 10 ** 30), st.floats(min_value=0.2, max_value=12.0),
+           st.sampled_from([0.5, 1.0, 2.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_least_crossing(self, n0, M, p_bottom):
+        target = M + MARGIN.eta
+        n1 = _least_end(n0, M, MARGIN, 10 ** 8)
+        assert n1 >= n0
+        assert _window(n0, n1) > target
+        assert n1 == n0 or _window(n0, n1 - 1) <= target
+        # the verifier re-sums the block with the same kernel
+        assert pnorm_pow(window_seq(p_bottom, n0, n1), p_bottom) == _window(n0, n1)
+
+    @given(st.integers(1, 10 ** 4), st.floats(min_value=0.5, max_value=6.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_budget_error(self, n0, M, frac):
+        n1 = _least_end(n0, M, MARGIN, 10 ** 8)
+        length = n1 - n0 + 1
+        assume(1 < length <= DIRECT_CUTOFF)
+        budget = 1 + int(frac * (length - 2))
+        with pytest.raises(ResourceLimitError) as err:
+            _least_end(n0, M, MARGIN, budget)
+        assert err.value.steps == budget
+        # short of the target; it can equal M when M + eta is the crossing
+        assert err.value.partial_sum <= M + MARGIN.eta
+        assert err.value.partial_sum == _window(n0, n0 + budget - 1)
+        assert _least_end(n0, M, MARGIN, length) == n1
+
+    def test_analytic_answer_ignores_budget(self):
+        n0 = 10 ** 20
+        n1 = _least_end(n0, 2.0, MARGIN, 1)
+        assert n1 - n0 + 1 > DIRECT_CUTOFF
+        assert _window(n0, n1) > 2.0 + MARGIN.eta >= _window(n0, n1 - 1)
