@@ -1,17 +1,12 @@
 """lprl: certified finite-scale numerics for sequence-space constructions."""
 
 from .errors import PreconditionError, ResourceLimitError
-from .reports import Check, CheckReport
 from .seqspace import (
-    DEFAULT_ETA,
     DEFAULT_MARGIN,
     EMPTY,
     ExpLadder,
-    FinSeq,
-    Literal,
     Margin,
     PowerWindow,
-    as_finseq,
     certified_less,
     concat,
     difference,
@@ -23,17 +18,10 @@ from .seqspace import (
     sup_norm,
     window_seq,
 )
-from .grid import bitstring, depth, extend_laws_check, level, pair, unpair
-from .witness import (
-    ClaimRequest,
-    ClaimWitness,
-    extend,
-    generator_entry,
-    verify_witness,
-)
+from .grid import depth, extend_laws_check, level, pair, unpair
+from .witness import ClaimRequest, ClaimWitness, extend, verify_witness
 from .construction import (
     ConstructionCache,
-    Node,
     build_node,
     build_tree,
     cache_stats,
@@ -44,12 +32,9 @@ from .construction import (
 )
 from .reduction import (
     AlphaSpec,
-    BlockDecomposition,
-    DivergenceWitness,
     EventuallyOne,
     FiniteOnes,
     PeriodicOnes,
-    PrefixCertificate,
     alpha_bit,
     bad_row,
     continuity_check,
@@ -57,7 +42,6 @@ from .reduction import (
     export_prefix,
     f_blocks,
     in_p3,
-    join_blocks,
     path_bits,
     prefix_certificate,
     scale_prefix,
@@ -66,14 +50,11 @@ from .reduction import (
     unit_ball_check,
 )
 from .hierarchy import (
-    DoubleSeq,
-    Pi4Certificate,
     build_pi4_certificate,
     embedding_inequality_check,
     export_certificate,
     extract_row,
     interleave,
 )
-from .cli import RunConfig, format_alpha_spec, make_cache, parse_alpha_spec
 
 __version__ = "0.1.0"

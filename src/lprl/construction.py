@@ -86,9 +86,6 @@ class ConstructionCache:
         self._nodes = {(): Node((), EMPTY, (), EMPTY)}
         self.search_memo = {}
 
-    def node(self, sigma):
-        return build_node(self, sigma)
-
     def __len__(self):
         return len(self._nodes)
 
@@ -172,7 +169,7 @@ def check_properties(cache, max_len):
     margin = cache.margin
     q = ladder.q
     rep = CheckReport(f"construction-properties max_len={max_len}")
-    root = cache.node(())
+    root = build_node(cache, ())
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
 
     for length in range(1, max_len + 1):

@@ -34,16 +34,8 @@ from .seqspace import (
 from .reduction import in_p3, prefix_certificate, scale_prefix
 
 
-@dataclass(frozen=True)
-class DoubleSeq:
-    """A flat sequence viewed as an array via the diagonal identification."""
-
-    flat: FinSeq
-
-
-def extract_row(d, m, limit=MATERIALIZE_LIMIT):
-    """Row m of the array: entries at flat indices pair(m, t)."""
-    flat = d.flat
+def extract_row(flat, m, limit=MATERIALIZE_LIMIT):
+    """Row m of the array: entries of the flat sequence at indices pair(m, t)."""
     out = []
     t = 0
     while True:
@@ -65,12 +57,11 @@ def interleave(rows, upto, limit=MATERIALIZE_LIMIT):
         raise ResourceLimitError(f"interleave target length {upto} exceeds {limit}")
     vals = [0.0] * upto
     for m, row in enumerate(rows):
-        row = as_finseq(row)
-        for t, v in enumerate(row.iter_entries(limit)):
+        for t, v in enumerate(as_finseq(row).to_array(limit).tolist()):
             n = pair(m, t)
             if n < upto:
                 vals[n] = v
-    return DoubleSeq(finseq(vals))
+    return finseq(vals)
 
 
 def embedding_inequality_check(x, y, b, ladder, terms):
@@ -109,7 +100,7 @@ class Pi4Certificate:
 
     components: tuple      # PrefixCertificate per m
     scalings: tuple        # delta_m used for component m
-    interleaved: DoubleSeq
+    interleaved: FinSeq
     in_target_class: tuple  # per-component membership classification
 
 

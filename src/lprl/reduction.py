@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import build_node
+from .errors import ResourceLimitError
 from .grid import pair, unpair
 from .reports import CheckReport
 from .seqspace import (
@@ -32,7 +33,7 @@ from .seqspace import (
     certified_less,
     pnorm_pow,
     scale,
-    _padded_arrays,
+    _zero_padded,
 )
 
 
@@ -189,13 +190,12 @@ def f_blocks(cache, spec, k):
     return BlockDecomposition(blocks, spec, k, cache.ladder.q)
 
 
-def join_blocks(blocks):
-    return FinSeq(sum((b.segments for b in blocks), ()))
-
-
 def prefix_certificate(cache, spec, k):
-    bd = f_blocks(cache, spec, k)
-    return PrefixCertificate(join_blocks(bd.blocks), k, 2.0 ** -(k + 1), bd.q)
+    """phi of the path's node: the concatenation of its blocks u_0..u_k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    phi = build_node(cache, path_bits(spec, k)).phi
+    return PrefixCertificate(phi, k, 2.0 ** -(k + 1), cache.ladder.q)
 
 
 def scale_prefix(pc, delta):
@@ -211,7 +211,7 @@ def scale_prefix(pc, delta):
 def export_prefix(pc, path, limit=MATERIALIZE_LIMIT):
     """Write the prefix one value per line (round-trip exact), header first."""
     lines = [f"# blocks_used={pc.blocks_used} q={pc.q!r} tail_q_bound={pc.tail_q_bound!r}"]
-    lines.extend(repr(v) for v in pc.prefix.iter_entries(limit))
+    lines.extend(repr(v) for v in pc.prefix.to_array(limit).tolist())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -231,9 +231,9 @@ def unit_ball_check(bd, margin=DEFAULT_MARGIN):
                 c, 2.0 ** -(t + 1), note=f"t={t}")
     cumulative = math.fsum(costs)
     geometric = 1.0 - 2.0 ** -(bd.k + 1)
-    rep.add("cumulative-under-geometric", cumulative <= geometric,
+    rep.add("cumulative-under-geometric", certified_less(cumulative, geometric, margin),
             cumulative, geometric)
-    rep.add("cumulative-under-one", cumulative <= 1.0, cumulative, 1.0)
+    rep.add("cumulative-under-one", certified_less(cumulative, 1.0, margin), cumulative, 1.0)
     return rep
 
 
@@ -254,7 +254,16 @@ def continuity_check(cache, spec_a, spec_b, agree_to, k_extra, margin=DEFAULT_MA
     rep = CheckReport(f"continuity agree_to={agree_to} k_extra={k_extra}", keep_passing=True)
     shared = all(bd_a.blocks[t] == bd_b.blocks[t] for t in range(agree_to + 1))
     rep.add("shared-blocks-identical", shared, note=f"t<={agree_to}")
-    ax, ay = _padded_arrays(join_blocks(bd_a.blocks), join_blocks(bd_b.blocks))
+
+    def materialized(spec):
+        bits = path_bits(spec, k_total)
+        try:
+            return build_node(cache, bits).phi.to_array()
+        except ResourceLimitError as err:
+            err.sigma = bits  # names the path whose prefix is too long
+            raise
+
+    ax, ay = _zero_padded(materialized(spec_a), materialized(spec_b))
     dist_pow = float(np.sum(np.abs(ax - ay) ** bd_a.q))
     if bd_a.q >= 1:
         dist = dist_pow ** (1.0 / bd_a.q)

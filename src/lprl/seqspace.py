@@ -91,17 +91,35 @@ class PowerWindow:
     def length(self):
         return self.n_end - self.n_start + 1
 
-    def entry(self, t):
-        n = self.n_start + t
-        if n + 1 > MAX_EXACT_INDEX:
+    def values(self, t=0, count=None):
+        """Entries t..t+count-1 (default: to the window's end) as a float64 array.
+
+        The one evaluator of window entries: ``entry``, ``FinSeq.to_array``,
+        ``materialize`` and equality all read through it. Its vectorized
+        numpy power can differ from Python's scalar ``**`` in the last bit,
+        so no entry is computed any other way.
+        """
+        if count is None:
+            count = self.length - t
+        m_start = self.n_start + t + 1
+        if m_start + count - 1 > MAX_EXACT_INDEX:
             raise ResourceLimitError(
-                f"window index {n} exceeds exact float range; entries of this "
-                "window exist only as a descriptor")
-        return self.scale * (n + 1.0) ** (-1.0 / self.p_bottom)
+                f"window index {m_start + count - 2} exceeds exact float range; "
+                "entries of this window exist only as a descriptor")
+        return self._in_place(np.arange(m_start, m_start + count, dtype=np.float64))
+
+    def _in_place(self, m):
+        # in place: windows can hold tens of millions of entries
+        m **= -1.0 / self.p_bottom
+        m *= self.scale
+        return m
+
+    def entry(self, t):
+        return float(self.values(t, 1)[0])
 
     def max_entry(self):
-        # entries are positive and decreasing in n
-        return self.scale * (self.n_start + 1.0) ** (-1.0 / self.p_bottom)
+        # entries are positive and decreasing in n; the sup needs no exact index
+        return float(self._in_place(np.array([self.n_start + 1.0]))[0])
 
 
 # --- power sums -------------------------------------------------------------
@@ -204,37 +222,16 @@ class FinSeq:
             i -= n
         raise AssertionError("unreachable")
 
-    def iter_entries(self, limit=MATERIALIZE_LIMIT):
-        if self.length > limit:
-            raise ResourceLimitError(
-                f"refusing to enumerate {self.length} entries (limit {limit})")
-        for seg in self.segments:
-            if isinstance(seg, Literal):
-                yield from seg.values
-            else:
-                for t in range(seg.length):
-                    yield seg.entry(t)
-
     def materialize(self, limit=MATERIALIZE_LIMIT):
-        return tuple(self.iter_entries(limit))
+        return tuple(self.to_array(limit).tolist())
 
     def to_array(self, limit=MATERIALIZE_LIMIT):
         if self.length > limit:
             raise ResourceLimitError(
                 f"refusing to materialize {self.length} entries (limit {limit})")
-        parts = []
-        for seg in self.segments:
-            if isinstance(seg, Literal):
-                parts.append(np.asarray(seg.values, dtype=np.float64))
-            else:
-                if seg.n_end + 1 > MAX_EXACT_INDEX:
-                    raise ResourceLimitError(
-                        "window indices exceed exact float range; cannot materialize")
-                m = np.arange(seg.n_start + 1, seg.n_end + 2, dtype=np.float64)
-                parts.append(seg.scale * m ** (-1.0 / seg.p_bottom))
-        if not parts:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(parts)
+        parts = [np.asarray(seg.values, dtype=np.float64) if isinstance(seg, Literal)
+                 else seg.values() for seg in self.segments]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
 
     # -- structural comparison -----------------------------------------------
 
@@ -289,10 +286,7 @@ def _piece_entries(seg, off, count):
     """Entries off..off+count-1 of a segment, exactly as ``entry`` gives them."""
     if isinstance(seg, Literal):
         return np.asarray(seg.values[off:off + count], dtype=np.float64)
-    # entry by entry: numpy's vectorized power can differ from Python's
-    # float power, which defines the entries, in the last bit
-    return np.fromiter((seg.entry(t) for t in range(off, off + count)),
-                       dtype=np.float64, count=count)
+    return seg.values(off, count)
 
 
 # Entries per numpy chunk when a literal run is compared with a window.
@@ -432,9 +426,8 @@ def scale(x, c):
     return FinSeq(tuple(segs))
 
 
-def _padded_arrays(x, y, limit=MATERIALIZE_LIMIT):
-    ax = as_finseq(x).to_array(limit)
-    ay = as_finseq(y).to_array(limit)
+def _zero_padded(ax, ay):
+    """The two arrays, the shorter one extended by zeros to the common length."""
     n = max(len(ax), len(ay))
     if len(ax) < n:
         ax = np.concatenate([ax, np.zeros(n - len(ax))])
@@ -445,7 +438,7 @@ def _padded_arrays(x, y, limit=MATERIALIZE_LIMIT):
 
 def difference(x, y):
     """The explicit zero-padded difference x - y as a FinSeq."""
-    ax, ay = _padded_arrays(x, y)
+    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
     return finseq(ax - ay)
 
 
@@ -453,7 +446,7 @@ def dp_metric(x, y, p):
     """The metric sum_n |x_n - y_n|**p for 0 < p < 1 (zero-padded)."""
     if not (0 < p < 1):
         raise ValueError(f"dp_metric needs 0 < p < 1 (got p={p!r}); use norms for p >= 1")
-    ax, ay = _padded_arrays(x, y)
+    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
     return math.fsum(abs(float(d)) ** p for d in ax - ay)
 
 
@@ -486,7 +479,7 @@ def frechet_metric(x, y, ladder, terms):
     if b < 1 and not ladder.exponent(0) < 1:
         raise PreconditionError(
             f"base {b} < 1 requires a ladder with p_0 < 1, got p_0={ladder.exponent(0)}")
-    ax, ay = _padded_arrays(x, y)
+    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
     diff = np.abs(ax - ay)
     vals = []
     for i in range(terms):

@@ -47,15 +47,6 @@ from .seqspace import (
 DEFAULT_STEP_BUDGET = 10 ** 8
 
 
-def generator_entry(n, p_bottom):
-    """The canonical generator value x_n = (n+1)**(-1/p_bottom)."""
-    if n < 0:
-        raise ValueError("generator index must be a natural")
-    if not p_bottom > 0:
-        raise ValueError("p_bottom must be positive")
-    return (n + 1.0) ** (-1.0 / p_bottom)
-
-
 @dataclass(frozen=True)
 class ClaimRequest:
     """Inputs of one extension step.

@@ -44,7 +44,6 @@ from lprl import (
     unpair,
     unit_ball_check,
     verify_witness,
-    DoubleSeq,
     bad_row,
 )
 from lprl.cli import RunConfig, cmd_build
@@ -193,8 +192,8 @@ def test_criterion_8_corollary_machinery(cache02):
             x = finseq([rng.uniform(-1, 1) for _ in range(n)])
             y = finseq([rng.uniform(-1, 1) for _ in range(n)])
             m = rng.randrange(0, 3)
-            rx = extract_row(DoubleSeq(x), m)
-            ry = extract_row(DoubleSeq(y), m)
+            rx = extract_row(x, m)
+            ry = extract_row(y, m)
             if p is None:
                 ok = ok and (sup_norm(difference(rx, ry))
                              <= sup_norm(difference(x, y)) + 1e-12)

@@ -117,6 +117,17 @@ class TestMainExitCodes:
         assert 1.0 < float(value) < 2.0  # ten terms short of the target 2
         assert err[3:] == ["  steps: 10"]
 
+    def test_continuity_resource_error_names_node(self, tmp_path, capsys):
+        rc = main(["verify", "--a", "1", "--q", "3", "--max-len", "7",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("resource limit: refusing to materialize "
+                          "20478134892492957187 entries (limit 67108864)")
+        # the mutated path of the first continuity pair (agree_to=6, k_extra=2):
+        # its block at position 7 alone has about 2e19 entries
+        assert err[1:] == ["  sigma: 000000010"]
+
     def test_small_verify_passes(self, tmp_path, capsys):
         rc = main(["verify", "--max-len", "4", "--out", str(tmp_path), "--seed", "1"])
         assert rc == 0

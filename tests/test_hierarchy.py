@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lprl import (
     AlphaSpec,
     ConstructionCache,
-    DoubleSeq,
     EventuallyOne,
     ExpLadder,
     build_pi4_certificate,
@@ -33,12 +32,12 @@ rows_strategy = st.lists(
 
 class TestExtractRow:
     def test_three_entry_flat(self):
-        d = DoubleSeq(finseq((7.0, 8.0, 9.0)))  # indices 0=(0,0), 1=(1,0), 2=(0,1)
+        d = finseq((7.0, 8.0, 9.0))  # indices 0=(0,0), 1=(1,0), 2=(0,1)
         assert extract_row(d, 0).materialize() == (7.0, 9.0)
         assert extract_row(d, 1).materialize() == (8.0,)
 
     def test_row_beyond_data(self):
-        d = DoubleSeq(finseq((1.0, 2.0)))
+        d = finseq((1.0, 2.0))
         assert extract_row(d, 5).materialize() == ()
 
 
@@ -52,12 +51,12 @@ class TestInterleave:
 
     def test_no_rows_gives_zeros(self):
         d = interleave([], upto=10)
-        assert d.flat.materialize() == (0.0,) * 10
+        assert d.materialize() == (0.0,) * 10
 
     def test_two_rows_follow_table_order(self):
         d = interleave([finseq((1.0, 3.0)), finseq((2.0,))], upto=5)
         # positions: (0,0)->0, (1,0)->1, (0,1)->2
-        assert d.flat.materialize() == (1.0, 2.0, 3.0, 0.0, 0.0)
+        assert d.materialize() == (1.0, 2.0, 3.0, 0.0, 0.0)
 
     @given(rows_strategy)
     @settings(max_examples=60)
@@ -80,8 +79,7 @@ class TestRowExtractionLipschitz:
             x = finseq([rng.uniform(-1, 1) for _ in range(n)])
             y = finseq([rng.uniform(-1, 1) for _ in range(n)])
             m = rng.randrange(0, 4)
-            dx, dy = DoubleSeq(x), DoubleSeq(y)
-            row_dist = pnorm_pow(difference(extract_row(dx, m), extract_row(dy, m)), p)
+            row_dist = pnorm_pow(difference(extract_row(x, m), extract_row(y, m)), p)
             full_dist = pnorm_pow(difference(x, y), p)
             assert row_dist <= full_dist + 1e-12
 
@@ -92,8 +90,7 @@ class TestRowExtractionLipschitz:
             x = finseq([rng.uniform(-1, 1) for _ in range(n)])
             y = finseq([rng.uniform(-1, 1) for _ in range(n)])
             m = rng.randrange(0, 4)
-            row_dist = sup_norm(difference(extract_row(DoubleSeq(x), m),
-                                           extract_row(DoubleSeq(y), m)))
+            row_dist = sup_norm(difference(extract_row(x, m), extract_row(y, m)))
             assert row_dist <= sup_norm(difference(x, y)) + 1e-12
 
 

@@ -12,12 +12,14 @@ from lprl import (
     alpha_bit,
     bad_row,
     build_node,
+    build_tree,
     continuity_check,
     divergence_witness,
+    export_cache,
     export_prefix,
     f_blocks,
+    import_cache,
     in_p3,
-    join_blocks,
     pair,
     path_bits,
     pnorm_pow,
@@ -79,7 +81,18 @@ class TestBlocks:
         assert len(bd.blocks) == 6
         for u in bd.blocks:
             assert u.materialize() == (0.0,)
-        assert join_blocks(bd.blocks).materialize() == (0.0,) * 6
+        assert prefix_certificate(cache02, ZERO, 5).prefix.materialize() == (0.0,) * 6
+
+    @pytest.mark.parametrize("imported", [False, True])
+    def test_phi_is_the_joined_blocks(self, cache02, tmp_path, imported):
+        build_tree(cache02, 6)
+        cache = cache02
+        if imported:
+            cache = import_cache(export_cache(cache02, tmp_path / "c.txt"))
+        for spec in standard_corpus():
+            bd = f_blocks(cache, spec, 5)
+            joined = sum((u.segments for u in bd.blocks), ())
+            assert build_node(cache, path_bits(spec, 5)).phi.segments == joined
 
     def test_single_block_is_phi(self, cache02):
         bd = f_blocks(cache02, ROW0_ALWAYS, 0)

@@ -205,6 +205,19 @@ class TestWindowSums:
         with pytest.raises(ResourceLimitError):
             w.materialize()
 
+    @given(st.floats(min_value=0.2, max_value=3.0), st.integers(0, 10 ** 12),
+           st.integers(1, 5000), st.floats(min_value=0.0, max_value=2.0), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_evaluator_for_window_entries(self, p, n_start, length, c, data):
+        # entry, to_array, materialize and equality agree to the last bit
+        w = window_seq(p, n_start, n_start + length - 1, c)
+        arr = w.to_array()
+        t = data.draw(st.integers(0, length - 1))
+        for i in (0, t, length - 1):
+            assert w.entry(i) == arr[i]
+        assert finseq(arr) == w
+        assert w.materialize() == tuple(arr.tolist())
+
     def test_entry_guard_beyond_exact_floats(self):
         w = PowerWindow(1.0, 2 ** 53, 2 ** 53 + 10)
         with pytest.raises(ResourceLimitError):

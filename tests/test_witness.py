@@ -10,12 +10,12 @@ from lprl import (
     ClaimRequest,
     ClaimWitness,
     Margin,
+    PowerWindow,
     PreconditionError,
     ResourceLimitError,
     concat,
     extend,
     finseq,
-    generator_entry,
     pnorm_pow,
     scale,
     verify_witness,
@@ -34,16 +34,19 @@ def worked_request(M=1.0):
 
 
 class TestGeneratorEntry:
+    """Blocks are windows of the canonical generator x_n = (n+1)**(-1/p)."""
+
     def test_values(self):
-        assert generator_entry(0, 0.5) == 1.0
-        assert generator_entry(3, 0.5) == 1 / 16
-        assert generator_entry(1, 1.0) == 0.5
+        assert PowerWindow(0.5, 0, 3).entry(0) == 1.0
+        assert PowerWindow(0.5, 0, 3).entry(3) == 1 / 16
+        assert PowerWindow(1.0, 1, 1).entry(0) == 0.5
+        assert repr(PowerWindow(1.0, 1, 1).entry(0)) == "0.5"
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            generator_entry(-1, 0.5)
+            PowerWindow(0.5, -1, 0)
         with pytest.raises(ValueError):
-            generator_entry(0, 0.0)
+            PowerWindow(0.0, 0, 0)
 
 
 class TestWorkedExample:
