@@ -202,7 +202,7 @@ def run_verification_suites(config, cache=None):
     corpus = standard_corpus()
     depth = min(CORPUS_BLOCK_DEPTH, max(config.max_len, 1) + 2)
     for spec in corpus:
-        reports.append(unit_ball_check(f_blocks(cache, spec, depth), cache.margin))
+        reports.append(unit_ball_check(cache, spec, depth))
     for spec in corpus:
         if in_p3(spec):
             for i in range(STABILIZATION_ROWS):
@@ -253,7 +253,7 @@ def cmd_trace(config, spec_text, k, target=None):
     """Emit the block table of a path as CSV (full-precision values)."""
     spec = parse_alpha_spec(spec_text)
     cache = make_cache(config)
-    bd = f_blocks(cache, spec, k)
+    blocks = f_blocks(cache, spec, k)
     bits = path_bits(spec, k)
     ladder = cache.ladder
     rows = []
@@ -262,8 +262,8 @@ def cmd_trace(config, spec_text, k, target=None):
         row = [
             t,
             bits[t],
-            bd.blocks[t].length,
-            repr(pnorm_pow(bd.blocks[t], ladder.q)),
+            blocks[t].length,
+            repr(pnorm_pow(blocks[t], ladder.q)),
             repr(pnorm_pow(prefix, ladder.q)),
         ]
         row += [repr(pnorm_pow(prefix, ladder.exponent(i))) for i in range(4)]

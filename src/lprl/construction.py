@@ -49,7 +49,7 @@ def least_natural_above(x, margin=DEFAULT_MARGIN):
     if x < 0:
         raise ValueError(f"expected a non-negative value, got {x!r}")
     cand = math.floor(x) + 1
-    if x + margin.eta >= cand:
+    if not certified_less(x, cand, margin):
         cand += 1
     return int(cand)
 
@@ -78,8 +78,6 @@ class ConstructionCache:
     def __init__(self, ladder, margin=DEFAULT_MARGIN, step_budget=DEFAULT_STEP_BUDGET):
         if not isinstance(ladder, ExpLadder):
             raise TypeError("ladder must be an ExpLadder")
-        if not isinstance(margin, Margin):
-            margin = Margin(float(margin))
         self.ladder = ladder
         self.margin = margin
         self.step_budget = int(step_budget)

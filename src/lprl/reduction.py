@@ -1,4 +1,4 @@
-"""Path reductions: block decompositions and the membership dichotomy.
+"""Path reductions: blocks along a point's path and the membership dichotomy.
 
 A point of the binary sequence space is described finitely by an
 AlphaSpec: per-row one-patterns under the diagonal grid, all-zero by
@@ -6,11 +6,11 @@ default. The pattern classes keep membership in the target class
 decidable: a point is "eventually zero in every row" exactly when every
 declared row has finitely many ones.
 
-Following a point's bits through the tree construction yields a block
-decomposition u_0, u_1, ... whose q-costs are geometrically summable;
-the checks here certify, at finite scale, the block bound, unit-ball
-containment, continuity modulus, cap stabilization along good rows, and
-forced divergence along bad ones.
+Following a point's bits through the tree construction yields blocks
+u_0, u_1, ... whose q-costs are geometrically summable; the checks here
+certify, at finite scale and with the margin of the cache they are given,
+the block bound, unit-ball containment, continuity modulus, cap
+stabilization along good rows, and forced divergence along bad ones.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import ResourceLimitError
 from .grid import pair, unpair
 from .reports import CheckReport
 from .seqspace import (
-    DEFAULT_MARGIN,
     MATERIALIZE_LIMIT,
     FinSeq,
     certified_less,
@@ -154,18 +153,8 @@ def path_bits(spec, k):
 
 
 # ---------------------------------------------------------------------------
-# Block decomposition and prefix certificates
+# Blocks and prefix certificates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks u_0..u_k along a point's path; concatenation is phi of the path."""
-
-    blocks: tuple
-    spec: AlphaSpec
-    k: int
-    q: float
-
 
 @dataclass(frozen=True)
 class PrefixCertificate:
@@ -182,12 +171,11 @@ class PrefixCertificate:
 
 
 def f_blocks(cache, spec, k):
-    """Blocks u_0..u_k of the reduced point, straight from the tree cache."""
+    """Blocks u_0..u_k of the reduced point; they concatenate to the path's phi."""
     if k < 0:
         raise ValueError("k must be >= 0")
     bits = path_bits(spec, k)
-    blocks = tuple(build_node(cache, bits[:j + 1]).block for j in range(k + 1))
-    return BlockDecomposition(blocks, spec, k, cache.ladder.q)
+    return tuple(build_node(cache, bits[:j + 1]).block for j in range(k + 1))
 
 
 def prefix_certificate(cache, spec, k):
@@ -218,26 +206,27 @@ def export_prefix(pc, path, limit=MATERIALIZE_LIMIT):
     return path
 
 
-def unit_ball_check(bd, margin=DEFAULT_MARGIN):
+def unit_ball_check(cache, spec, k):
     """Certify the per-block q-cost bound and unit-ball containment.
 
-    Each block must cost strictly less than 2**-(t+1) in q power, so the
-    cumulative cost stays under the geometric partial sum, hence under 1.
+    Each block u_t, t <= k, must cost strictly less than 2**-(t+1) in q power,
+    so the cumulative cost stays under the geometric partial sum, hence under 1.
     """
-    rep = CheckReport(f"unit-ball k={bd.k}", keep_passing=False)
-    costs = [pnorm_pow(u, bd.q) for u in bd.blocks]
+    rep = CheckReport(f"unit-ball k={k}", keep_passing=False)
+    costs = [pnorm_pow(u, cache.ladder.q) for u in f_blocks(cache, spec, k)]
     for t, c in enumerate(costs):
-        rep.add("block-q-bound", certified_less(c, 2.0 ** -(t + 1), margin),
+        rep.add("block-q-bound", certified_less(c, 2.0 ** -(t + 1), cache.margin),
                 c, 2.0 ** -(t + 1), note=f"t={t}")
     cumulative = math.fsum(costs)
-    geometric = 1.0 - 2.0 ** -(bd.k + 1)
-    rep.add("cumulative-under-geometric", certified_less(cumulative, geometric, margin),
+    geometric = 1.0 - 2.0 ** -(k + 1)
+    rep.add("cumulative-under-geometric", certified_less(cumulative, geometric, cache.margin),
             cumulative, geometric)
-    rep.add("cumulative-under-one", certified_less(cumulative, 1.0, margin), cumulative, 1.0)
+    rep.add("cumulative-under-one", certified_less(cumulative, 1.0, cache.margin),
+            cumulative, 1.0)
     return rep
 
 
-def continuity_check(cache, spec_a, spec_b, agree_to, k_extra, margin=DEFAULT_MARGIN):
+def continuity_check(cache, spec_a, spec_b, agree_to, k_extra):
     """Certify the continuity modulus on two points agreeing to position agree_to.
 
     The prefixes computed to agree_to + k_extra blocks share their first
@@ -249,10 +238,10 @@ def continuity_check(cache, spec_a, spec_b, agree_to, k_extra, margin=DEFAULT_MA
         if alpha_bit(spec_a, n) != alpha_bit(spec_b, n):
             raise ValueError(f"specs disagree at position {n} <= agree_to={agree_to}")
     k_total = agree_to + k_extra
-    bd_a = f_blocks(cache, spec_a, k_total)
-    bd_b = f_blocks(cache, spec_b, k_total)
+    blocks_a = f_blocks(cache, spec_a, k_total)
+    blocks_b = f_blocks(cache, spec_b, k_total)
     rep = CheckReport(f"continuity agree_to={agree_to} k_extra={k_extra}", keep_passing=True)
-    shared = all(bd_a.blocks[t] == bd_b.blocks[t] for t in range(agree_to + 1))
+    shared = all(blocks_a[t] == blocks_b[t] for t in range(agree_to + 1))
     rep.add("shared-blocks-identical", shared, note=f"t<={agree_to}")
 
     def materialized(spec):
@@ -264,14 +253,15 @@ def continuity_check(cache, spec_a, spec_b, agree_to, k_extra, margin=DEFAULT_MA
             raise
 
     ax, ay = _zero_padded(materialized(spec_a), materialized(spec_b))
-    dist_pow = float(np.sum(np.abs(ax - ay) ** bd_a.q))
-    if bd_a.q >= 1:
-        dist = dist_pow ** (1.0 / bd_a.q)
-        bound = 2.0 * 2.0 ** (-(agree_to + 1) / bd_a.q)
+    q = cache.ladder.q
+    dist_pow = float(np.sum(np.abs(ax - ay) ** q))
+    if q >= 1:
+        dist = dist_pow ** (1.0 / q)
+        bound = 2.0 * 2.0 ** (-(agree_to + 1) / q)
     else:
         dist = dist_pow
         bound = 2.0 * 2.0 ** -(agree_to + 1)
-    rep.add("truncated-distance", certified_less(dist, bound, margin), dist, bound)
+    rep.add("truncated-distance", certified_less(dist, bound, cache.margin), dist, bound)
     return rep
 
 
@@ -280,7 +270,7 @@ class DivergenceWitness(NamedTuple):
     norm_value: float
 
 
-def divergence_witness(cache, spec, row, target, margin=None):
+def divergence_witness(cache, spec, row, target):
     """Walk the ones of a bad row until the row-exponent power sum beats target.
 
     Each one-bit at grid cell (row, j) forces the power sum at that row's
@@ -288,8 +278,8 @@ def divergence_witness(cache, spec, row, target, margin=None):
     any finite target; the returned value is an independent re-summation
     of the winning prefix.
     """
-    if margin is None:
-        margin = cache.margin
+    if not math.isfinite(target):
+        raise ValueError(f"divergence target must be finite, got {target!r}")
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
@@ -298,20 +288,18 @@ def divergence_witness(cache, spec, row, target, margin=None):
         n = pair(row, j)
         node = build_node(cache, path_bits(spec, n))
         value = pnorm_pow(node.phi, p_row)
-        if certified_less(target, value, margin):
+        if certified_less(target, value, cache.margin):
             return DivergenceWitness(node.phi.length, value)
     raise AssertionError("unreachable: targets grow past any bound")
 
 
-def stabilization_check(cache, spec, i, max_k, margin=None):
+def stabilization_check(cache, spec, i, max_k):
     """Certify that the cap at row i freezes along a good point's path.
 
     From the first position where rows 0..i have gone permanently zero,
     every longer prefix must keep the identical cap M_i, and every prefix
     power sum at p_i must stay certifiably below it.
     """
-    if margin is None:
-        margin = cache.margin
     if not in_p3(spec):
         raise ValueError("stabilization applies only to eventually-zero-row specs")
     j0 = 0
@@ -332,7 +320,7 @@ def stabilization_check(cache, spec, i, max_k, margin=None):
         node = build_node(cache, bits[:k + 1])
         rep.add("cap-stable", node.M[i] == m_ref, node.M[i], m_ref, note=f"k={k}")
         s = pnorm_pow(node.phi, p_i)
-        rep.add("prefix-bounded", certified_less(s, float(m_ref), margin),
+        rep.add("prefix-bounded", certified_less(s, float(m_ref), cache.margin),
                 s, m_ref, note=f"k={k}")
     return rep
 

@@ -52,7 +52,7 @@ class Margin:
 DEFAULT_MARGIN = Margin()
 
 
-def certified_less(lhs, rhs, margin=DEFAULT_MARGIN):
+def certified_less(lhs, rhs, margin):
     """True iff ``lhs + eta < rhs``: strictness that survives rounding noise."""
     return lhs + margin.eta < rhs
 
@@ -125,7 +125,9 @@ class PowerWindow:
 # --- power sums -------------------------------------------------------------
 
 # Window power sums repeat across every descendant node that re-verifies a
-# cap, so they are memoized by (descriptor, exponent).
+# cap, so they are memoized by (descriptor, exponent). The memo is process-wide:
+# its hits come from across caches (a fresh one per trace request or import),
+# and clearing it per cache made trace passes 2.7x, rechecks 2x slower.
 _WINDOW_SUM_CACHE = {}
 
 

@@ -34,7 +34,6 @@ from .reports import CheckReport
 from .seqspace import (
     DEFAULT_MARGIN,
     FinSeq,
-    Margin,
     as_finseq,
     certified_less,
     concat,
@@ -120,7 +119,7 @@ def _least_start(s, thr, margin):
             return 1
         xs = (np.arange(1, hi, dtype=np.float64) + 1.0) ** (-s)  # (n+1)^-s, n=1..hi-1
         suffix = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
-        hits = np.nonzero(tail_hi + suffix + margin.eta < thr)[0]
+        hits = np.nonzero(certified_less(tail_hi + suffix, thr, margin))[0]
         return int(hits[0]) + 1 if hits.size else hi
     # astronomical start: certify the estimate analytically
     with mp.workdps(40):
@@ -198,8 +197,6 @@ def extend(req, margin=DEFAULT_MARGIN, memo=None):
     by their full arguments; the block is still built and re-checked by
     ``verify_witness`` on every call.
     """
-    if not isinstance(margin, Margin):
-        margin = Margin(float(margin))
     pb = req.exps[-1]
     u_sums = [pnorm_pow(req.u, p) for p in req.exps[:-1]]
     slacks = []
@@ -223,7 +220,7 @@ def extend(req, margin=DEFAULT_MARGIN, memo=None):
     return w
 
 
-def verify_witness(req, w, margin=DEFAULT_MARGIN):
+def verify_witness(req, w, margin):
     """Re-check all witness inequalities from the block itself.
 
     Uses only the block's entries (partial sums), never the tail estimates

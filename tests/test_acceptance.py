@@ -31,7 +31,6 @@ from lprl import (
     extend,
     extend_laws_check,
     extract_row,
-    f_blocks,
     finseq,
     in_p3,
     interleave,
@@ -140,8 +139,7 @@ def test_criterion_5_block_bound_and_unit_ball(cache02):
     ok = len(corpus) == 8
     ok = ok and sum(in_p3(s) for s in corpus) == 4
     for spec in corpus:
-        bd = f_blocks(cache02, spec, 12)
-        rep = unit_ball_check(bd, cache02.margin)
+        rep = unit_ball_check(cache02, spec, 12)
         ok = ok and rep.ok
     report(5, "block bound and unit ball", ok)
 
@@ -211,8 +209,8 @@ def test_criterion_8_corollary_machinery(cache02):
         n = rng.randrange(0, 8)
         x = finseq([rng.uniform(0, 0.9) for _ in range(n)])
         y = finseq([rng.uniform(0, 0.9) for _ in range(n)])
-        ok = ok and embedding_inequality_check(x, y, 1.0, lad1, 8).ok
-        ok = ok and embedding_inequality_check(x, y, 0.5, lad_half, 8).ok
+        ok = ok and embedding_inequality_check(x, y, lad1, 8).ok
+        ok = ok and embedding_inequality_check(x, y, lad_half, 8).ok
     report(8, "corollary machinery", ok)
 
 

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lprl import AlphaSpec, EventuallyOne, FiniteOnes, PeriodicOnes
 from lprl.cli import (
@@ -35,6 +37,18 @@ class TestSpecGrammar:
     def test_roundtrip(self):
         text = "row=0:finite{1,2};row=2:eventually(0);row=4:periodic(0,2,1)"
         assert format_alpha_spec(parse_alpha_spec(text)) == text
+
+    @given(st.dictionaries(
+        st.integers(0, 50),
+        st.one_of(
+            st.builds(FiniteOnes, st.frozensets(st.integers(0, 10 ** 6), max_size=5)),
+            st.builds(EventuallyOne, st.integers(0, 10 ** 6)),
+            st.integers(1, 1000).flatmap(lambda m: st.builds(
+                PeriodicOnes, st.integers(0, m - 1), st.just(m), st.integers(0, 10 ** 6)))),
+        max_size=5))
+    def test_roundtrip_random_specs(self, rows):
+        spec = AlphaSpec.from_rows(rows)
+        assert parse_alpha_spec(format_alpha_spec(spec)) == spec
 
     def test_errors_cite_clause(self):
         with pytest.raises(SpecParseError, match="clause 1"):
@@ -97,6 +111,13 @@ class TestMainExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_is_two(self, tmp_path, capsys, target):
+        rc = main(["trace", "--spec", "row=0:eventually(0)", "--k", "4",
+                   "--target", target, "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"divergence target must be finite, got {target}" in capsys.readouterr().err
 
     def test_resource_error_is_three(self, tmp_path):
         rc = main(["build", "--max-len", "4", "--step-budget", "10",

@@ -97,12 +97,12 @@ class TestRowExtractionLipschitz:
 class TestEmbeddingInequalities:
     def test_equal_points(self):
         lad = ExpLadder(1.0, 3.0)
-        rep = embedding_inequality_check(finseq((1.0, 2.0)), finseq((1.0, 2.0)), 1.0, lad, 6)
+        rep = embedding_inequality_check(finseq((1.0, 2.0)), finseq((1.0, 2.0)), lad, 6)
         assert rep.ok
 
     def test_half_half_example(self):
         lad = ExpLadder(1.0, 3.0)
-        rep = embedding_inequality_check(finseq((0.5, 0.5)), finseq(()), 1.0, lad, 6)
+        rep = embedding_inequality_check(finseq((0.5, 0.5)), finseq(()), lad, 6)
         assert rep.ok
         sup_check = [c for c in rep.checks if c.label == "sup<=b-norm"][0]
         assert sup_check.lhs == 0.5
@@ -116,20 +116,27 @@ class TestEmbeddingInequalities:
             n = rng.randrange(0, 8)
             x = finseq([rng.uniform(0, 0.7) for _ in range(n)])
             y = finseq([rng.uniform(0, 0.7) for _ in range(n)])
-            assert embedding_inequality_check(x, y, 1.0, lad1, 8).ok
-            assert embedding_inequality_check(x, y, 0.5, lad_half, 8).ok
+            assert embedding_inequality_check(x, y, lad1, 8).ok
+            assert embedding_inequality_check(x, y, lad_half, 8).ok
 
     def test_conditional_branch_skips_large_distance(self):
         lad = ExpLadder(0.5, 0.95)
         x = finseq((0.9, 0.9, 0.9, 0.9))
-        rep = embedding_inequality_check(x, finseq(()), 0.5, lad, 6)
+        rep = embedding_inequality_check(x, finseq(()), lad, 6)
         assert rep.ok
         note = [c for c in rep.checks if c.label == "metric<=b-power+tail"][0]
         assert "skipped" in note.note or note.lhs is not None
 
-    def test_ladder_base_must_match(self):
-        with pytest.raises(ValueError):
-            embedding_inequality_check(finseq((1,)), finseq(()), 1.0, ExpLadder(0.5, 0.95), 4)
+
+    def test_large_single_entry(self):
+        # sup == b-norm here; a fixed 1e-12 slack is below one ulp of it
+        rep = embedding_inequality_check(
+            finseq((5012.670769233343,)), finseq(()), ExpLadder(1.5, 2.5), 6)
+        assert rep.ok
+
+    @given(st.floats(min_value=1e-3, max_value=1e7), st.floats(min_value=1.0, max_value=4.0))
+    def test_single_entry_differences(self, v, b):
+        assert embedding_inequality_check(finseq((v,)), finseq(()), ExpLadder(b, b + 1.0), 6).ok
 
 
 class TestPi4Certificate:

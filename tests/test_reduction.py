@@ -8,6 +8,7 @@ from lprl import (
     EventuallyOne,
     ExpLadder,
     FiniteOnes,
+    Margin,
     PeriodicOnes,
     alpha_bit,
     bad_row,
@@ -77,9 +78,9 @@ class TestMembership:
 
 class TestBlocks:
     def test_all_zero_path(self, cache02):
-        bd = f_blocks(cache02, ZERO, 5)
-        assert len(bd.blocks) == 6
-        for u in bd.blocks:
+        blocks = f_blocks(cache02, ZERO, 5)
+        assert len(blocks) == 6
+        for u in blocks:
             assert u.materialize() == (0.0,)
         assert prefix_certificate(cache02, ZERO, 5).prefix.materialize() == (0.0,) * 6
 
@@ -90,44 +91,58 @@ class TestBlocks:
         if imported:
             cache = import_cache(export_cache(cache02, tmp_path / "c.txt"))
         for spec in standard_corpus():
-            bd = f_blocks(cache, spec, 5)
-            joined = sum((u.segments for u in bd.blocks), ())
+            joined = sum((u.segments for u in f_blocks(cache, spec, 5)), ())
             assert build_node(cache, path_bits(spec, 5)).phi.segments == joined
 
     def test_single_block_is_phi(self, cache02):
-        bd = f_blocks(cache02, ROW0_ALWAYS, 0)
+        blocks = f_blocks(cache02, ROW0_ALWAYS, 0)
         node = build_node(cache02, (1,))
-        assert bd.blocks[0] == node.phi
+        assert blocks[0] == node.phi
 
     def test_block_bound_small_depth(self, cache02):
-        bd = f_blocks(cache02, ROW0_ALWAYS, 2)
-        for t, u in enumerate(bd.blocks):
+        for t, u in enumerate(f_blocks(cache02, ROW0_ALWAYS, 2)):
             assert pnorm_pow(u, 2.0) < 2.0 ** -(t + 1)
 
     def test_path_consistency(self, cache02):
-        bd5 = f_blocks(cache02, ROW0_ALWAYS, 5)
-        bd8 = f_blocks(cache02, ROW0_ALWAYS, 8)
-        assert bd8.blocks[:6] == bd5.blocks
+        blocks5 = f_blocks(cache02, ROW0_ALWAYS, 5)
+        blocks8 = f_blocks(cache02, ROW0_ALWAYS, 8)
+        assert blocks8[:6] == blocks5
 
 
 class TestUnitBall:
     def test_zero_path(self, cache02):
-        rep = unit_ball_check(f_blocks(cache02, ZERO, 8))
+        rep = unit_ball_check(cache02, ZERO, 8)
         assert rep.ok
 
     def test_cumulative_under_geometric(self, cache02):
-        bd = f_blocks(cache02, ROW0_ALWAYS, 10)
-        rep = unit_ball_check(bd)
+        rep = unit_ball_check(cache02, ROW0_ALWAYS, 10)
         assert rep.ok
-        total = math.fsum(pnorm_pow(u, 2.0) for u in bd.blocks)
+        total = math.fsum(pnorm_pow(u, 2.0) for u in f_blocks(cache02, ROW0_ALWAYS, 10))
         assert total <= 1 - 2.0 ** -11
 
     def test_scaled_blocks_scale_quadratically(self, cache02):
-        bd = f_blocks(cache02, ROW0_ALWAYS, 6)
-        total = math.fsum(pnorm_pow(u, 2.0) for u in bd.blocks)
-        scaled = math.fsum(pnorm_pow(scale(u, 0.5), 2.0) for u in bd.blocks)
+        blocks = f_blocks(cache02, ROW0_ALWAYS, 6)
+        total = math.fsum(pnorm_pow(u, 2.0) for u in blocks)
+        scaled = math.fsum(pnorm_pow(scale(u, 0.5), 2.0) for u in blocks)
         assert abs(scaled - total / 4) < 1e-12
         assert scaled <= 0.25
+
+
+class TestCacheMargin:
+    """Every check certifies with the margin of the cache it is given."""
+
+    @pytest.fixture
+    def wide(self):
+        # an all-zero path needs no witness search, so eta = 1 still builds
+        return ConstructionCache(ExpLadder(0.0, 2.0), Margin(1.0))
+
+    def test_unit_ball(self, wide):
+        assert not unit_ball_check(wide, ZERO, 5).ok
+
+    def test_continuity(self, wide):
+        rep = continuity_check(wide, ZERO, ZERO, 4, 2)
+        assert not rep.ok
+        assert [c.label for c in rep.violations] == ["truncated-distance"]
 
 
 class TestContinuity:
