@@ -165,9 +165,10 @@ def cmd_build(config):
 def _seeded_continuity_pairs(rng, count):
     """Spec pairs agreeing on all positions <= their agree_to.
 
-    The mutated cell is the first grid cell past the agreement window (its
-    index never exceeds 9), which keeps the differing witness blocks short
-    enough to materialize for the exact distance computation.
+    The mutated cell is the first grid cell past the agreement window whose
+    index is at most 9. That cap once kept the prefixes short enough to
+    materialize; continuity no longer materializes, but the cap stays
+    because it fixes the pairs (and suite titles) a seed gives.
     """
     pairs = []
     while len(pairs) < count:
@@ -318,6 +319,12 @@ def _config_from(args):
                      output_dir=out, seed=args.seed)
 
 
+def _print_sigma(err):
+    sigma = getattr(err, "sigma", None)
+    if sigma is not None:
+        print(f"  sigma: {''.join(map(str, sigma))}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lprl",
@@ -347,8 +354,7 @@ def main(argv=None):
         return cmd_trace(config, args.spec, args.k, args.target)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
-        if err.sigma is not None:
-            print(f"  sigma: {''.join(map(str, err.sigma))}", file=sys.stderr)
+        _print_sigma(err)
         if err.partial_sum is not None:
             print(f"  partial_sum: {err.partial_sum!r}", file=sys.stderr)
         if err.steps is not None:
@@ -356,6 +362,7 @@ def main(argv=None):
         return 3
     except (SpecParseError, PreconditionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        _print_sigma(err)
         return 2
 
 

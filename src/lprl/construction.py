@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .errors import ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .grid import bitstring, depth, level
 from .reports import CheckReport
 from .seqspace import (
@@ -135,7 +135,7 @@ def _extend_node(cache, parent, bit):
     )
     try:
         w = extend(req, cache.margin, cache.search_memo)
-    except ResourceLimitError as err:
+    except (PreconditionError, ResourceLimitError) as err:
         err.sigma = tau
         raise
     phi = concat(parent.phi, w.v)

@@ -3,6 +3,7 @@
 
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for the given inputs."""
+    sigma = None  # the tree node being built when it was raised, if any
 
 
 class ResourceLimitError(RuntimeError):

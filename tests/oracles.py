@@ -43,6 +43,20 @@ def power_sum_plain(entries, p):
     return total
 
 
+def distance_plain(xs, ys, q):
+    """Distance of two finite sequences, the shorter padded with zeros, by plain loop.
+
+    The q-norm of the difference for q >= 1; its q power sum (the metric of
+    the quasi-normed space) for q < 1.
+    """
+    total = 0.0
+    for i in range(max(len(xs), len(ys))):
+        x = xs[i] if i < len(xs) else 0.0
+        y = ys[i] if i < len(ys) else 0.0
+        total += abs(x - y) ** q
+    return total ** (1.0 / q) if q >= 1 else total
+
+
 def harmonic_first_crossing(n0, target):
     """Least n1 >= n0 with sum_{n=n0}^{n1} 1/(n+1) > target, by plain loop."""
     total = 0.0

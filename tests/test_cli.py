@@ -138,16 +138,22 @@ class TestMainExitCodes:
         assert 1.0 < float(value) < 2.0  # ten terms short of the target 2
         assert err[3:] == ["  steps: 10"]
 
-    def test_continuity_resource_error_names_node(self, tmp_path, capsys):
+    def test_margin_error_names_node(self, tmp_path, capsys):
+        rc = main(["verify", "--eta", "0.01", "--max-len", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: threshold 0.001953125 is not above the margin 0.01"
+        # the 1-extension whose budget 2**-9 is below the margin
+        assert err[1:] == ["  sigma: 010000001"]
+
+    def test_verify_a1_q3_passes(self, tmp_path):
+        # continuity is certified from block costs, so the (1, 3) prefixes of
+        # about 2e19 entries are never materialized
         rc = main(["verify", "--a", "1", "--q", "3", "--max-len", "7",
                    "--out", str(tmp_path)])
-        assert rc == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err[0] == ("resource limit: refusing to materialize "
-                          "20478134892492957187 entries (limit 67108864)")
-        # the mutated path of the first continuity pair (agree_to=6, k_extra=2):
-        # its block at position 7 alone has about 2e19 entries
-        assert err[1:] == ["  sigma: 000000010"]
+        assert rc == 0
+        payload = json.loads((tmp_path / "verify_report.json").read_text())
+        assert payload["ok"] is True
 
     def test_small_verify_passes(self, tmp_path, capsys):
         rc = main(["verify", "--max-len", "4", "--out", str(tmp_path), "--seed", "1"])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -32,7 +33,8 @@ from lprl import (
     unit_ball_check,
 )
 
-from oracles import power_sum_plain
+from lprl.cli import _seeded_continuity_pairs
+from oracles import distance_plain, power_sum_plain
 
 ZERO = AlphaSpec.from_rows({})
 ROW0_ALWAYS = AlphaSpec.from_rows({0: EventuallyOne(0)})
@@ -142,14 +144,14 @@ class TestCacheMargin:
     def test_continuity(self, wide):
         rep = continuity_check(wide, ZERO, ZERO, 4, 2)
         assert not rep.ok
-        assert [c.label for c in rep.violations] == ["truncated-distance"]
+        assert [c.label for c in rep.violations] == ["tail-distance"]
 
 
 class TestContinuity:
     def test_identical_specs(self, cache02):
         rep = continuity_check(cache02, ROW0_ALWAYS, ROW0_ALWAYS, 4, 2)
         assert rep.ok
-        dist_check = [c for c in rep.checks if c.label == "truncated-distance"][0]
+        dist_check = [c for c in rep.checks if c.label == "tail-distance"][0]
         assert dist_check.lhs == 0
 
     def test_late_disagreement_within_bound(self, cache02):
@@ -164,6 +166,29 @@ class TestContinuity:
         rep = continuity_check(cache02, a, b, 5, 2)
         assert rep.ok
         assert any(c.label == "shared-blocks-identical" and c.ok for c in rep.checks)
+
+    def test_remainder_past_k_total_counted(self, cache02):
+        # the one of row 0 sits at position pair(0, 5) = 20, past k_total = 8,
+        # so u_0..u_8 agree and each tail is the remainder budget 2**-9 alone
+        b = AlphaSpec.from_rows({0: FiniteOnes(frozenset({5}))})
+        rep = continuity_check(cache02, ZERO, b, 6, 2)
+        assert rep.ok
+        dist_check = [c for c in rep.checks if c.label == "tail-distance"][0]
+        assert dist_check.lhs == 2 * (2.0 ** -9) ** 0.5
+        assert dist_check.lhs == pytest.approx(0.0883883476)
+
+    @pytest.mark.parametrize("q", [2.0, 0.5])
+    def test_bound_dominates_materialized_distance(self, q):
+        cache = ConstructionCache(ExpLadder(0.0, q))
+        pairs = _seeded_continuity_pairs(random.Random(0), 20)
+        small = dict.fromkeys((a, b, n) for a, b, n in pairs if n <= 4)
+        assert len(small) >= 3
+        for spec_a, spec_b, agree_to in small:
+            rep = continuity_check(cache, spec_a, spec_b, agree_to, 2)
+            bound = [c for c in rep.checks if c.label == "tail-distance"][0].lhs
+            xs, ys = (build_node(cache, path_bits(s, agree_to + 2)).phi.materialize()
+                      for s in (spec_a, spec_b))
+            assert bound >= distance_plain(xs, ys, q)
 
     def test_early_disagreement_rejected(self, cache02):
         b = AlphaSpec.from_rows({0: FiniteOnes(frozenset({0}))})
