@@ -35,7 +35,6 @@ from .reduction import (
     bad_row,
     continuity_check,
     divergence_witness,
-    f_blocks,
     in_p3,
     path_bits,
     stabilization_check,
@@ -254,20 +253,19 @@ def cmd_trace(config, spec_text, k, target=None):
     """Emit the block table of a path as CSV (full-precision values)."""
     spec = parse_alpha_spec(spec_text)
     cache = make_cache(config)
-    blocks = f_blocks(cache, spec, k)
     bits = path_bits(spec, k)
     ladder = cache.ladder
     rows = []
     for t in range(k + 1):
-        prefix = build_node(cache, bits[:t + 1]).phi
+        node = build_node(cache, bits[:t + 1])
         row = [
             t,
             bits[t],
-            blocks[t].length,
-            repr(pnorm_pow(blocks[t], ladder.q)),
-            repr(pnorm_pow(prefix, ladder.q)),
+            node.block.length,
+            repr(pnorm_pow(node.block, ladder.q)),
+            repr(pnorm_pow(node.phi, ladder.q)),
         ]
-        row += [repr(pnorm_pow(prefix, ladder.exponent(i))) for i in range(4)]
+        row += [repr(pnorm_pow(node.phi, ladder.exponent(i))) for i in range(4)]
         rows.append(row)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out = config.output_dir / "trace.csv"

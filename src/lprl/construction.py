@@ -69,10 +69,7 @@ class ConstructionCache:
 
     Nodes are pure functions of (ladder, margin, step budget, sigma), so
     population order never changes values. Completed nodes are immutable
-    and safe to read concurrently. ``search_memo`` keeps the witness-window
-    search results of the ``extend`` calls made for this cache (the
-    1-extensions at one string length repeat the same searches), and goes
-    away with the cache.
+    and safe to read concurrently.
     """
 
     def __init__(self, ladder, margin=DEFAULT_MARGIN, step_budget=DEFAULT_STEP_BUDGET):
@@ -82,7 +79,6 @@ class ConstructionCache:
         self.margin = margin
         self.step_budget = int(step_budget)
         self._nodes = {(): Node((), EMPTY, (), EMPTY)}
-        self.search_memo = {}
 
     def __len__(self):
         return len(self._nodes)
@@ -134,7 +130,7 @@ def _extend_node(cache, parent, bit):
         step_budget=cache.step_budget,
     )
     try:
-        w = extend(req, cache.margin, cache.search_memo)
+        w = extend(req, cache.margin)
     except (PreconditionError, ResourceLimitError) as err:
         err.sigma = tau
         raise
@@ -301,10 +297,14 @@ def import_cache(path):
     for key in _HEADER_KEYS:
         if key not in meta:
             raise ValueError(f"{path}: header is missing the key {key!r}")
-    explicit = () if meta["explicit"] == "-" else tuple(
-        float(v) for v in meta["explicit"].split(","))
-    ladder = ExpLadder(float(meta["a"]), float(meta["q"]), explicit)
-    cache = ConstructionCache(ladder, Margin(float(meta["eta"])), int(meta["step_budget"]))
+    try:
+        explicit = () if meta["explicit"] == "-" else tuple(
+            float(v) for v in meta["explicit"].split(","))
+        ladder = ExpLadder(float(meta["a"]), float(meta["q"]), explicit)
+        cache = ConstructionCache(ladder, Margin(float(meta["eta"])), int(meta["step_budget"]))
+    except ValueError as err:
+        header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
+        raise ValueError(f"{path}: bad header {header!r}: {err}") from None
     for lineno, line in body:
         try:
             bits_text, m_text, phi_text = line.split("|")

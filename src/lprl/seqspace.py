@@ -7,7 +7,7 @@ float runs, or descriptor windows of the canonical generator
 ``x_n = scale * (n+1)**(-1/p_bottom)``. Window descriptors let the tree
 construction carry blocks whose entry counts are far beyond anything that
 can be materialized; their power sums are evaluated analytically (Hurwitz
-zeta / digamma differences) once the window is too long for direct
+zeta / harmonic-number differences) once the window is too long for direct
 summation.
 
 Every strict inequality that matters downstream goes through

@@ -18,11 +18,13 @@ margin. The divergence rate is harmonic, so the window length grows like
 kernel that ``verify_witness`` re-sums the block with, so the chosen n1 is
 exact against the re-check at every scale. A directly summed window longer
 than the step budget raises a resource error carrying the partial sum of
-the first step-budget terms.
+the first step-budget terms. Both searches are pure and memoise themselves
+process-wide by their full arguments; a search that raises stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +97,7 @@ class ClaimWitness:
     n1: int
 
 
+@functools.cache
 def _least_start(s, thr, margin):
     """Least n0 >= 1 with the generator tail sum_{n>=n0} (n+1)**-s under thr.
 
@@ -129,6 +132,7 @@ def _least_start(s, thr, margin):
     return n0
 
 
+@functools.cache
 def _least_end(n0, M, margin, step_budget):
     """Least n1 >= n0 whose harmonic window sum_{m=n0+1}^{n1+1} 1/m exceeds M + eta.
 
@@ -174,28 +178,13 @@ def _least_end(n0, M, margin, step_budget):
     return hi
 
 
-def _searched(memo, key, search, *args):
-    """``search(*args)``, looked up under ``key`` in ``memo`` when one is given.
-
-    Both window searches are pure, so a stored answer is the answer. A search
-    that raises (for instance ``ResourceLimitError``) stores nothing.
-    """
-    if memo is None:
-        return search(*args)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = search(*args)
-    return hit
-
-
-def extend(req, margin=DEFAULT_MARGIN, memo=None):
+def extend(req, margin=DEFAULT_MARGIN):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
     Pure function of (request, margin): identical inputs give the identical
-    window, which is what makes the tree construction well-defined. ``memo``
-    is an optional dict that keeps the results of the two window searches
-    by their full arguments; the block is still built and re-checked by
-    ``verify_witness`` on every call.
+    window, which is what makes the tree construction well-defined. The two
+    window searches answer repeated arguments from their memo; the block is
+    still built and re-checked by ``verify_witness`` on every call.
     """
     pb = req.exps[-1]
     u_sums = [pnorm_pow(req.u, p) for p in req.exps[:-1]]
@@ -208,10 +197,8 @@ def extend(req, margin=DEFAULT_MARGIN, memo=None):
     delta = min(slacks, default=math.inf)
     thr = min(delta, req.eps)
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
-    n0 = _searched(memo, ("start", s_tail, thr, margin.eta),
-                   _least_start, s_tail, thr, margin)
-    n1 = _searched(memo, ("end", n0, req.M, margin.eta, req.step_budget),
-                   _least_end, n0, req.M, margin, req.step_budget)
+    n0 = _least_start(s_tail, thr, margin)
+    n1 = _least_end(n0, req.M, margin, req.step_budget)
     w = ClaimWitness(window_seq(pb, n0, n1), n0, n1)
     rep = verify_witness(req, w, margin)
     if not rep.ok:

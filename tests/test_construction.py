@@ -143,6 +143,22 @@ class TestExportImport:
         with pytest.raises(ValueError, match=f"bad.txt.*'{key}'"):
             import_cache(bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("a", "x"), ("q", "0.0"), ("eta", "-1"), ("explicit", "1.0,x"), ("step_budget", "1.5"),
+    ])
+    def test_bad_header_value_names_file(self, tmp_path, small_cache, key, value):
+        build_tree(small_cache, 2)
+        path = export_cache(small_cache, tmp_path / "cache.txt")
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:3], 1):
+            lines[i] = " ".join(f"{key}={value}" if tok.startswith(key + "=") else tok
+                                for tok in line.split(" "))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        token = re.escape(f"{key}={value}")
+        with pytest.raises(ValueError, match=f"bad.txt: bad header .*{token}"):
+            import_cache(bad)
+
     @pytest.mark.parametrize("record", [
         "1|M=1", "1|M=1|phi=L:0.0|x", "1",
         # well split, but a field is malformed
@@ -200,23 +216,19 @@ def _request_of(cache, sigma):
     )
 
 
+SEARCHES = (witness._least_start, witness._least_end)
+
+
 class TestSearchMemo:
     @pytest.fixture
-    def end_calls(self, monkeypatch):
-        calls = []
-        least_end = witness._least_end
+    def cleared(self):
+        for search in SEARCHES:
+            search.cache_clear()
 
-        def counted(n0, M, margin, step_budget):
-            calls.append((n0, M))
-            return least_end(n0, M, margin, step_budget)
-
-        monkeypatch.setattr(witness, "_least_end", counted)
-        return calls
-
-    def test_one_end_search_per_distinct_key(self, small_cache, end_calls):
+    def test_one_end_search_per_distinct_key(self, small_cache, cleared):
         build_tree(small_cache, 6)
-        assert len(end_calls) == len(set(end_calls)) == 6
-        assert sum(1 for key in small_cache.search_memo if key[0] == "end") == 6
+        info = witness._least_end.cache_info()
+        assert info.misses == info.currsize == 6
 
     def test_every_block_is_still_rechecked(self, small_cache, monkeypatch):
         checked = []
@@ -235,38 +247,41 @@ class TestSearchMemo:
         ones = [s for s in small_cache._nodes if s and s[-1] == 1]
         assert len(ones) == 2 ** 6 - 1
         for sigma in ones:
+            for search in SEARCHES:
+                search.cache_clear()
             w = extend(_request_of(small_cache, sigma), small_cache.margin)
             assert small_cache._nodes[sigma].block == w.v
 
-    def test_caches_do_not_share_memo(self, end_calls):
-        c1 = ConstructionCache(ExpLadder(0.0, 2.0))
-        c2 = ConstructionCache(ExpLadder(0.0, 2.0))
-        assert c1.search_memo is not c2.search_memo
-        build_tree(c1, 4)
-        assert c2.search_memo == {}
-        first = len(end_calls)
-        build_tree(c2, 4)
-        assert len(end_calls) == 2 * first
-        assert c1.search_memo == c2.search_memo
+    def test_second_cache_reuses_searches(self, cleared):
+        c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
+        misses = [search.cache_info().misses for search in SEARCHES]
+        assert all(misses)
+        c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
+        assert [search.cache_info().misses for search in SEARCHES] == misses
+        assert c1._nodes.keys() == c2._nodes.keys()
+        for sigma, node in c1._nodes.items():
+            assert c2._nodes[sigma].block == node.block
 
-    def test_memo_keeps_margin_and_budget_apart(self):
-        memo = {}
+    def test_memo_keeps_margin_and_budget_apart(self, cleared):
+        def stored():
+            return sum(search.cache_info().currsize for search in SEARCHES)
+
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
         req = _request_of(cache, (1,))
-        extend(req, Margin(2.0 ** -20), memo)
-        extend(req, Margin(2.0 ** -21), memo)
-        assert len(memo) == 4
+        extend(req, Margin(2.0 ** -20))
+        extend(req, Margin(2.0 ** -21))
+        assert stored() == 4
         budget = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
                               M=req.M, eps=req.eps, step_budget=1000)
-        extend(budget, Margin(2.0 ** -20), memo)
-        assert len(memo) == 5  # same start key, new end key
+        extend(budget, Margin(2.0 ** -20))
+        assert stored() == 5  # same start key, new end key
 
-    def test_failed_search_stores_nothing(self):
-        memo = {}
+    def test_failed_search_stores_nothing(self, cleared):
         cache = ConstructionCache(ExpLadder(0.0, 2.0), step_budget=10)
         req = _request_of(cache, (1,))
         req = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
                            M=3.0, eps=req.eps, step_budget=10)
         with pytest.raises(ResourceLimitError):
-            extend(req, cache.margin, memo)
-        assert [key[0] for key in memo] == ["start"]
+            extend(req, cache.margin)
+        assert witness._least_start.cache_info().currsize == 1
+        assert witness._least_end.cache_info().currsize == 0
