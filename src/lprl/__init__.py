@@ -10,7 +10,6 @@ from .seqspace import (
     certified_less,
     concat,
     difference,
-    dp_metric,
     finseq,
     frechet_metric,
     pnorm_pow,
@@ -39,12 +38,9 @@ from .reduction import (
     bad_row,
     continuity_check,
     divergence_witness,
-    export_prefix,
     f_blocks,
     in_p3,
     path_bits,
-    prefix_certificate,
-    scale_prefix,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
@@ -52,7 +48,6 @@ from .reduction import (
 from .hierarchy import (
     build_pi4_certificate,
     embedding_inequality_check,
-    export_certificate,
     extract_row,
     interleave,
 )

@@ -24,7 +24,7 @@ from .construction import (
     check_properties,
     export_cache,
 )
-from .errors import PreconditionError, ResourceLimitError
+from .errors import ResourceLimitError
 from .grid import pair
 from .reduction import (
     AlphaSpec,
@@ -251,6 +251,8 @@ TRACE_COLUMNS = [
 
 def cmd_trace(config, spec_text, k, target=None):
     """Emit the block table of a path as CSV (full-precision values)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     spec = parse_alpha_spec(spec_text)
     cache = make_cache(config)
     bits = path_bits(spec, k)
@@ -358,7 +360,7 @@ def main(argv=None):
         if err.steps is not None:
             print(f"  steps: {err.steps}", file=sys.stderr)
         return 3
-    except (SpecParseError, PreconditionError, ValueError) as err:
+    except ValueError as err:  # SpecParseError and PreconditionError included
         print(f"error: {err}", file=sys.stderr)
         _print_sigma(err)
         return 2

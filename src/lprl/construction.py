@@ -34,6 +34,7 @@ from .seqspace import (
     PowerWindow,
     certified_less,
     concat,
+    finite_literal,
     finseq,
     pnorm_pow,
 )
@@ -82,9 +83,6 @@ class ConstructionCache:
 
     def __len__(self):
         return len(self._nodes)
-
-    def __contains__(self, sigma):
-        return bitstring(sigma) in self._nodes
 
 
 def build_node(cache, sigma):
@@ -245,7 +243,7 @@ def _parse_segments(text):
         for part in text.split(";"):
             kind, _, body = part.partition(":")
             if kind == "L":
-                segs.append(Literal(tuple(float(v) for v in body.split(","))))
+                segs.append(finite_literal(body.split(",")))
             elif kind == "W":
                 pb, sc, n0, n1 = body.split(",")
                 segs.append(PowerWindow(float(pb), int(n0), int(n1), float(sc)))

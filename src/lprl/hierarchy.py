@@ -6,32 +6,35 @@ extraction is 1-Lipschitz for every power sum and for the sup norm
 (it keeps a subset of the entries), which is what lets per-row statements
 transfer through the identification.
 
-``build_pi4_certificate`` assembles one point from a list of component
-specs, scaling component m so its q-cost is at most 2**-m before
-interleaving; each component keeps its membership classification, since
-the target class is closed under positive scaling.
+``build_pi4_certificate`` describes one point from a list of component
+specs: component m is scaled so its q-cost is at most 2**-m and becomes
+row m of the point. Interleaving only permutes entries, so the point's
+q-cost is the sum of its components' costs, every claim about it reads
+off the component descriptors, and nothing is materialized;
+``interleave`` and ``extract_row`` remain as the materializing
+cross-check at small depth. Each component keeps its membership
+classification, since the target class is closed under positive scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .construction import _format_segments
+from .construction import build_node
 from .errors import ResourceLimitError
 from .grid import pair
 from .reports import CheckReport
 from .seqspace import (
     MATERIALIZE_LIMIT,
-    FinSeq,
     as_finseq,
     difference,
     finseq,
     frechet_metric,
     pnorm_pow,
+    scale,
     sup_norm,
 )
-from .reduction import in_p3, prefix_certificate, scale_prefix
+from .reduction import in_p3, path_bits
 
 
 def extract_row(flat, m, limit=MATERIALIZE_LIMIT):
@@ -96,62 +99,44 @@ def embedding_inequality_check(x, y, ladder, terms):
 
 @dataclass(frozen=True)
 class Pi4Certificate:
-    """Per-component scaled prefixes with the 2**-m cost bounds, interleaved."""
+    """Scaled components of a fourth-level example, one row of the point each.
 
-    components: tuple      # PrefixCertificate per m
-    scalings: tuple        # delta_m used for component m
-    interleaved: FinSeq
+    Row m of the point is ``components[m]``, whose q-cost is at most 2**-m;
+    the point itself exists only as these descriptors.
+    """
+
+    components: tuple       # FinSeq per m: the scaled depth-k prefix
+    scalings: tuple         # delta_m used for component m
     in_target_class: tuple  # per-component membership classification
 
 
-def build_pi4_certificate(cache, specs, k, limit=MATERIALIZE_LIMIT):
-    """Assemble a multi-component point with geometrically shrinking costs.
+def build_pi4_certificate(cache, specs, k):
+    """Describe a multi-component point with geometrically shrinking costs.
 
-    Component m is the depth-k prefix of its spec's reduced point, scaled
-    by delta_m <= 1 so that its q power sum lands at or under 2**-m, then
-    all components are interleaved diagonally. Scaling never changes a
-    component's classification.
+    Component m is the depth-k prefix ``build_node(cache, path_bits(spec, k)).phi``
+    of its spec's reduced point, scaled by delta_m <= 1 so that its q power
+    sum lands at or under 2**-m (checked exactly on the scaled descriptor).
+    Scaling never changes a component's classification.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     q = cache.ladder.q
     components = []
     scalings = []
     flags = []
     for m, spec in enumerate(specs):
-        pc = prefix_certificate(cache, spec, k)
-        cost = pnorm_pow(pc.prefix, q)
+        phi = build_node(cache, path_bits(spec, k)).phi
+        cost = pnorm_pow(phi, q)
         target = 2.0 ** -m
         delta = 1.0
         if cost > target:
             delta = (target / cost) ** (1.0 / q) * (1.0 - 1e-12)
-        spc = scale_prefix(pc, delta) if delta != 1.0 else pc
-        scaled_cost = pnorm_pow(spc.prefix, q)
-        if scaled_cost > target:
-            raise ArithmeticError(
-                f"component {m}: scaled cost {scaled_cost} still above {target}")
-        components.append(spc)
+            phi = scale(phi, delta)
+            scaled_cost = pnorm_pow(phi, q)
+            if scaled_cost > target:
+                raise ArithmeticError(
+                    f"component {m}: scaled cost {scaled_cost} still above {target}")
+        components.append(phi)
         scalings.append(delta)
         flags.append(in_p3(spec))
-    upto = 0
-    for m, c in enumerate(components):
-        if c.prefix.length:
-            upto = max(upto, pair(m, c.prefix.length - 1) + 1)
-    inter = interleave([c.prefix for c in components], upto, limit)
-    return Pi4Certificate(tuple(components), tuple(scalings), inter, tuple(flags))
-
-
-def export_certificate(cert, path):
-    """Write the certificate as structured text, one component per record.
-
-    Mirrors the cache-file segment syntax, so component prefixes stay at
-    full precision without ever materializing window descriptors.
-    """
-    lines = ["# lprl-pi4 v1"]
-    for m, (comp, delta, flag) in enumerate(
-            zip(cert.components, cert.scalings, cert.in_target_class)):
-        lines.append(
-            f"{m}|delta={delta!r}|in_class={int(flag)}|"
-            f"tail={comp.tail_q_bound!r}|prefix={_format_segments(comp.prefix)}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return Pi4Certificate(tuple(components), tuple(scalings), tuple(flags))

@@ -17,19 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 from .construction import build_node
 from .grid import pair, unpair
 from .reports import CheckReport
-from .seqspace import (
-    MATERIALIZE_LIMIT,
-    FinSeq,
-    certified_less,
-    pnorm_pow,
-    scale,
-)
+from .seqspace import certified_less, pnorm_pow
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +142,8 @@ def path_bits(spec, k):
 
 
 # ---------------------------------------------------------------------------
-# Blocks and prefix certificates
+# Blocks and the checks along a path
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrefixCertificate:
-    """An initial segment of the reduced point with its q-cost tail bound.
-
-    Any longer truncation exceeds this prefix's q power sum by at most
-    tail_q_bound.
-    """
-
-    prefix: FinSeq
-    blocks_used: int
-    tail_q_bound: float
-    q: float
-
 
 def f_blocks(cache, spec, k):
     """Blocks u_0..u_k of the reduced point; they concatenate to the path's phi."""
@@ -172,34 +151,6 @@ def f_blocks(cache, spec, k):
         raise ValueError("k must be >= 0")
     bits = path_bits(spec, k)
     return tuple(build_node(cache, bits[:j + 1]).block for j in range(k + 1))
-
-
-def prefix_certificate(cache, spec, k):
-    """phi of the path's node: the concatenation of its blocks u_0..u_k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    phi = build_node(cache, path_bits(spec, k)).phi
-    return PrefixCertificate(phi, k, 2.0 ** -(k + 1), cache.ladder.q)
-
-
-def scale_prefix(pc, delta):
-    """Entrywise scaling; the q-cost tail bound scales by delta**q."""
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    return PrefixCertificate(
-        scale(pc.prefix, delta), pc.blocks_used,
-        pc.tail_q_bound * delta ** pc.q, pc.q)
-
-
-def export_prefix(pc, path, limit=MATERIALIZE_LIMIT):
-    """Write the prefix one value per line (round-trip exact), header first."""
-    lines = [f"# blocks_used={pc.blocks_used} q={pc.q!r} tail_q_bound={pc.tail_q_bound!r}"]
-    lines.extend(repr(v) for v in pc.prefix.to_array(limit).tolist())
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def unit_ball_check(cache, spec, k):

@@ -84,8 +84,10 @@ class PowerWindow:
     def __post_init__(self):
         if self.n_end < self.n_start or self.n_start < 0:
             raise ValueError(f"bad window range [{self.n_start}, {self.n_end}]")
-        if not (self.p_bottom > 0 and self.scale >= 0):
-            raise ValueError("window needs p_bottom > 0 and scale >= 0")
+        if not (0 < self.p_bottom < math.inf and 0 <= self.scale < math.inf):
+            raise ValueError(
+                f"window needs finite p_bottom > 0 and scale >= 0, "
+                f"got p_bottom={self.p_bottom!r}, scale={self.scale!r}")
 
     @property
     def length(self):
@@ -317,15 +319,19 @@ def _pieces_equal(a, off_a, b, off_b, count):
 EMPTY = FinSeq(())
 
 
-def finseq(values):
-    """Build an explicit FinSeq from an iterable of reals, validating finiteness."""
-    vals = tuple(float(v) for v in values)
+def finite_literal(values):
+    """A Literal run of the given reals, refusing non-finite entries."""
+    vals = tuple(map(float, values))
     for v in vals:
         if not math.isfinite(v):
             raise ValueError(f"non-finite entry {v!r} in sequence")
-    if not vals:
-        return EMPTY
-    return FinSeq((Literal(vals),))
+    return Literal(vals)
+
+
+def finseq(values):
+    """Build an explicit FinSeq from an iterable of reals, validating finiteness."""
+    lit = finite_literal(values)
+    return FinSeq((lit,)) if lit.values else EMPTY
 
 
 def as_finseq(x):
@@ -428,28 +434,12 @@ def scale(x, c):
     return FinSeq(tuple(segs))
 
 
-def _zero_padded(ax, ay):
-    """The two arrays, the shorter one extended by zeros to the common length."""
-    n = max(len(ax), len(ay))
-    if len(ax) < n:
-        ax = np.concatenate([ax, np.zeros(n - len(ax))])
-    if len(ay) < n:
-        ay = np.concatenate([ay, np.zeros(n - len(ay))])
-    return ax, ay
-
-
 def difference(x, y):
     """The explicit zero-padded difference x - y as a FinSeq."""
-    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
-    return finseq(ax - ay)
-
-
-def dp_metric(x, y, p):
-    """The metric sum_n |x_n - y_n|**p for 0 < p < 1 (zero-padded)."""
-    if not (0 < p < 1):
-        raise ValueError(f"dp_metric needs 0 < p < 1 (got p={p!r}); use norms for p >= 1")
-    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
-    return math.fsum(abs(float(d)) ** p for d in ax - ay)
+    ax = as_finseq(x).to_array()
+    ay = as_finseq(y).to_array()
+    n = max(len(ax), len(ay))
+    return finseq(np.pad(ax, (0, n - len(ax))) - np.pad(ay, (0, n - len(ay))))
 
 
 def sup_norm(x):
@@ -481,12 +471,11 @@ def frechet_metric(x, y, ladder, terms):
     if b < 1 and not ladder.exponent(0) < 1:
         raise PreconditionError(
             f"base {b} < 1 requires a ladder with p_0 < 1, got p_0={ladder.exponent(0)}")
-    ax, ay = _zero_padded(as_finseq(x).to_array(), as_finseq(y).to_array())
-    diff = np.abs(ax - ay)
+    diff = difference(x, y)
     vals = []
     for i in range(terms):
         p = ladder.exponent(i)
-        t = math.fsum(float(d) ** p for d in diff)
+        t = pnorm_pow(diff, p)
         if b >= 1:
             t = t ** (1.0 / p)
         vals.append(2.0 ** -(i + 1) * t / (1.0 + t))

@@ -81,7 +81,8 @@ class ClaimRequest:
             if not (math.isfinite(p) and 0 < p < prev):
                 raise ValueError(f"exponents must decrease strictly below q: {self.exps}")
             prev = p
-        for name, val in (("caps entries", min(self.caps, default=1.0)), ("M", self.M), ("eps", self.eps)):
+        checked = [("caps entries", r) for r in self.caps] + [("M", self.M), ("eps", self.eps)]
+        for name, val in checked:
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive, got {val!r}")
         if self.step_budget < 1:

@@ -201,7 +201,7 @@ def test_criterion_8_corollary_machinery(cache02):
     # per-component cost bounds for m <= 6
     cert = build_pi4_certificate(cache02, list(standard_corpus())[:7], k=4)
     for m, comp in enumerate(cert.components):
-        ok = ok and pnorm_pow(comp.prefix, 2.0) <= 2.0 ** -m
+        ok = ok and pnorm_pow(comp, 2.0) <= 2.0 ** -m
     # embedding inequalities on 100 random sub-unit pairs, both regimes
     lad1 = ExpLadder(1.0, 3.0)
     lad_half = ExpLadder(0.5, 0.95)

@@ -112,6 +112,15 @@ class TestMainExitCodes:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["-1", "-2"])
+    def test_negative_trace_depth_is_two(self, tmp_path, capsys, k):
+        rc = main(["trace", "--spec", "", "--k", k, "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: k must be >= 0" in captured.err
+        assert "[PASS]" not in captured.out
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("target", ["nan", "inf"])
     def test_non_finite_target_is_two(self, tmp_path, capsys, target):
         rc = main(["trace", "--spec", "row=0:eventually(0)", "--k", "4",

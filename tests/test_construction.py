@@ -164,6 +164,8 @@ class TestExportImport:
         # well split, but a field is malformed
         "1|M=x|phi=L:0.0", "1|M=1|phi=L:abc", "1|M=1|phi=W:1.0,1.0,3",
         "1|M=1|phi=Z:0.0", "1|N=1|phi=L:0.0", "2|M=1|phi=L:0.0",
+        # non-finite entries, a literal or a window's scale or exponent
+        "1|M=2|phi=L:nan", "1|M=2|phi=W:1.0,inf,2,6", "1|M=2|phi=W:inf,1.0,2,6",
     ])
     def test_record_needs_three_fields(self, tmp_path, small_cache, record):
         build_tree(small_cache, 1)

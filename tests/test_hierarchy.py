@@ -11,9 +11,7 @@ from lprl import (
     EventuallyOne,
     ExpLadder,
     build_pi4_certificate,
-    dp_metric,
     embedding_inequality_check,
-    export_certificate,
     extract_row,
     finseq,
     in_p3,
@@ -144,7 +142,7 @@ class TestPi4Certificate:
         specs = list(standard_corpus())[:7]
         cert = build_pi4_certificate(cache02, specs, k=4)
         for m, comp in enumerate(cert.components):
-            assert pnorm_pow(comp.prefix, 2.0) <= 2.0 ** -m
+            assert pnorm_pow(comp, 2.0) <= 2.0 ** -m
         assert cert.in_target_class == tuple(in_p3(s) for s in specs)
         assert all(0 < d <= 1 for d in cert.scalings)
 
@@ -154,18 +152,25 @@ class TestPi4Certificate:
         assert cert.in_target_class == (True, False)
 
     def test_interleave_holds_component_rows(self, cache02):
-        specs = [AlphaSpec.from_rows({0: EventuallyOne(0)})]
+        # the materialized point at small k: row m of the interleave is
+        # component m, so the descriptors carry every claim
+        specs = list(standard_corpus())[:3] + [AlphaSpec.from_rows({0: EventuallyOne(0)})]
         cert = build_pi4_certificate(cache02, specs, k=3)
-        row = extract_row(cert.interleaved, 0)
-        got = row.materialize()
-        want = cert.components[0].prefix.materialize()
-        assert got[:len(want)] == want
+        upto = max(pair(m, c.length - 1) + 1 for m, c in enumerate(cert.components))
+        flat = interleave(cert.components, upto)
+        for m, comp in enumerate(cert.components):
+            row = extract_row(flat, m).materialize()
+            assert row[:comp.length] == comp.materialize()
+            assert not any(row[comp.length:])  # zero past the shorter rows' ends
 
-    def test_export(self, cache02, tmp_path):
-        specs = [AlphaSpec.from_rows({}), AlphaSpec.from_rows({0: EventuallyOne(0)})]
-        cert = build_pi4_certificate(cache02, specs, k=3)
-        path = export_certificate(cert, tmp_path / "cert.txt")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# lprl-pi4 v1"
-        assert len(lines) == 3
-        assert lines[2].startswith("1|delta=") and "in_class=0" in lines[2]
+    @pytest.mark.parametrize("a,q", [(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)],
+                             ids=["(0,2)", "(0,0.5)", "(1,3)"])
+    def test_corpus_depth(self, a, q):
+        # the verify corpus depth: component prefixes here are far too long
+        # to interleave entry by entry
+        specs = standard_corpus()
+        cert = build_pi4_certificate(ConstructionCache(ExpLadder(a, q)), specs, 12)
+        assert len(cert.components) == len(specs)
+        for m, comp in enumerate(cert.components):
+            assert pnorm_pow(comp, q) <= 2.0 ** -m
+        assert cert.in_target_class == tuple(in_p3(s) for s in specs)

@@ -18,16 +18,13 @@ from lprl import (
     continuity_check,
     divergence_witness,
     export_cache,
-    export_prefix,
     f_blocks,
     import_cache,
     in_p3,
     pair,
     path_bits,
     pnorm_pow,
-    prefix_certificate,
     scale,
-    scale_prefix,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
@@ -84,7 +81,7 @@ class TestBlocks:
         assert len(blocks) == 6
         for u in blocks:
             assert u.materialize() == (0.0,)
-        assert prefix_certificate(cache02, ZERO, 5).prefix.materialize() == (0.0,) * 6
+        assert build_node(cache02, path_bits(ZERO, 5)).phi.materialize() == (0.0,) * 6
 
     @pytest.mark.parametrize("imported", [False, True])
     def test_phi_is_the_joined_blocks(self, cache02, tmp_path, imported):
@@ -252,16 +249,6 @@ class TestStabilization:
 
 
 class TestScalePrefix:
-    def test_identity(self, cache02):
-        pc = prefix_certificate(cache02, ROW0_ALWAYS, 4)
-        assert scale_prefix(pc, 1.0).prefix == pc.prefix
-
-    def test_quadratic_tail_scaling(self, cache02):
-        pc = prefix_certificate(cache02, ROW0_ALWAYS, 4)
-        spc = scale_prefix(pc, 0.5)
-        assert spc.tail_q_bound == pc.tail_q_bound / 4
-        assert abs(pnorm_pow(spc.prefix, 2.0) - pnorm_pow(pc.prefix, 2.0) / 4) < 1e-12
-
     def test_divergence_survives_scaling(self, cache02):
         # scaling by delta rescales every p-power sum by delta**p, so the
         # witness argument goes through at the scaled target
@@ -274,21 +261,6 @@ class TestScalePrefix:
                 node = cand
         scaled_value = pnorm_pow(scale(node.phi, delta), 1.0)
         assert scaled_value > 3.0 * delta ** 1.0
-
-    def test_rejects_nonpositive(self, cache02):
-        pc = prefix_certificate(cache02, ZERO, 3)
-        with pytest.raises(ValueError):
-            scale_prefix(pc, 0.0)
-
-
-class TestPrefixExport:
-    def test_one_value_per_line_roundtrip(self, cache02, tmp_path):
-        pc = prefix_certificate(cache02, ROW0_ALWAYS, 3)
-        path = export_prefix(pc, tmp_path / "prefix.txt")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        values = tuple(float(v) for v in lines[1:])
-        assert values == pc.prefix.materialize()
 
 
 class TestCorpus:

@@ -14,7 +14,6 @@ from lprl import (
     certified_less,
     concat,
     difference,
-    dp_metric,
     finseq,
     frechet_metric,
     pnorm_pow,
@@ -88,26 +87,6 @@ class TestConcat:
         # appending v adds exactly v's power sum
         u, v = finseq((1, 2)), finseq((3,))
         assert pnorm_pow(concat(u, v), 1) - pnorm_pow(u, 1) == pnorm_pow(v, 1)
-
-
-class TestDpMetric:
-    def test_identity(self):
-        assert dp_metric(finseq((1,)), finseq((1,)), 0.5) == 0
-
-    def test_zero_padding(self):
-        assert dp_metric(finseq((0.25,)), EMPTY, 0.5) == 0.5
-
-    def test_direct_values(self):
-        assert abs(dp_metric(finseq((0.04, 0.09)), finseq((0, 0)), 0.5) - 0.5) < 1e-12
-
-    def test_rejects_p_at_least_one(self):
-        with pytest.raises(ValueError):
-            dp_metric(finseq((1,)), finseq((2,)), 1.0)
-
-    @given(entries, st.floats(min_value=0.05, max_value=0.95))
-    def test_agrees_with_pnorm_at_zero(self, xs, p):
-        x = finseq(xs)
-        assert abs(dp_metric(x, EMPTY, p) - pnorm_pow(x, p)) < 1e-12
 
 
 class TestSupNorm:
@@ -357,3 +336,14 @@ class TestDifference:
     def test_padded(self):
         d = difference(finseq((1.0, 2.0)), finseq((0.5,)))
         assert d.materialize() == (0.5, 2.0)
+
+    # the power-sum distance sum_n |x_n - y_n|**p, here at p = 1/2
+    def test_power_sum_of_equal_is_zero(self):
+        assert pnorm_pow(difference(finseq((1,)), finseq((1,))), 0.5) == 0
+
+    def test_power_sum_zero_padding(self):
+        assert pnorm_pow(difference(finseq((0.25,)), EMPTY), 0.5) == 0.5
+
+    def test_power_sum_direct_values(self):
+        d = difference(finseq((0.04, 0.09)), finseq((0, 0)))
+        assert abs(pnorm_pow(d, 0.5) - 0.5) < 1e-12

@@ -47,6 +47,10 @@ class TestGeneratorEntry:
             PowerWindow(0.5, -1, 0)
         with pytest.raises(ValueError):
             PowerWindow(0.0, 0, 0)
+        with pytest.raises(ValueError):
+            PowerWindow(math.inf, 0, 0)
+        with pytest.raises(ValueError):
+            PowerWindow(1.0, 0, 0, math.inf)
 
 
 class TestWorkedExample:
@@ -132,6 +136,11 @@ class TestExtendProperties:
             ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.5), caps=(), M=1.0, eps=1.0)
         with pytest.raises(ValueError):
             ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.5), caps=(1.0,), M=-1.0, eps=1.0)
+        # every cap is checked, not only the smallest
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="caps entries"):
+                ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.75, 0.5), caps=(1.0, bad),
+                             M=1.0, eps=1.0)
 
 
 class TestVerifyWitness:
