@@ -6,9 +6,12 @@ binary operation. A sequence is stored as a tuple of segments: explicit
 float runs, or descriptor windows of the canonical generator
 ``x_n = scale * (n+1)**(-1/p_bottom)``. Window descriptors let the tree
 construction carry blocks whose entry counts are far beyond anything that
-can be materialized; their power sums are evaluated analytically (Hurwitz
-zeta / harmonic-number differences) once the window is too long for direct
-summation.
+can be materialized; their power sums are evaluated analytically once the
+window is too long for direct summation: harmonic-number differences for
+exponent 1, otherwise Euler-Maclaurin summation in mpmath, stopped at the
+first correction below 2**-(prec+8) of the sum (every even derivative of
+x**-c is positive, so that correction bounds the remainder), at a working
+precision that grows with the endpoints' digits.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -17,6 +20,7 @@ never silently flip a strictness claim.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,30 +168,89 @@ def _range_power_sum(c, a, b=None):
     if b - a < FSUM_CUTOFF:
         return math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
     m = np.arange(a, b + 1, dtype=np.float64)
-    return float(np.sum(m ** (-c)))
+    m **= -c  # in place: up to DIRECT_CUTOFF terms
+    return float(np.sum(m))
 
 
 def _analytic_range_sum(c, a, b=None):
-    """sum_{m=a}^{b} m**(-c) via Hurwitz zeta / harmonic differences.
+    """sum_{m=a}^{b} m**(-c) by Euler-Maclaurin (harmonic numbers for c = 1).
 
-    ``b=None`` gives the tail zeta(c, a), for c > 1. Valid for every c > 0
-    (for c < 1 the Hurwitz zeta terms are the analytic continuation; their
-    difference still equals the finite sum). Working precision scales with
-    the magnitude of the endpoints so that the cancellation between the two
-    tails never eats the answer.
+    ``b=None`` gives the tail sum_{m>=a}, which needs c > 1; a divergent
+    tail raises ValueError. The working precision is ``40 + 2*digits``
+    decimal places, ``digits`` being the length of the larger endpoint,
+    plus ``10 - log10|c - 1|`` more for c within 1e-3 of 1, so that no
+    cancellation between the sum's parts reaches the returned float.
+
+    Terms below ``A = max(a, c + 0.4*dps + 8)`` are added one by one; the
+    head stops early once a term times m/(c-1), a bound on everything
+    after it, is negligible. From A to B the sum is
+
+        integral_A^B x**-c dx + (A**-c + B**-c)/2
+            + sum_k B_2k/(2k)! * (c)_{2k-1} * (A**(1-c-2k) - B**(1-c-2k)),
+
+    with the integral taken as ``A**(1-c) * expm1((1-c)*log1p((B-A)/A))
+    / (1-c)`` (``A**(1-c)/(c-1)`` for a tail), stable for B near A and c
+    near 1. Every even derivative of x**-c is positive, so the first
+    omitted correction bounds the remainder; the series stops at the first
+    correction below ``2**-(prec+8)`` of the running sum. The start past
+    ``c + 0.4*dps`` makes the corrections fall that far before they grow
+    again; were they to grow first, ArithmeticError is raised rather than
+    a wrong sum returned.
     """
+    if b is None and not c > 1.0:
+        raise ValueError(f"the tail sum_(m>=a) m**-c diverges for c={c!r} <= 1")
     digits = int(math.log10((a if b is None else b) + 2)) + 1
     dps = 40 + 2 * digits
     if c != 1.0 and abs(c - 1.0) < 1e-3:
         dps += int(-math.log10(abs(c - 1.0))) + 10
     with mp.workdps(dps):
-        if b is None:
-            s = mp.zeta(mpf(c), a)
-        elif c == 1.0:
-            s = mp.harmonic(mpf(b)) - mp.harmonic(mpf(a - 1))
-        else:
-            s = mp.zeta(mpf(c), a) - mp.zeta(mpf(c), b + 1)
-        return float(s)
+        if c == 1.0:
+            return float(mp.harmonic(mpf(b)) - mp.harmonic(mpf(a - 1)))
+        return float(_euler_maclaurin(c, a, b))
+
+
+def _euler_maclaurin(c, a, b):
+    """``_analytic_range_sum``'s series for c != 1, in the current mpmath precision."""
+    tol = mpf(2) ** -(mp.prec + 8)
+    start = max(a, math.ceil(c + 0.4 * mp.dps + 8))
+    c = mpf(c)
+    s = mpf(0)
+    for m in range(a, start if b is None else min(start, b + 1)):
+        t = mpf(m) ** -c
+        s += t
+        if c > 1 and t * m < tol * (c - 1) * s:
+            return s
+    if b is not None and b < start:
+        return s
+    A = mpf(start)
+    B = mp.inf if b is None else mpf(b)
+    fa, fb = A ** -c, B ** -c
+    if b is None:
+        integral = A * fa / (c - 1)
+    else:
+        integral = A * fa * mp.expm1((1 - c) * mp.log1p((b - start) / A)) / (1 - c)
+    s += integral + (fa + fb) / 2
+    # correction k from its factors: (c)_{2k-1}, (2k)! and A**(1-c-2k),
+    # B**(1-c-2k) by repeated division
+    rising, fact = c, mpf(2)
+    fa, fb = fa / A, fb / B
+    inv_a2, inv_b2 = 1 / (A * A), 1 / (B * B)
+    last = mp.inf
+    for k in itertools.count(1):
+        term = mp.bernoulli(2 * k) / fact * rising * (fa - fb)
+        size = abs(term)
+        if size < tol * s:
+            return s
+        if size >= last:
+            raise ArithmeticError(
+                f"Euler-Maclaurin corrections for c={c}, a={a}, b={b} grew "
+                f"before reaching 2**-{mp.prec + 8} of the sum")
+        s += term
+        last = size
+        rising *= (c + 2 * k - 1) * (c + 2 * k)
+        fact *= (2 * k + 1) * (2 * k + 2)
+        fa *= inv_a2
+        fb *= inv_b2
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +305,10 @@ class FinSeq:
     def is_prefix_of(self, other, proper=False):
         """Entrywise initial-segment test, done on segment structure.
 
-        Window runs are split at boundaries; a window piece equals a literal
-        piece only if their entries are equal (compared exactly, up to
+        Runs are split at boundaries. Aligned window pieces of one descriptor
+        are equal, and so are two zero-scale window pieces; any other pair of
+        pieces is equal only if their entries are (compared exactly: a
+        differing first entry decides at once, otherwise up to
         ``MATERIALIZE_LIMIT`` entries; longer pieces raise ResourceLimitError).
         """
         if self.length > other.length:
@@ -293,7 +358,7 @@ def _piece_entries(seg, off, count):
     return seg.values(off, count)
 
 
-# Entries per numpy chunk when a literal run is compared with a window.
+# Entries per numpy chunk when two differently stored runs are compared.
 _COMPARE_CHUNK = 1 << 16
 
 
@@ -301,12 +366,16 @@ def _pieces_equal(a, off_a, b, off_b, count):
     if isinstance(a, Literal) and isinstance(b, Literal):
         return a.values[off_a:off_a + count] == b.values[off_b:off_b + count]
     if isinstance(a, PowerWindow) and isinstance(b, PowerWindow):
-        return (a.p_bottom == b.p_bottom and a.scale == b.scale
-                and a.n_start + off_a == b.n_start + off_b)
-    # mixed literal/window: compare the entries exactly, chunk by chunk
+        if (a.p_bottom == b.p_bottom and a.scale == b.scale
+                and a.n_start + off_a == b.n_start + off_b) or a.scale == 0.0 == b.scale:
+            return True
+    # different representations: compare the entries exactly, the first one
+    # alone, then chunk by chunk
+    if _piece_entries(a, off_a, 1)[0] != _piece_entries(b, off_b, 1)[0]:
+        return False
     if count > MATERIALIZE_LIMIT:
         raise ResourceLimitError(
-            f"refusing to compare {count} entries of a literal run with a window "
+            f"refusing to compare {count} entries of two differently stored runs "
             f"(limit {MATERIALIZE_LIMIT})")
     for t in range(0, count, _COMPARE_CHUNK):
         size = min(_COMPARE_CHUNK, count - t)

@@ -76,13 +76,28 @@ def generator_tail_bracket(s, n0, terms=200000):
     return head, head + upper_tail
 
 
-def power_sum_mp(c, a, b=None, dps=80):
-    """sum_{m=a}^{b} m**-c (the tail m >= a when b is None) in mpmath at fixed precision."""
+def power_sum_zeta(c, a, b=None):
+    """sum_{m=a}^{b} m**-c (the tail m >= a when b is None) by Hurwitz zeta differences.
+
+    The analytic formula the summation kernel used before Euler-Maclaurin:
+    harmonic numbers for c = 1, zeta(c, a) - zeta(c, b + 1) otherwise, at its
+    working precision of 40 + 2*digits places (digits of the larger
+    endpoint), plus 10 - log10|c - 1| near c = 1. On top of that rule it
+    adds one place per decade the sum may lie below 1 (the sum is at least
+    a**-c): mpmath's Hurwitz zeta stops its series on an absolute 2**-prec
+    tolerance, so at the plain rule a sum far below 1 loses relative
+    accuracy (the tail c = 12.453535629756685, a = 8154 came out 8e-14
+    relative off its 200-place value).
+    """
     from mpmath import mp, mpf
 
+    digits = int(math.log10((a if b is None else b) + 2)) + 1
+    dps = 40 + 2 * digits + math.ceil(c * math.log10(a))
+    if c != 1.0 and abs(c - 1.0) < 1e-3:
+        dps += int(-math.log10(abs(c - 1.0))) + 10
     with mp.workdps(dps):
         if b is None:
             return float(mp.zeta(mpf(c), a))
         if c == 1.0:
-            return float(mp.harmonic(b) - mp.harmonic(a - 1))
+            return float(mp.harmonic(mpf(b)) - mp.harmonic(mpf(a - 1)))
         return float(mp.zeta(mpf(c), a) - mp.zeta(mpf(c), b + 1))

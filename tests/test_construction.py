@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lprl import (
     ClaimRequest,
@@ -110,7 +112,34 @@ class TestDeterminism:
             assert n1.phi == n2.phi
 
 
+@st.composite
+def small_ladders(draw):
+    """Ladders with a in [0, 1.5], q - a in [0.5, 3] and 0-2 explicit exponents."""
+    a = draw(st.floats(min_value=0.0, max_value=1.5))
+    q = a + draw(st.floats(min_value=0.5, max_value=3.0))
+    fractions = []
+    if draw(st.booleans()):
+        fractions.append(draw(st.floats(min_value=0.1, max_value=0.95)))
+        if draw(st.booleans()):
+            fractions.append(fractions[0] * draw(st.floats(min_value=0.2, max_value=0.9)))
+    return ExpLadder(a, q, tuple(a + f * (q - a) for f in fractions))
+
+
 class TestExportImport:
+    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(0, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_roundtrip_random_ladders(self, tmp_path_factory, ladder, eta, depth):
+        cache = build_tree(ConstructionCache(ladder, Margin(eta)), depth)
+        path = export_cache(cache, tmp_path_factory.mktemp("roundtrip") / "cache.txt")
+        loaded = import_cache(path)
+        assert (loaded.ladder, loaded.margin) == (ladder, cache.margin)
+        assert loaded._nodes.keys() == cache._nodes.keys()
+        for sigma, node in cache._nodes.items():
+            other = loaded._nodes[sigma]
+            assert (other.phi, other.M, other.block) == (node.phi, node.M, node.block)
+        again = export_cache(loaded, path.with_name("again.txt"))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_roundtrip(self, tmp_path, small_cache):
         build_tree(small_cache, 4)
         path = export_cache(small_cache, tmp_path / "cache.txt")

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from lprl.seqspace import (
     _window_power_sum,
 )
 
-from oracles import power_sum_mp, power_sum_plain
+from oracles import power_sum_plain, power_sum_zeta
 
 entries = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
@@ -221,7 +223,7 @@ class TestRangePowerSum:
     def test_direct_cutoff_matches_mpmath(self, c, a, offset, harmonic):
         c = 1.0 if harmonic else c
         b = a + DIRECT_CUTOFF - 1 + offset
-        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_mp(c, a, b), rel=1e-12)
+        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_zeta(c, a, b), rel=1e-12)
 
     @given(st.floats(min_value=0.3, max_value=3.0), st.integers(1, 10 ** 30),
            st.integers(0, 10 ** 20), st.booleans())
@@ -229,7 +231,7 @@ class TestRangePowerSum:
     def test_any_window_matches_mpmath(self, c, a, length, harmonic):
         c = 1.0 if harmonic else c
         b = a + length
-        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_mp(c, a, b), rel=1e-12)
+        assert _range_power_sum(c, a, b) == pytest.approx(power_sum_zeta(c, a, b), rel=1e-12)
 
     @given(st.floats(min_value=1.05, max_value=4.0), st.integers(1, 10 ** 12),
            st.integers(0, 2 * DIRECT_CUTOFF))
@@ -237,13 +239,61 @@ class TestRangePowerSum:
     def test_tail_additivity(self, c, a, length):
         b = a + length
         whole = _range_power_sum(c, a)
-        assert whole == pytest.approx(power_sum_mp(c, a), rel=1e-13)
+        assert whole == pytest.approx(power_sum_zeta(c, a), rel=1e-13)
         split = _range_power_sum(c, a, b) + _range_power_sum(c, b + 1)
         assert split == pytest.approx(whole, rel=1e-12)
 
     def test_window_power_sum_uses_the_kernel(self):
         w = PowerWindow(0.5, 9, 9 + FSUM_CUTOFF)
         assert _window_power_sum(w, 1.5) == _range_power_sum(3.0, 10, 10 + FSUM_CUTOFF)
+
+
+@st.composite
+def analytic_calls(draw):
+    """(c, a, b) as the kernel meets them: long windows, high windows, tails."""
+    c = draw(st.one_of(st.floats(min_value=0.02, max_value=20.0),
+                       st.floats(min_value=1 - 1e-4, max_value=1 + 1e-4),
+                       st.just(1.0)))
+    a = draw(st.integers(1, 10 ** 40))
+    shape = draw(st.sampled_from(("long", "high", "tail") if c > 1 else ("long", "high")))
+    if shape == "tail":
+        return c, a, None
+    if shape == "long":
+        return c, a, a + draw(st.integers(2 ** 22, 10 ** 45))
+    low = max(a, 2 ** 52)
+    return c, a, draw(st.integers(low, low + 2 ** 22))
+
+
+class TestAnalyticKernel:
+    """Euler-Maclaurin against the Hurwitz-zeta formula it replaced."""
+
+    @given(analytic_calls())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_zeta_formula(self, call):
+        assert _analytic_range_sum(*call) == power_sum_zeta(*call)
+
+    def test_tail_far_below_one(self):
+        # the 200-place value, rounded; the zeta formula at the kernel's
+        # precision rule alone gives 1.3878472225594888e-46
+        assert _analytic_range_sum(12.453535629756685, 8154) == 1.387847222559478e-46
+
+    @pytest.mark.parametrize("c, a, b, expected", [
+        (300, 2, 10 ** 30, 4.909093465297727e-91),
+        (8000, 6, 10 ** 8, 0.0),
+        (8000, 5, None, 0.0),
+        # a head summed past a = 30, then the series; the series alone
+        (20, 30, None, 6.1203509830114665e-30),
+        (40, 10 ** 3, None, 2.6144358878696616e-119),
+    ])
+    def test_large_exponents_return_promptly(self, c, a, b, expected):
+        start = time.perf_counter()
+        assert _analytic_range_sum(c, a, b) == expected
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("c", [0.5, 0.9, 1.0])
+    def test_divergent_tail_raises(self, c):
+        with pytest.raises(ValueError, match=re.escape(f"c={c!r}")):
+            _range_power_sum(c, 7)
 
 
 class TestFinSeqStructure:
@@ -292,6 +342,31 @@ class TestFinSeqStructure:
             w == lit
         with pytest.raises(ResourceLimitError):
             lit == w
+
+    @pytest.mark.parametrize("length", [1, 4, 5000])
+    def test_zero_scale_windows_equal(self, length):
+        u = window_seq(1.0, 0, length - 1, 0.0)
+        v = window_seq(2.0, 7, length + 6, 0.0)
+        assert u == v
+        assert u.is_prefix_of(concat(v, window_seq(3.0, 0, 2, 0.0)), proper=True)
+
+    def test_windows_of_equal_entries_equal(self):
+        # both entries are 1.0: (0+1)**-1 and (0+1)**-(1/3)
+        assert window_seq(1.0, 0, 0) == window_seq(3.0, 0, 0)
+        assert window_seq(1.0, 0, 0).is_prefix_of(window_seq(3.0, 0, 5), proper=True)
+
+    def test_windows_differing_past_first_entry(self):
+        u, v = window_seq(1.0, 0, 2), window_seq(3.0, 0, 2)
+        assert u != v
+        assert not u.is_prefix_of(window_seq(3.0, 0, 5))
+
+    def test_differing_first_entries_decide_without_materializing(self, monkeypatch):
+        monkeypatch.setattr("lprl.seqspace.MATERIALIZE_LIMIT", 64)
+        assert window_seq(1.0, 0, 99) != window_seq(2.0, 1, 100)
+        assert window_seq(1.0, 0, 99) != finseq([0.5] * 100)
+        # equal first entries (1.0) leave 100 entries to compare
+        with pytest.raises(ResourceLimitError):
+            window_seq(1.0, 0, 99) == window_seq(3.0, 0, 99)
 
     def test_entry_indexing(self):
         x = concat(finseq((7.0, 8.0)), window_seq(1.0, 0, 2))
