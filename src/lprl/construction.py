@@ -249,7 +249,7 @@ def _parse_segments(text):
                 segs.append(PowerWindow(float(pb), int(n0), int(n1), float(sc)))
             else:
                 raise ValueError(f"unknown segment kind {kind!r}")
-    return FinSeq(tuple(segs))
+    return tuple(segs)
 
 
 def export_cache(cache, path):
@@ -279,7 +279,16 @@ _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
 
 
 def import_cache(path):
-    """Rebuild a ConstructionCache from an exported file."""
+    """Rebuild a ConstructionCache from an exported file.
+
+    Each node's phi is ``concat(parent.phi, block)``, as in a built tree, so
+    its power sums grow from its parent's. When a record's phi text is its
+    parent's followed by ``;``, only the rest is parsed, as the block.
+    Otherwise the whole phi is parsed and its leading segments must equal
+    the parent's, one segment at a time; the rest is the block. A record
+    that merges the parent's last run with new entries is refused: its
+    entries extend the parent's, but no block of whole segments does.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
         raise ValueError(f"{path}: not a cache file")
@@ -303,6 +312,7 @@ def import_cache(path):
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
+    texts = {(): ""}  # each imported node's phi text
     for lineno, line in body:
         try:
             bits_text, m_text, phi_text = line.split("|")
@@ -315,7 +325,10 @@ def import_cache(path):
                 raise ValueError("fields must read bits|M=...|phi=...")
             sigma = () if bits_text == "-" else bitstring(bits_text)
             caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
-            phi = _parse_segments(phi_text[4:])
+            text = phi_text[4:]
+            head = texts.get(sigma[:-1], "")
+            tail_only = bool(head) and text.startswith(head + ";")
+            segs = _parse_segments(text[len(head) + 1:] if tail_only else text)
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
         if sigma == ():
@@ -323,8 +336,15 @@ def import_cache(path):
         parent = cache._nodes.get(sigma[:-1])
         if parent is None:
             raise ValueError(f"{path}: record for {bits_text} appears before its parent")
-        if not parent.phi.is_prefix_of(phi):
-            raise ValueError(f"{path}: phi at {bits_text} does not extend its parent")
-        block = FinSeq(phi.segments[len(parent.phi.segments):])
-        cache._nodes[sigma] = Node(sigma, phi, caps, block)
+        if not tail_only:
+            lead = parent.phi.segments
+            for t, seg in enumerate(lead):
+                if t == len(segs) or segs[t] != seg:
+                    raise ValueError(
+                        f"{path}: line {lineno}: phi at {bits_text} does not extend its "
+                        f"parent: its segment {t} is not the parent's")
+            segs = segs[len(lead):]
+        block = FinSeq(segs)
+        texts[sigma] = text
+        cache._nodes[sigma] = Node(sigma, concat(parent.phi, block), caps, block)
     return cache

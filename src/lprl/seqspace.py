@@ -13,6 +13,16 @@ first correction below 2**-(prec+8) of the sum (every even derivative of
 x**-c is positive, so that correction bounds the remainder), at a working
 precision that grows with the endpoints' digits.
 
+A sequence made by ``concat`` links to the sequence it extends, and its
+power sums grow along that link. The exact expansion of a power sum
+(non-overlapping floats whose exact sum is that of every segment's part,
+J. R. Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+Robust Geometric Predicates", 1997) is its base's expansion plus its own
+segments' parts, and a base keeps its expansion per exponent once a longer
+sequence has been summed from it. ``math.fsum`` rounds that exact sum
+correctly, so the power sum of a tree node costs one block yet is bit for
+bit the ``math.fsum`` over all of its segments' parts.
+
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
 never silently flip a strictness claim.
@@ -260,17 +270,29 @@ def _euler_maclaurin(c, a, b):
 class FinSeq:
     """A finite sequence of reals, stored as a tuple of segments.
 
+    ``FinSeq(segments, base=u)`` is u followed by the given segments: it
+    keeps the link to u, and ``segments`` is still the full tuple, u's
+    segments then its own. ``pnorm_pow`` sums only the own segments and
+    takes the rest from u's power-sum expansion, which u keeps per
+    exponent in ``_sums`` once it has been computed through u.
+
     Immutable by convention. ``length`` is an exact int and may exceed
     anything materializable; entry access and materialization guard against
     that explicitly instead of overflowing.
     """
 
-    __slots__ = ("segments", "length")
+    __slots__ = ("segments", "length", "base", "_sums")
 
-    def __init__(self, segments=()):
+    def __init__(self, segments=(), base=None):
         segs = tuple(s for s in segments if s.length > 0)
+        length = sum(s.length for s in segs)
+        if base is not None:
+            segs = base.segments + segs
+            length += base.length
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "length", sum(s.length for s in segs))
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_sums", {})
 
     def __setattr__(self, *a):
         raise AttributeError("FinSeq is immutable")
@@ -305,36 +327,19 @@ class FinSeq:
     def is_prefix_of(self, other, proper=False):
         """Entrywise initial-segment test, done on segment structure.
 
-        Runs are split at boundaries. Aligned window pieces of one descriptor
-        are equal, and so are two zero-scale window pieces; any other pair of
-        pieces is equal only if their entries are (compared exactly: a
-        differing first entry decides at once, otherwise up to
-        ``MATERIALIZE_LIMIT`` entries; longer pieces raise ResourceLimitError).
+        If other's leading segments equal all of self's, self is a prefix:
+        equal segments have equal entries, and tuple equality compares
+        identical segments first, so this decides a tree node against its
+        parent at once. Otherwise ``_prefix_walk`` compares the entries.
         """
         if self.length > other.length:
             return False
         if proper and self.length == other.length:
             return False
-        need = self.length
         mine = self.segments
-        theirs = other.segments
-        i = j = 0
-        off_i = off_j = 0  # consumed entries inside current run
-        while need > 0:
-            a, b = mine[i], theirs[j]
-            take = min(a.length - off_i, b.length - off_j, need)
-            if not _pieces_equal(a, off_i, b, off_j, take):
-                return False
-            need -= take
-            off_i += take
-            off_j += take
-            if off_i == a.length:
-                i += 1
-                off_i = 0
-            if off_j == b.length:
-                j += 1
-                off_j = 0
-        return True
+        if other.segments[:len(mine)] == mine:
+            return True
+        return _prefix_walk(mine, other.segments, self.length)
 
     def __eq__(self, other):
         if not isinstance(other, FinSeq):
@@ -349,6 +354,35 @@ class FinSeq:
         if self.length <= 8:
             return f"FinSeq({self.materialize()!r})"
         return f"FinSeq(<{self.length} entries, {len(self.segments)} segments>)"
+
+
+def _prefix_walk(mine, theirs, need):
+    """Whether the first ``need`` entries of two segment tuples are equal.
+
+    Runs are split at boundaries. Aligned window pieces of one descriptor
+    are equal, and so are two zero-scale window pieces; any other pair of
+    pieces is equal only if their entries are (compared exactly: a
+    differing first entry decides at once, otherwise up to
+    ``MATERIALIZE_LIMIT`` entries; longer pieces raise ResourceLimitError).
+    Both tuples must hold at least ``need`` entries.
+    """
+    i = j = 0
+    off_i = off_j = 0  # consumed entries inside current run
+    while need > 0:
+        a, b = mine[i], theirs[j]
+        take = min(a.length - off_i, b.length - off_j, need)
+        if not _pieces_equal(a, off_i, b, off_j, take):
+            return False
+        need -= take
+        off_i += take
+        off_j += take
+        if off_i == a.length:
+            i += 1
+            off_i = 0
+        if off_j == b.length:
+            j += 1
+            off_j = 0
+    return True
 
 
 def _piece_entries(seg, off, count):
@@ -468,24 +502,91 @@ def pnorm_pow(x, p):
     This is the workhorse quantity: for p >= 1 it is the p-th power of the
     p-norm, for 0 < p < 1 it is the translation-invariant metric distance
     to zero.
+
+    The value is bit for bit ``math.fsum`` of the per-segment parts (each
+    run's own fsum, each window's ``_window_power_sum``), and raises
+    OverflowError where that would. It is computed as ``math.fsum`` of the
+    exact expansion of those parts, grown from the expansion stored on x's
+    base, so a sequence made by ``concat`` costs its own segments only.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise ValueError(f"exponent must be a finite positive real, got {p!r}")
-    x = as_finseq(x)
-    parts = []
-    for seg in x.segments:
-        if isinstance(seg, Literal):
-            parts.append(math.fsum(abs(v) ** p for v in seg.values))
+    return math.fsum(_power_sum_expansion(as_finseq(x), p))
+
+
+def _segment_power_sum(seg, p):
+    if isinstance(seg, Literal):
+        return math.fsum(abs(v) ** p for v in seg.values)
+    return _window_power_sum(seg, p)
+
+
+def _power_sum_expansion(x, p):
+    """The exact expansion of x's power sum at p.
+
+    It is stored on the bases it was grown through, not on x: a sequence
+    keeps expansions once a longer one has been summed from it, so the
+    leaves of a tree, half its nodes, store none.
+    """
+    chain = []
+    while x is not None and p not in x._sums:
+        chain.append(x)
+        x = x.base
+    partials = () if x is None else x._sums[p]
+    for y in reversed(chain):
+        own = y.segments if y.base is None else y.segments[len(y.base.segments):]
+        partials = _grow_expansion(partials, [_segment_power_sum(seg, p) for seg in own])
+        if y is not chain[0]:
+            y._sums[p] = partials
+    return partials
+
+
+def _grow_expansion(partials, parts):
+    """``partials`` plus ``parts``, exactly, by ``math.fsum``'s own steps.
+
+    An expansion is a tuple of non-overlapping floats in increasing
+    magnitude whose exact sum is that of every part added to it, so
+    ``math.fsum`` of it rounds that sum as ``math.fsum`` of the parts
+    themselves does. As in ``math.fsum``, a non-finite part restarts the
+    partials and is kept in front of them as the special value that
+    ``math.fsum`` then returns, and a finite part that overflows the
+    partials raises OverflowError.
+    """
+    special = partials[:1] if partials and not math.isfinite(partials[0]) else ()
+    ps = list(partials[len(special):])
+    for x in parts:
+        xsave = x
+        i = 0
+        for y in ps:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                ps[i] = lo
+                i += 1
+            x = hi
+        del ps[i:]
+        if math.isfinite(x):
+            if x:
+                ps.append(x)
+        elif math.isfinite(xsave):
+            raise OverflowError("intermediate overflow in power sum")
         else:
-            parts.append(_window_power_sum(seg, p))
-    return math.fsum(parts)
+            special = ((special[0] if special else 0.0) + xsave,)
+            ps = []
+    return special + tuple(ps)
 
 
 def concat(u, v):
-    """u followed by v; power sums are additive across the join."""
+    """u followed by v, as ``FinSeq(v.segments, base=u)``.
+
+    The result links to u, so its power sums add v's parts to u's stored
+    expansions, and its prefix test against u compares u's own segment
+    objects.
+    """
     u = as_finseq(u)
     v = as_finseq(v)
-    return FinSeq(u.segments + v.segments)
+    return FinSeq(v.segments, base=u)
 
 
 def scale(x, c):

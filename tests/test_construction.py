@@ -126,7 +126,7 @@ def small_ladders(draw):
 
 
 class TestExportImport:
-    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(0, 4))
+    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_random_ladders(self, tmp_path_factory, ladder, eta, depth):
         cache = build_tree(ConstructionCache(ladder, Margin(eta)), depth)
@@ -134,11 +134,16 @@ class TestExportImport:
         loaded = import_cache(path)
         assert (loaded.ladder, loaded.margin) == (ladder, cache.margin)
         assert loaded._nodes.keys() == cache._nodes.keys()
+        exps = ladder.exponents(max(len(node.M) for node in cache._nodes.values())) + (ladder.q,)
         for sigma, node in cache._nodes.items():
             other = loaded._nodes[sigma]
             assert (other.phi, other.M, other.block) == (node.phi, node.M, node.block)
+            for p in exps:
+                assert pnorm_pow(other.phi, p).hex() == pnorm_pow(node.phi, p).hex()
         again = export_cache(loaded, path.with_name("again.txt"))
         assert again.read_bytes() == path.read_bytes()
+        built, imported = check_properties(cache, depth), check_properties(loaded, depth)
+        assert (imported.ok, imported.instances) == (built.ok, built.instances)
 
     def test_roundtrip(self, tmp_path, small_cache):
         build_tree(small_cache, 4)
@@ -206,6 +211,29 @@ class TestExportImport:
         where = re.escape(f"bad.txt: line {len(lines)}: ")
         with pytest.raises(ValueError, match=f"{where}.*{re.escape(repr(record))}"):
             import_cache(bad)
+
+
+    def test_rejects_record_merging_the_parents_last_run(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("100|"))
+        parent_phi = "W:1.0,1.0,2,6;L:0.0"
+        assert lines[lineno - 1].startswith(f"100|M=2,3|phi={parent_phi};")
+
+        def imported(phi):
+            lines[lineno - 1] = f"100|M=2,3|phi={phi}"
+            bad = tmp_path / "bad.txt"
+            bad.write_text("\n".join(lines) + "\n")
+            return import_cache(bad)
+
+        # as its own run, the block L:0.4 costs 0.16 > 2**-3
+        rep = check_properties(imported(parent_phi + ";L:0.4"), 3)
+        assert not rep.ok
+        assert "p2-block-cost: VIOLATION" in rep.summary()
+        # merged into the parent's last run, the same entries have no block
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {lineno}: phi at 100 does not extend its parent")):
+            imported("W:1.0,1.0,2,6;L:0.0,0.4")
 
 
 # SHA-256 of the depth-10 exports; any change to a witness window shows here

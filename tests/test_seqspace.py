@@ -26,7 +26,10 @@ from lprl import (
 from lprl.seqspace import (
     DIRECT_CUTOFF,
     FSUM_CUTOFF,
+    FinSeq,
+    Literal,
     _analytic_range_sum,
+    _prefix_walk,
     _range_power_sum,
     _window_power_sum,
 )
@@ -375,6 +378,88 @@ class TestFinSeqStructure:
         assert x.entry(4) == pytest.approx(1 / 3)
         with pytest.raises(IndexError):
             x.entry(5)
+
+
+# entries and window scales from 1e-300 to 1e300, so that parts overflow,
+# and windows' parts reach inf, in some draws
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+literal_segments = st.lists(
+    st.one_of(magnitudes, magnitudes.map(lambda v: -v), st.just(0.0)),
+    min_size=1, max_size=4).map(lambda vs: Literal(tuple(vs)))
+window_segments = st.builds(
+    lambda pb, n0, count, sc: PowerWindow(pb, n0, n0 + count - 1, sc),
+    st.floats(min_value=0.5, max_value=3.0), st.integers(0, 50), st.integers(1, 40),
+    magnitudes)
+# each inner list is one concat step; an empty step repeats its base's entries
+concat_steps = st.lists(
+    st.lists(st.one_of(literal_segments, window_segments), max_size=3),
+    min_size=1, max_size=6)
+
+
+def _concat_chain(steps):
+    chain = [FinSeq(steps[0])]
+    for segs in steps[1:]:
+        chain.append(concat(chain[-1], FinSeq(segs)))
+    return chain
+
+
+def _fsum_of_parts(x, p):
+    """The reference: one math.fsum over every segment's part."""
+    return math.fsum(
+        math.fsum(abs(v) ** p for v in seg.values) if isinstance(seg, Literal)
+        else _window_power_sum(seg, p)
+        for seg in x.segments)
+
+
+class TestIncrementalPowerSums:
+    @given(concat_steps, st.floats(min_value=0.25, max_value=2.0), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit_fsum_of_parts(self, steps, p, rnd):
+        chain = _concat_chain(steps)
+        rnd.shuffle(chain)  # some sums walk up the chain, others reuse stored ones
+        for x in chain:
+            try:
+                expected = _fsum_of_parts(x, p)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    pnorm_pow(x, p)
+            else:
+                assert pnorm_pow(x, p).hex() == expected.hex()
+
+    def test_overflow_and_infinite_parts(self):
+        big = finseq((1e308,))
+        huge = window_seq(1.0, 0, 40, 1e308)  # its part is inf
+        inf = math.inf
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            pnorm_pow(concat(big, big), 1.0)
+        assert _window_power_sum(huge.segments[0], 1.0) == inf
+        assert math.fsum([1e308, inf]) == inf
+        assert pnorm_pow(concat(big, huge), 1.0) == inf
+        # an inf part restarts fsum's partials: what overflows is what follows it
+        assert math.fsum([1e308, inf, 1e308]) == inf
+        assert pnorm_pow(concat(concat(big, huge), big), 1.0) == inf
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, inf, 1e308, 1e308])
+        with pytest.raises(OverflowError):
+            pnorm_pow(concat(concat(concat(big, huge), big), big), 1.0)
+
+    @given(concat_steps, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_structural_prefix_agrees_with_walk(self, steps, data):
+        chain = _concat_chain(steps)
+        # the same entries, every window stored as a literal run
+        chain.append(FinSeq(tuple(
+            Literal(tuple(seg.values().tolist())) if isinstance(seg, PowerWindow) else seg
+            for seg in data.draw(st.sampled_from(chain)).segments)))
+        # the same leading segments, then a drawn last one
+        other = data.draw(st.sampled_from(chain)).segments[:-1]
+        chain.append(FinSeq(other + (data.draw(st.one_of(literal_segments, window_segments)),)))
+        for x in chain:
+            for y in chain:
+                walk = x.length <= y.length and _prefix_walk(x.segments, y.segments, x.length)
+                assert x.is_prefix_of(y) == walk
 
 
 class TestExpLadder:
