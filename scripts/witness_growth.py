@@ -5,6 +5,8 @@ The harmonic divergence rate makes the block window roughly n0 * exp(M)
 entries long: linear targets cost exponentially many generator terms.
 This sweep prints the exact windows for a family of requests so the
 growth curve can be eyeballed or plotted from the CSV on stdout.
+``witness_growth.expected.csv`` beside it is the expected output, so any
+change to a window shows as a diff against it.
 """
 
 import math

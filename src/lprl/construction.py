@@ -257,18 +257,24 @@ def export_cache(cache, path):
 
     One record per string: bits, cap vector, and the phi segments at full
     (round-trip exact) precision. Records are sorted by (length, bits), so
-    identical configurations export byte-identical files.
+    identical configurations export byte-identical files. A node's phi is
+    its parent's followed by its block, so its text is the parent's text,
+    ``;`` and the block's segments: only the block is formatted.
     """
     ladder = cache.ladder
     lines = ["# lprl-cache v1"]
     explicit = ",".join(repr(p) for p in ladder.explicit) if ladder.explicit else "-"
     lines.append(f"# a={ladder.a!r} q={ladder.q!r} explicit={explicit}")
     lines.append(f"# eta={cache.margin.eta!r} step_budget={cache.step_budget}")
+    texts = {(): ""}
     for sigma in sorted(cache._nodes, key=lambda s: (len(s), s)):
         node = cache._nodes[sigma]
+        if sigma:
+            head, block = texts[sigma[:-1]], _format_segments(node.block)
+            texts[sigma] = f"{head};{block}" if head else block
         bits = "".join(map(str, sigma)) or "-"
         mvec = ",".join(str(m) for m in node.M)
-        lines.append(f"{bits}|M={mvec}|phi={_format_segments(node.phi)}")
+        lines.append(f"{bits}|M={mvec}|phi={texts[sigma]}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -282,12 +288,11 @@ def import_cache(path):
     """Rebuild a ConstructionCache from an exported file.
 
     Each node's phi is ``concat(parent.phi, block)``, as in a built tree, so
-    its power sums grow from its parent's. When a record's phi text is its
-    parent's followed by ``;``, only the rest is parsed, as the block.
-    Otherwise the whole phi is parsed and its leading segments must equal
-    the parent's, one segment at a time; the rest is the block. A record
-    that merges the parent's last run with new entries is refused: its
-    entries extend the parent's, but no block of whole segments does.
+    its power sums grow from its parent's. A record's phi text must be its
+    parent's followed by ``;`` and the block, which alone is parsed, as
+    ``export_cache`` writes it. Any other record is refused, among them one
+    that merges the parent's last run with new entries: its entries extend
+    the parent's, but no block of whole segments does.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
@@ -325,10 +330,9 @@ def import_cache(path):
                 raise ValueError("fields must read bits|M=...|phi=...")
             sigma = () if bits_text == "-" else bitstring(bits_text)
             caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
-            text = phi_text[4:]
-            head = texts.get(sigma[:-1], "")
-            tail_only = bool(head) and text.startswith(head + ";")
-            segs = _parse_segments(text[len(head) + 1:] if tail_only else text)
+            text, head = phi_text[4:], texts.get(sigma[:-1], "")
+            extends = not head or text.startswith(head + ";")
+            segs = _parse_segments(text[len(head) + 1:] if head else text) if extends else None
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
         if sigma == ():
@@ -336,14 +340,9 @@ def import_cache(path):
         parent = cache._nodes.get(sigma[:-1])
         if parent is None:
             raise ValueError(f"{path}: record for {bits_text} appears before its parent")
-        if not tail_only:
-            lead = parent.phi.segments
-            for t, seg in enumerate(lead):
-                if t == len(segs) or segs[t] != seg:
-                    raise ValueError(
-                        f"{path}: line {lineno}: phi at {bits_text} does not extend its "
-                        f"parent: its segment {t} is not the parent's")
-            segs = segs[len(lead):]
+        if segs is None:
+            raise ValueError(
+                f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
         block = FinSeq(segs)
         texts[sigma] = text
         cache._nodes[sigma] = Node(sigma, concat(parent.phi, block), caps, block)

@@ -14,12 +14,13 @@ at the second-smallest exponent certifiably smaller than both the cap
 slack and eps (this also bounds the q-cost, since entries are below one),
 and n1 is the least index whose harmonic window sum clears M plus the
 margin. The divergence rate is harmonic, so the window length grows like
-``n0 * exp(M)``. Both searches sum with ``seqspace._range_power_sum``, the
-kernel that ``verify_witness`` re-sums the block with, so the chosen n1 is
-exact against the re-check at every scale. A directly summed window longer
-than the step budget raises a resource error carrying the partial sum of
-the first step-budget terms. Both searches are pure and memoise themselves
-process-wide by their full arguments; a search that raises stores nothing.
+``n0 * exp(M)``. Both searches bisect with one loop, ``_least_true``, on
+``seqspace._range_power_sum``, the kernel that ``verify_witness`` re-sums
+the block with, so the chosen n1 is exact against the re-check at every
+scale. A directly summed window longer than the step budget raises a
+resource error carrying the partial sum of the first step-budget terms.
+Both searches are pure and memoise themselves process-wide by their full
+arguments; a search that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import PreconditionError, ResourceLimitError
@@ -98,15 +98,41 @@ class ClaimWitness:
     n1: int
 
 
+def _least_true(pred, guess, floor):
+    """Least n >= floor with pred(n), for a pred that stays true once true.
+
+    Steps out from ``guess`` by doubling strides, then bisects.
+    """
+    guess = max(guess, floor)
+    # invariant: pred(lo) is false (or lo = floor - 1), pred(hi) is true
+    step = 1
+    if pred(guess):
+        lo, hi = guess - 1, guess
+        while lo >= floor and pred(lo):
+            hi, step = lo, 2 * step
+            lo = max(guess - step, floor - 1)
+    else:
+        lo, hi = guess, guess + 1
+        while not pred(hi):
+            lo, step = hi, 2 * step
+            hi = guess + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @functools.cache
 def _least_start(s, thr, margin):
     """Least n0 >= 1 with the generator tail sum_{n>=n0} (n+1)**-s under thr.
 
-    Starts from the integral estimate n0 > ((s-1)*thr)**(-1/(s-1)); below a
-    million candidates the least one is found by exact summation against
-    the analytic tail, beyond that the estimate itself is certified and
-    used (any certified n0 is sound; minimality only matters at desk
-    scale, where it is exact).
+    Where the integral estimate n0 > ((s-1)*thr)**(-1/(s-1)) is at most a
+    million, the search returns the least n0 whose kernel-summed tail is
+    certified. Beyond that the estimate, doubled until certified, is used
+    (any certified n0 is sound; minimality only matters at desk scale).
     """
     if not s > 1:
         raise PreconditionError(f"tail exponent ratio must exceed 1, got {s}")
@@ -114,17 +140,12 @@ def _least_start(s, thr, margin):
         raise PreconditionError(f"threshold {thr} is not above the margin {margin.eta}")
     log_est = -(math.log(s - 1.0) + math.log(thr)) / (s - 1.0)
     if log_est <= math.log(1 << 20):
-        hi = max(1, math.ceil(math.exp(log_est)) + 1)
-        tail_hi = _range_power_sum(s, hi + 1)
-        while not certified_less(tail_hi, thr, margin):
-            hi *= 2
-            tail_hi = _range_power_sum(s, hi + 1)
-        if hi == 1:
-            return 1
-        xs = (np.arange(1, hi, dtype=np.float64) + 1.0) ** (-s)  # (n+1)^-s, n=1..hi-1
-        suffix = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
-        hits = np.nonzero(certified_less(tail_hi + suffix, thr, margin))[0]
-        return int(hits[0]) + 1 if hits.size else hi
+        # the tail is about (n0 + 1/2)**(1-s)/(s-1): guess where it meets
+        # thr - eta, clamped short of exp's overflow for a thr just above eta
+        log_guess = -(math.log(s - 1.0) + math.log(thr - margin.eta)) / (s - 1.0)
+        guess = int(math.exp(min(log_guess, 700.0)) - 0.5)
+        return _least_true(
+            lambda n0: certified_less(_range_power_sum(s, n0 + 1), thr, margin), guess, 1)
     # astronomical start: certify the estimate analytically
     with mp.workdps(40):
         n0 = int(mp.exp(mpf(log_est))) + 1
@@ -143,39 +164,18 @@ def _least_end(n0, M, margin, step_budget):
     ``step_budget`` terms raises ResourceLimitError.
     """
     target = M + margin.eta
-
-    def window(n1):
-        return _range_power_sum(1.0, n0 + 1, n1 + 1)
-
     # H(m) ~ ln(m + 1/2) + gamma puts the crossing near n1 + 1.5 =
     # exp(target + H(n0) - gamma); aiming half an ulp past the target finds
     # where the rounded window first exceeds it
     digits = int(math.log10(n0 + 2)) + 1
     with mp.workdps(40 + 2 * digits):
         aim = mpf(target) + mpf(math.ulp(target)) / 2
-        guess = max(n0, int(mp.exp(aim + mp.harmonic(n0) - mp.euler) - 1.5))
-    # invariant: window(lo) <= target < window(hi); window(n0 - 1) = 0
-    step = 1
-    if window(guess) > target:
-        lo, hi = guess - 1, guess
-        while lo >= n0 and window(lo) > target:
-            hi, step = lo, 2 * step
-            lo = max(guess - step, n0 - 1)
-    else:
-        lo, hi = guess, guess + 1
-        while window(hi) <= target:
-            lo, step = hi, 2 * step
-            hi = guess + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if window(mid) > target:
-            hi = mid
-        else:
-            lo = mid
+        guess = int(mp.exp(aim + mp.harmonic(n0) - mp.euler) - 1.5)
+    hi = _least_true(lambda n1: _range_power_sum(1.0, n0 + 1, n1 + 1) > target, guess, n0)
     if step_budget < hi - n0 + 1 and _summed_directly(n0 + 1, hi + 1):
         raise ResourceLimitError(
             f"harmonic window search exhausted the step budget ({step_budget} terms)",
-            partial_sum=window(n0 + step_budget - 1), steps=step_budget)
+            partial_sum=_range_power_sum(1.0, n0 + 1, n0 + step_budget), steps=step_budget)
     return hi
 
 

@@ -21,8 +21,8 @@ from lprl import (
     verify_witness,
     window_seq,
 )
-from lprl.seqspace import DIRECT_CUTOFF, _range_power_sum
-from lprl.witness import _least_end
+from lprl.seqspace import DIRECT_CUTOFF, _range_power_sum, certified_less
+from lprl.witness import _least_end, _least_start, _least_true
 
 from oracles import generator_tail_bracket, harmonic_first_crossing, power_sum_plain
 
@@ -228,3 +228,67 @@ class TestLeastEnd:
         n1 = _least_end(n0, 2.0, MARGIN, 1)
         assert n1 - n0 + 1 > DIRECT_CUTOFF
         assert _window(n0, n1) > 2.0 + MARGIN.eta >= _window(n0, n1 - 1)
+
+
+def _under(s, thr, margin):
+    """Predicate on n0: the generator tail from n0, summed by the kernel, is under thr."""
+    return lambda n0: certified_less(_range_power_sum(s, n0 + 1), thr, margin)
+
+
+class TestLeastStart:
+    def test_threshold_just_above_the_margin(self):
+        # the tail must fall to 2**-30, about 2**30 terms out: found by
+        # bisection on the kernel, with no array of that many entries
+        margin = Margin()
+        under = _under(2.0, 2 ** -20 * (1 + 2 ** -10), margin)
+        n0 = _least_start(2.0, 2 ** -20 * (1 + 2 ** -10), margin)
+        assert n0 > 2 ** 29
+        assert under(n0) and not under(n0 - 1)
+
+    def test_guess_past_float_range(self):
+        # desk scale by the estimate at thr, yet the tail must fall to one
+        # ulp of 16: the guess at thr - eta is past exp's range, so it is
+        # clamped and the search steps on from there
+        s, thr, margin = 1.05, 16.0, Margin(math.nextafter(16.0, 0.0))
+        under = _under(s, thr, margin)
+        n0 = _least_start(s, thr, margin)
+        assert n0 > 2 ** 1024
+        assert under(n0) and not under(n0 - 1)
+
+    @given(st.floats(min_value=1.2, max_value=8.0), st.floats(min_value=1e-6, max_value=4.0),
+           st.sampled_from([0.0, 2 ** -30, 2 ** -20, None]))
+    @settings(max_examples=80, deadline=None)
+    def test_least_certified_start(self, s, thr, eta):
+        eta = thr / 4 if eta is None else eta
+        assume(thr > eta)
+        # desk scale: the integral estimate is at most 2**20
+        assume(-(math.log(s - 1.0) + math.log(thr)) / (s - 1.0) <= math.log(2 ** 20))
+        under = _under(s, thr, Margin(eta))
+        n0 = _least_start(s, thr, Margin(eta))
+        assert n0 >= 1 and under(n0)
+        assert n0 == 1 or not under(n0 - 1)
+
+
+class TestLeastTrue:
+    @pytest.mark.parametrize("guess", [-5, 1, 40, 99, 100, 101, 250, 10 ** 6])
+    def test_finds_crossing_from_any_guess(self, guess):
+        calls = []
+
+        def pred(n):
+            calls.append(n)
+            return n >= 100
+
+        assert _least_true(pred, guess, 1) == 100
+        assert min(calls) >= 1
+
+    @pytest.mark.parametrize("guess", [0, 7, 12, 500])
+    def test_respects_floor(self, guess):
+        calls = []
+
+        def pred(n):
+            calls.append(n)
+            return n >= 3
+
+        assert _least_true(pred, guess, 7) == 7
+        assert min(calls) >= 7
+        assert _least_true(lambda n: n >= 30, guess, 7) == 30
