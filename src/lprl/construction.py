@@ -3,7 +3,8 @@
 Every binary string sigma gets a non-negative finite sequence phi(sigma)
 and a vector of natural caps M_0..M_{d(sigma)}, one per grid row reached:
 
-  * extending by 0 appends a literal zero and keeps every cap;
+  * extending by 0 appends a literal zero and keeps every cap, adding
+    one for a newly reached row;
   * extending by 1 appends a witness block that pushes the power sum at
     the new level's exponent past lh(sigma)+1 while respecting the caps
     below that level and a q-cost budget of 2**-(lh(sigma)+1).
@@ -38,21 +39,19 @@ from .seqspace import (
     finseq,
     pnorm_pow,
 )
-from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, extend
+from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, cap_room, extend
 
 
 def least_natural_above(x, margin=DEFAULT_MARGIN):
-    """Smallest natural strictly above x, robust to rounding at the boundary.
-
-    If x sits within the margin of the next integer the larger choice is
-    taken, so the strict domination survives independent re-summation.
-    """
+    """Smallest natural n, exact as a float, with ``cap_room(x, n)`` certified
+    above zero: an extension under the cap has room, and strict domination
+    survives re-summation. Past 2**53 the candidates step by floats."""
     if x < 0:
         raise ValueError(f"expected a non-negative value, got {x!r}")
-    cand = math.floor(x) + 1
-    if not certified_less(x, cand, margin):
-        cand += 1
-    return int(cand)
+    n = math.floor(x + margin.eta) + 1
+    while not certified_less(0.0, cap_room(x, float(n)), margin):
+        n = max(n + 1, int(math.nextafter(float(n), math.inf)))
+    return n
 
 
 @dataclass(frozen=True)
@@ -99,45 +98,40 @@ def build_node(cache, sigma):
     return nodes[sigma]
 
 
+# one block object shared by every 0-extension, half the nodes of a tree
+_ZERO_BLOCK = finseq((0.0,))
+
+
 def _extend_node(cache, parent, bit):
+    """The child by ``bit``: its parent's first ``keep`` caps, then one new
+    cap per row from ``keep`` to its depth, above its power sum there."""
     sigma = parent.sigma
     tau = sigma + (bit,)
     ladder = cache.ladder
-    d_tau = depth(tau)
-
     if bit == 0:
-        block = finseq((0.0,))
-        phi = concat(parent.phi, block)
-        if not sigma:
-            caps = (1,)
-        else:
-            caps = parent.M
-            if d_tau == len(caps):  # depth grew by one row
-                p_new = ladder.exponent(d_tau)
-                caps = caps + (least_natural_above(pnorm_pow(phi, p_new), cache.margin),)
-        return Node(tau, phi, caps, block)
-
-    l_tau = level(tau)
-    req = ClaimRequest(
-        u=parent.phi,
-        q=ladder.q,
-        exps=ladder.exponents(l_tau + 1),
-        caps=tuple(float(c) for c in parent.M[:l_tau]),
-        M=float(len(sigma) + 1),
-        eps=2.0 ** -(len(sigma) + 1),
-        step_budget=cache.step_budget,
-    )
-    try:
-        w = extend(req, cache.margin)
-    except (PreconditionError, ResourceLimitError) as err:
-        err.sigma = tau
-        raise
-    phi = concat(parent.phi, w.v)
-    caps = tuple(parent.M[:l_tau]) + tuple(
+        keep, block = len(parent.M), _ZERO_BLOCK
+    else:
+        keep = level(tau)
+        req = ClaimRequest(
+            u=parent.phi,
+            q=ladder.q,
+            exps=ladder.exponents(keep + 1),
+            caps=tuple(float(c) for c in parent.M[:keep]),
+            M=float(len(sigma) + 1),
+            eps=2.0 ** -(len(sigma) + 1),
+            step_budget=cache.step_budget,
+        )
+        try:
+            block = extend(req, cache.margin).v
+        except (PreconditionError, ResourceLimitError) as err:
+            err.sigma = tau
+            raise
+    phi = concat(parent.phi, block)
+    caps = parent.M[:keep] + tuple(
         least_natural_above(pnorm_pow(phi, ladder.exponent(i)), cache.margin)
-        for i in range(l_tau, d_tau + 1)
+        for i in range(keep, depth(tau) + 1)
     )
-    return Node(tau, phi, caps, w.v)
+    return Node(tau, phi, caps, block)
 
 
 def build_tree(cache, max_len):
@@ -282,6 +276,7 @@ def export_cache(cache, path):
 
 
 _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
+_ROOT_RECORD = "-|M=|phi="
 
 
 def import_cache(path):
@@ -335,8 +330,12 @@ def import_cache(path):
             segs = _parse_segments(text[len(head) + 1:] if head else text) if extends else None
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
-        if sigma == ():
-            continue  # root is pre-seeded
+        if sigma == ():  # the root is pre-seeded; its record must match it
+            if line != _ROOT_RECORD:
+                raise ValueError(
+                    f"{path}: line {lineno}: the root record must read "
+                    f"{_ROOT_RECORD!r}, got {line!r}")
+            continue
         parent = cache._nodes.get(sigma[:-1])
         if parent is None:
             raise ValueError(f"{path}: record for {bits_text} appears before its parent")

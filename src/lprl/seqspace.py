@@ -14,14 +14,11 @@ x**-c is positive, so that correction bounds the remainder), at a working
 precision that grows with the endpoints' digits.
 
 A sequence made by ``concat`` links to the sequence it extends, and its
-power sums grow along that link. The exact expansion of a power sum
-(non-overlapping floats whose exact sum is that of every segment's part,
-J. R. Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
-Robust Geometric Predicates", 1997) is its base's expansion plus its own
-segments' parts, and a base keeps its expansion per exponent once a longer
-sequence has been summed from it. ``math.fsum`` rounds that exact sum
-correctly, so the power sum of a tree node costs one block yet is bit for
-bit the ``math.fsum`` over all of its segments' parts.
+power sums grow along that link: its per-segment parts are its base's
+parts followed by those of its own segments, and a base keeps that tuple
+per exponent once a longer sequence has been summed from it. A power sum
+is ``math.fsum`` of the parts, so the power sum of a tree node sums one
+block yet is the ``math.fsum`` over all of its segments' parts.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -273,8 +270,8 @@ class FinSeq:
     ``FinSeq(segments, base=u)`` is u followed by the given segments: it
     keeps the link to u, and ``segments`` is still the full tuple, u's
     segments then its own. ``pnorm_pow`` sums only the own segments and
-    takes the rest from u's power-sum expansion, which u keeps per
-    exponent in ``_sums`` once it has been computed through u.
+    takes the rest from u's power-sum parts, which u keeps per exponent
+    in ``_sums`` once they have been computed through u.
 
     Immutable by convention. ``length`` is an exact int and may exceed
     anything materializable; entry access and materialization guard against
@@ -503,15 +500,15 @@ def pnorm_pow(x, p):
     p-norm, for 0 < p < 1 it is the translation-invariant metric distance
     to zero.
 
-    The value is bit for bit ``math.fsum`` of the per-segment parts (each
-    run's own fsum, each window's ``_window_power_sum``), and raises
-    OverflowError where that would. It is computed as ``math.fsum`` of the
-    exact expansion of those parts, grown from the expansion stored on x's
-    base, so a sequence made by ``concat`` costs its own segments only.
+    The value is ``math.fsum`` of the per-segment parts (each run's own
+    fsum, each window's ``_window_power_sum``) in segment order, and raises
+    OverflowError where that does. The parts are taken from those stored
+    on x's base, so a sequence made by ``concat`` sums its own segments
+    only.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise ValueError(f"exponent must be a finite positive real, got {p!r}")
-    return math.fsum(_power_sum_expansion(as_finseq(x), p))
+    return math.fsum(_power_sum_parts(as_finseq(x), p))
 
 
 def _segment_power_sum(seg, p):
@@ -520,69 +517,31 @@ def _segment_power_sum(seg, p):
     return _window_power_sum(seg, p)
 
 
-def _power_sum_expansion(x, p):
-    """The exact expansion of x's power sum at p.
+def _power_sum_parts(x, p):
+    """x's per-segment power-sum parts at p, in segment order.
 
-    It is stored on the bases it was grown through, not on x: a sequence
-    keeps expansions once a longer one has been summed from it, so the
-    leaves of a tree, half its nodes, store none.
+    They are stored on the bases they were grown through, not on x: a
+    sequence keeps its parts once a longer one has been summed from it, so
+    the leaves of a tree, half its nodes, store none.
     """
     chain = []
     while x is not None and p not in x._sums:
         chain.append(x)
         x = x.base
-    partials = () if x is None else x._sums[p]
+    parts = () if x is None else x._sums[p]
     for y in reversed(chain):
         own = y.segments if y.base is None else y.segments[len(y.base.segments):]
-        partials = _grow_expansion(partials, [_segment_power_sum(seg, p) for seg in own])
+        parts += tuple(_segment_power_sum(seg, p) for seg in own)
         if y is not chain[0]:
-            y._sums[p] = partials
-    return partials
-
-
-def _grow_expansion(partials, parts):
-    """``partials`` plus ``parts``, exactly, by ``math.fsum``'s own steps.
-
-    An expansion is a tuple of non-overlapping floats in increasing
-    magnitude whose exact sum is that of every part added to it, so
-    ``math.fsum`` of it rounds that sum as ``math.fsum`` of the parts
-    themselves does. As in ``math.fsum``, a non-finite part restarts the
-    partials and is kept in front of them as the special value that
-    ``math.fsum`` then returns, and a finite part that overflows the
-    partials raises OverflowError.
-    """
-    special = partials[:1] if partials and not math.isfinite(partials[0]) else ()
-    ps = list(partials[len(special):])
-    for x in parts:
-        xsave = x
-        i = 0
-        for y in ps:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                ps[i] = lo
-                i += 1
-            x = hi
-        del ps[i:]
-        if math.isfinite(x):
-            if x:
-                ps.append(x)
-        elif math.isfinite(xsave):
-            raise OverflowError("intermediate overflow in power sum")
-        else:
-            special = ((special[0] if special else 0.0) + xsave,)
-            ps = []
-    return special + tuple(ps)
+            y._sums[p] = parts
+    return parts
 
 
 def concat(u, v):
     """u followed by v, as ``FinSeq(v.segments, base=u)``.
 
     The result links to u, so its power sums add v's parts to u's stored
-    expansions, and its prefix test against u compares u's own segment
-    objects.
+    ones, and its prefix test against u compares u's own segment objects.
     """
     u = as_finseq(u)
     v = as_finseq(v)

@@ -179,6 +179,13 @@ def _least_end(n0, M, margin, step_budget):
     return hi
 
 
+def cap_room(total, cap):
+    """Mass that may go on top of ``total`` under ``cap``, less two ulps of
+    the cap: the re-check rounds the grown sum, which near a cap whose ulp
+    exceeds eta could round up to the cap itself."""
+    return cap - total - 2.0 * math.ulp(cap)
+
+
 def extend(req, margin=DEFAULT_MARGIN):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
@@ -194,7 +201,7 @@ def extend(req, margin=DEFAULT_MARGIN):
         if not certified_less(us, r, margin):
             raise PreconditionError(
                 f"prefix already violates cap {i}: sum={us!r} vs cap={r!r}")
-        slacks.append(r - us)
+        slacks.append(cap_room(us, r))
     delta = min(slacks, default=math.inf)
     thr = min(delta, req.eps)
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
@@ -222,9 +229,10 @@ def verify_witness(req, w, margin):
         return rep
     qcost = pnorm_pow(v, req.q)
     rep.add("q-cost", certified_less(qcost, req.eps, margin), qcost, req.eps)
+    uv = concat(req.u, v)
     for i, (p, r) in enumerate(zip(req.exps, req.caps)):
-        tot = pnorm_pow(concat(req.u, v), p)
+        tot = pnorm_pow(uv, p)
         rep.add(f"cap-p{i}", certified_less(tot, r, margin), tot, r)
-    div = pnorm_pow(concat(req.u, v), req.exps[-1])
+    div = pnorm_pow(uv, req.exps[-1])
     rep.add("divergence", certified_less(req.M, div, margin), div, req.M)
     return rep

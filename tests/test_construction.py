@@ -15,6 +15,7 @@ from lprl import (
     build_node,
     build_tree,
     cache_stats,
+    certified_less,
     check_properties,
     export_cache,
     extend,
@@ -46,6 +47,18 @@ class TestLeastNaturalAbove:
         assert least_natural_above(2.9999999) == 4
         assert least_natural_above(2.5, Margin(0.1)) == 3
 
+    @pytest.mark.parametrize("x", [2.0 ** 53, 3.865398938197407e16, 1e300])
+    def test_cap_leaves_room_as_a_float_past_2_53(self, x):
+        # x + 1 rounds back to x here, so the caps step by floats; the cap is
+        # exact as a float, leaves room above x, and the float below it does not
+        for margin in (Margin(0.0), Margin(2.0 ** -20)):
+            n = least_natural_above(x, margin)
+            assert float(n) == n
+            assert certified_less(x, float(n), margin)
+            assert certified_less(0.0, witness.cap_room(x, float(n)), margin)
+            below = math.nextafter(float(n), 0.0)
+            assert not certified_less(0.0, witness.cap_room(x, below), margin)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             least_natural_above(-0.5)
@@ -68,6 +81,13 @@ class TestBaseCases:
         assert power_sum_plain(v, 2.0) < 0.5          # q-cost budget 2**-1
         assert power_sum_plain(v, 1.0) > 1.0          # forced growth at p_0
         assert node.M == (least_natural_above(pnorm_pow(node.phi, 1.0), small_cache.margin),)
+
+    @pytest.mark.parametrize("eta", [0.0, 2.0 ** -20, 0.75, 1.0, 3.0])
+    def test_zero_child_cap_is_certified(self, eta):
+        margin = Margin(eta)
+        node = build_node(ConstructionCache(ExpLadder(0.0, 2.0), margin), (0,))
+        assert node.M == (least_natural_above(0.0, margin),)
+        assert certified_less(0.0, node.M[0], margin)
 
     def test_zero_extension_appends_zero(self, small_cache):
         parent = build_node(small_cache, (1,))
@@ -234,6 +254,17 @@ class TestExportImport:
         with pytest.raises(ValueError, match=re.escape(
                 f"bad.txt: line {lineno}: phi at 100 does not extend its parent")):
             imported("W:1.0,1.0,2,6;L:0.0,0.4")
+
+    def test_rejects_a_root_record_with_caps(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = lines.index("-|M=|phi=") + 1
+        lines[lineno - 1] = "-|M=7,8|phi=L:9.0"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {lineno}: the root record must read '-|M=|phi='")):
+            import_cache(bad)
 
 
 # SHA-256 of the depth-10 exports; any change to a witness window shows here

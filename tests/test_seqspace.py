@@ -403,12 +403,16 @@ def _concat_chain(steps):
     return chain
 
 
+def _parts(x, p):
+    """Every segment's power-sum part, in segment order."""
+    return [math.fsum(abs(v) ** p for v in seg.values) if isinstance(seg, Literal)
+            else _window_power_sum(seg, p)
+            for seg in x.segments]
+
+
 def _fsum_of_parts(x, p):
     """The reference: one math.fsum over every segment's part."""
-    return math.fsum(
-        math.fsum(abs(v) ** p for v in seg.values) if isinstance(seg, Literal)
-        else _window_power_sum(seg, p)
-        for seg in x.segments)
+    return math.fsum(_parts(x, p))
 
 
 class TestIncrementalPowerSums:
@@ -444,6 +448,23 @@ class TestIncrementalPowerSums:
             math.fsum([1e308, inf, 1e308, 1e308])
         with pytest.raises(OverflowError):
             pnorm_pow(concat(concat(concat(big, huge), big), big), 1.0)
+
+    @given(concat_steps, st.floats(min_value=0.25, max_value=2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_parts_stored_on_bases_only(self, steps, p):
+        x = _concat_chain(steps)[-1]
+        try:
+            pnorm_pow(x, p)
+            overflowed = False
+        except OverflowError:
+            overflowed = True  # the bases summed before it still store their parts
+        assert p not in x._sums
+        y = x.base
+        while y is not None:
+            assert p in y._sums or overflowed
+            if p in y._sums:
+                assert [v.hex() for v in y._sums[p]] == [v.hex() for v in _parts(y, p)]
+            y = y.base
 
     @given(concat_steps, st.data())
     @settings(max_examples=100, deadline=None)
