@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -325,7 +326,10 @@ def _print_sigma(err):
         print(f"  sigma: {''.join(map(str, sigma))}", file=sys.stderr)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; ``--out`` defaults to
+    None, so ``$LPRL_OUT`` is read per call by ``_config_from``."""
     parser = argparse.ArgumentParser(
         prog="lprl",
         description="Certified finite-scale checks for the sequence-space construction. "
@@ -343,9 +347,12 @@ def main(argv=None):
                          help="number of blocks to trace")
     p_trace.add_argument("--target", type=float, default=None,
                          help="divergence target for non-member specs")
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         config = _config_from(args)
         if args.command == "build":
             return cmd_build(config)

@@ -11,7 +11,10 @@ window is too long for direct summation: harmonic-number differences for
 exponent 1, otherwise Euler-Maclaurin summation in mpmath, stopped at the
 first correction below 2**-(prec+8) of the sum (every even derivative of
 x**-c is positive, so that correction bounds the remainder), at a working
-precision that grows with the endpoints' digits.
+precision that grows with the endpoints' digits. All of this is one
+kernel, ``_range_power_sum(c, a, b)``, memoized process-wide by those
+arguments; it sums its numpy regime in leaves split as ``np.sum`` splits,
+so millions of terms give ``np.sum``'s value in 0.5 MB.
 
 A sequence made by ``concat`` links to the sequence it extends, and its
 power sums grow along that link: its per-segment parts are its base's
@@ -137,24 +140,20 @@ class PowerWindow:
 
 # --- power sums -------------------------------------------------------------
 
-# Window power sums repeat across every descendant node that re-verifies a
-# cap, so they are memoized by (descriptor, exponent). The memo is process-wide:
-# its hits come from across caches (a fresh one per trace request or import),
-# and clearing it per cache made trace passes 2.7x, rechecks 2x slower.
+# The kernel memoizes its results by its own arguments (c, a, b): a window
+# power sum, a search probe and the re-check of a block meet the same keys,
+# and windows of ladders that differ by a power of two share their ratios
+# c. The memo is process-wide: its hits come from across caches (a fresh
+# one per trace request or import), and clearing it per cache made trace
+# passes 2.7x, rechecks 2x slower.
 _WINDOW_SUM_CACHE = {}
 
 
 def _window_power_sum(win, p):
-    key = (win.p_bottom, win.n_start, win.n_end, win.scale, p)
-    cached = _WINDOW_SUM_CACHE.get(key)
-    if cached is not None:
-        return cached
     factor = win.scale ** p
     if factor == 0.0:
         return 0.0
-    out = factor * _range_power_sum(p / win.p_bottom, win.n_start + 1, win.n_end + 1)
-    _WINDOW_SUM_CACHE[key] = out
-    return out
+    return factor * _range_power_sum(p / win.p_bottom, win.n_start + 1, win.n_end + 1)
 
 
 def _summed_directly(a, b):
@@ -166,17 +165,45 @@ def _range_power_sum(c, a, b=None):
     """sum_{m=a}^{b} m**(-c); ``b=None`` means the tail sum_{m>=a} (c > 1).
 
     The one summation kernel: window power sums, the witness searches and
-    their re-check all go through it. Windows of at most ``DIRECT_CUTOFF``
-    terms are summed directly (fsum up to ``FSUM_CUTOFF`` terms, numpy
-    above); longer windows and tails are evaluated analytically.
+    their re-check all go through it, and it memoizes its results by
+    ``(c, a, b)`` (a call that raises stores nothing). Windows of at most
+    ``DIRECT_CUTOFF`` terms are summed directly (fsum up to ``FSUM_CUTOFF``
+    terms, numpy above); longer windows and tails are evaluated
+    analytically.
     """
-    if not _summed_directly(a, b):
-        return _analytic_range_sum(c, a, b)
-    if b - a < FSUM_CUTOFF:
-        return math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
-    m = np.arange(a, b + 1, dtype=np.float64)
-    m **= -c  # in place: up to DIRECT_CUTOFF terms
-    return float(np.sum(m))
+    key = (c, a, b)
+    out = _WINDOW_SUM_CACHE.get(key)
+    if out is None:
+        if not _summed_directly(a, b):
+            out = _analytic_range_sum(c, a, b)
+        elif b - a < FSUM_CUTOFF:
+            out = math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
+        else:
+            out = _numpy_power_sum(c, a, b - a + 1)
+        _WINDOW_SUM_CACHE[key] = out
+    return out
+
+
+# Terms per numpy array in ``_numpy_power_sum``: 0.5 MB of float64.
+_LEAF_TERMS = 1 << 16
+
+
+def _numpy_power_sum(c, a, n):
+    """sum_{m=a}^{a+n-1} m**(-c) as ``np.sum`` over all n terms gives it.
+
+    ``np.sum`` adds pairwise: a block of more than 128 terms is split
+    after ``half = n // 2`` rounded down to a multiple of 8, and the
+    halves' sums are added. Splitting the same way down to leaves of at
+    most ``_LEAF_TERMS`` terms, each summed by ``np.sum``, is therefore the
+    same sum bit for bit, in bounded memory.
+    """
+    if n <= _LEAF_TERMS:
+        m = np.arange(a, a + n, dtype=np.float64)
+        m **= -c  # in place
+        return float(np.sum(m))
+    half = n // 2
+    half -= half % 8
+    return _numpy_power_sum(c, a, half) + _numpy_power_sum(c, a + half, n - half)
 
 
 def _analytic_range_sum(c, a, b=None):

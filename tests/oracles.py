@@ -101,3 +101,16 @@ def power_sum_zeta(c, a, b=None):
         if c == 1.0:
             return float(mp.harmonic(mpf(b)) - mp.harmonic(mpf(a - 1)))
         return float(mp.zeta(mpf(c), a) - mp.zeta(mpf(c), b + 1))
+
+
+def power_sum_whole_array(c, a, b):
+    """sum_{m=a}^{b} m**-c as one numpy array and one ``np.sum``.
+
+    The numpy regime of the summation kernel before it summed in leaves,
+    kept verbatim: the leaves must give this value bit for bit.
+    """
+    import numpy as np
+
+    m = np.arange(a, b + 1, dtype=np.float64)
+    m **= -c  # in place: up to DIRECT_CUTOFF terms
+    return float(np.sum(m))

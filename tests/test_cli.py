@@ -9,6 +9,7 @@ from lprl import AlphaSpec, EventuallyOne, FiniteOnes, PeriodicOnes
 from lprl.cli import (
     RunConfig,
     SpecParseError,
+    _parser,
     cmd_build,
     cmd_trace,
     format_alpha_spec,
@@ -171,6 +172,28 @@ class TestMainExitCodes:
         assert payload["ok"] is True
         assert any(s["title"].startswith("construction-properties")
                    for s in payload["suites"])
+
+    def test_parser_is_built_once_and_keeps_its_defaults(self, tmp_path, capsys,
+                                                          monkeypatch):
+        trace = ["trace", "--spec", "row=0:eventually(0)", "--k", "4"]
+        monkeypatch.setenv("LPRL_OUT", str(tmp_path / "first"))
+        _parser.cache_clear()
+        assert main(trace) == 0
+        first = capsys.readouterr().out
+        assert main(trace + ["--target", "5"]) == 0
+        targeted = capsys.readouterr().out
+        assert targeted.splitlines()[-1] != first.splitlines()[-1]
+        with pytest.raises(SystemExit):
+            main(["trace", "--k", "4"])  # no --spec: argparse exits
+        monkeypatch.setenv("LPRL_OUT", str(tmp_path / "again"))
+        capsys.readouterr()
+        assert main(trace) == 0
+        last = capsys.readouterr().out
+        # the default target 3 again, and the new $LPRL_OUT
+        assert last == first.replace(str(tmp_path / "first"), str(tmp_path / "again"))
+        assert ((tmp_path / "again" / "trace.csv").read_bytes()
+                == (tmp_path / "first" / "trace.csv").read_bytes())
+        assert _parser.cache_info().misses == 1
 
     def test_build_then_trace_cli(self, tmp_path):
         assert main(["build", "--max-len", "4", "--out", str(tmp_path)]) == 0

@@ -29,12 +29,13 @@ from lprl.seqspace import (
     FinSeq,
     Literal,
     _analytic_range_sum,
+    _WINDOW_SUM_CACHE,
     _prefix_walk,
     _range_power_sum,
     _window_power_sum,
 )
 
-from oracles import power_sum_plain, power_sum_zeta
+from oracles import power_sum_plain, power_sum_whole_array, power_sum_zeta
 
 entries = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
@@ -249,6 +250,50 @@ class TestRangePowerSum:
     def test_window_power_sum_uses_the_kernel(self):
         w = PowerWindow(0.5, 9, 9 + FSUM_CUTOFF)
         assert _window_power_sum(w, 1.5) == _range_power_sum(3.0, 10, 10 + FSUM_CUTOFF)
+
+
+# numpy-regime lengths n = b - a + 1, in (FSUM_CUTOFF, DIRECT_CUTOFF]
+numpy_lengths = st.one_of(
+    st.integers(FSUM_CUTOFF + 1, FSUM_CUTOFF + 10),
+    st.integers(DIRECT_CUTOFF - 9, DIRECT_CUTOFF),
+    st.builds(lambda k, d: (k << 16) + d, st.integers(1, DIRECT_CUTOFF >> 16),
+              st.sampled_from([d for d in range(-9, 10) if d])).filter(
+        lambda n: FSUM_CUTOFF < n <= DIRECT_CUTOFF),
+    st.integers(FSUM_CUTOFF + 1, DIRECT_CUTOFF).filter(lambda n: n % 8))
+
+
+class TestNumpyLeaves:
+    """The numpy regime sums in leaves, and the leaves are one ``np.sum``."""
+
+    @given(st.one_of(st.sampled_from([1.0, 0.5, 2.0, 0.0625]),
+                     st.floats(min_value=0.02, max_value=16.0)),
+           st.integers(1, 2 ** 40), numpy_lengths)
+    @settings(max_examples=100, deadline=None)
+    def test_leaves_equal_the_whole_array_sum(self, c, a, n):
+        b = a + n - 1
+        _WINDOW_SUM_CACHE.pop((c, a, b), None)
+        assert _range_power_sum(c, a, b).hex() == power_sum_whole_array(c, a, b).hex()
+
+
+class TestKernelMemo:
+    """One memo, keyed by the kernel's own arguments (c, a, b)."""
+
+    def test_ladders_a_power_of_two_apart_share_an_entry(self):
+        n0, n1 = 7_654_321, 7_654_321 + 5000
+        _WINDOW_SUM_CACHE.pop((0.5, n0 + 1, n1 + 1), None)
+        before = len(_WINDOW_SUM_CACHE)
+        first = _window_power_sum(PowerWindow(2.0, n0, n1), 1.0)
+        second = _window_power_sum(PowerWindow(0.5, n0, n1), 0.25)
+        assert len(_WINDOW_SUM_CACHE) == before + 1
+        assert first == second == _WINDOW_SUM_CACHE[(0.5, n0 + 1, n1 + 1)]
+
+    def test_a_call_that_raises_stores_nothing(self):
+        before = len(_WINDOW_SUM_CACHE)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                _range_power_sum(1.0, 5)
+        assert len(_WINDOW_SUM_CACHE) == before
+        assert (1.0, 5, None) not in _WINDOW_SUM_CACHE
 
 
 @st.composite

@@ -21,7 +21,8 @@ from lprl import (
     verify_witness,
     window_seq,
 )
-from lprl.seqspace import DIRECT_CUTOFF, _range_power_sum, certified_less
+from lprl import witness
+from lprl.seqspace import DIRECT_CUTOFF, _WINDOW_SUM_CACHE, _range_power_sum, certified_less
 from lprl.witness import _least_end, _least_start, _least_true
 
 from oracles import generator_tail_bracket, harmonic_first_crossing, power_sum_plain
@@ -163,6 +164,25 @@ class TestVerifyWitness:
         rep = verify_witness(req, blown, MARGIN)
         assert any(c.label == "q-cost" and not c.ok for c in rep.checks)
 
+
+    def test_recheck_reuses_the_searched_window_sum(self, monkeypatch):
+        # _least_end has summed the block at the divergence exponent (the
+        # kernel's c = 1), so the re-check inside extend adds no entry there
+        added = []
+
+        def recording(req, w, margin):
+            before = set(_WINDOW_SUM_CACHE)
+            assert (1.0, w.n0 + 1, w.n1 + 1) in before
+            rep = verify_witness(req, w, margin)
+            added.extend(set(_WINDOW_SUM_CACHE) - before)
+            return rep
+
+        monkeypatch.setattr(witness, "verify_witness", recording)
+        req = ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.5), caps=(10.0,),
+                           M=1.6180339887, eps=0.03125)
+        extend(req, MARGIN)
+        assert added  # the q-cost and cap sums are new keys
+        assert not [key for key in added if key[0] == 1.0]
 
 def _random_request(rng, q_low, q_high):
     """A request whose window stays at desk scale: tail ratios >= 1.5, M <= 3."""
