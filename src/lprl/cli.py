@@ -14,7 +14,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .construction import (
@@ -53,36 +52,6 @@ CONTINUITY_PAIRS = 20
 CONTINUITY_EXTRA = 2
 
 
-def _default_out():
-    return Path(os.environ.get("LPRL_OUT", "out"))
-
-
-@dataclass
-class RunConfig:
-    a: float = 0.0
-    q: float = 2.0
-    ladder_override: tuple = ()
-    max_len: int = 10
-    eta: float = DEFAULT_ETA
-    step_budget: int = DEFAULT_STEP_BUDGET
-    output_dir: Path = field(default_factory=_default_out)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.a < self.q):
-            raise ValueError(f"need 0 <= a < q, got a={self.a}, q={self.q}")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        self.output_dir = Path(self.output_dir)
-
-
-def make_cache(config):
-    ladder = ExpLadder(config.a, config.q, tuple(config.ladder_override))
-    return ConstructionCache(ladder, Margin(config.eta), config.step_budget)
-
-
 # ---------------------------------------------------------------------------
 # AlphaSpec serialization grammar
 # ---------------------------------------------------------------------------
@@ -91,16 +60,16 @@ class SpecParseError(ValueError):
     pass
 
 
-_FINITE = re.compile(r"^row=(\d+):finite\{([0-9,\s]*)\}$")
-_EVENTUALLY = re.compile(r"^row=(\d+):eventually\((\d+)\)$")
-_PERIODIC = re.compile(r"^row=(\d+):periodic\((\d+),(\d+),(\d+)\)$")
+_CLAUSE = re.compile(r"row=(\d+):(?:(finite)\{\s*(\d+(?:\s*,\s*\d+)*)?\s*\}"
+                     r"|eventually\((\d+)\)|periodic\((\d+),(\d+),(\d+)\))")
 
 
 def parse_alpha_spec(text):
     """Parse ``row=<i>:finite{j,...} | eventually(<j>) | periodic(<r>,<m>,<j>)``.
 
     Clauses are semicolon-separated; the empty string is the all-zero
-    point. Undeclared rows are all-zero.
+    point. Undeclared rows are all-zero. Inside ``finite{...}`` whitespace
+    may surround the commas and braces only, and no item may be empty.
     """
     rows = {}
     text = text.strip()
@@ -108,21 +77,17 @@ def parse_alpha_spec(text):
         return AlphaSpec.from_rows(rows)
     for pos, raw in enumerate(text.split(";")):
         clause = raw.strip()
-        m = _FINITE.match(clause)
-        if m:
-            cols = frozenset(int(c) for c in m.group(2).replace(" ", "").split(",") if c)
-            row, pat = int(m.group(1)), FiniteOnes(cols)
+        m = _CLAUSE.fullmatch(clause)
+        if m is None:
+            raise SpecParseError(f"clause {pos}: unrecognized token {clause!r}")
+        row, finite, cols, start, *periodic = m.groups()
+        row = int(row)
+        if finite:
+            pat = FiniteOnes(frozenset(int(c) for c in cols.split(",")) if cols else frozenset())
+        elif start is not None:
+            pat = EventuallyOne(int(start))
         else:
-            m = _EVENTUALLY.match(clause)
-            if m:
-                row, pat = int(m.group(1)), EventuallyOne(int(m.group(2)))
-            else:
-                m = _PERIODIC.match(clause)
-                if m:
-                    row = int(m.group(1))
-                    pat = PeriodicOnes(int(m.group(2)), int(m.group(3)), int(m.group(4)))
-                else:
-                    raise SpecParseError(f"clause {pos}: unrecognized token {clause!r}")
+            pat = PeriodicOnes(*map(int, periodic))
         if row in rows:
             raise SpecParseError(f"clause {pos}: duplicate row {row}")
         rows[row] = pat
@@ -146,12 +111,11 @@ def format_alpha_spec(spec):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_build(config):
+def cmd_build(cache, max_len, out):
     """Populate the full tree to max_len and export it deterministically."""
-    cache = make_cache(config)
-    build_tree(cache, config.max_len)
+    build_tree(cache, max_len)
     stats = cache_stats(cache)
-    path = config.output_dir / f"cache_a{config.a}_q{config.q}_len{config.max_len}.txt"
+    path = out / f"cache_a{cache.ladder.a}_q{cache.ladder.q}_len{max_len}.txt"
     export_cache(cache, path)
     print(f"nodes cached: {stats['nodes']}")
     print(f"max phi length: {stats['max_phi_length']}")
@@ -195,13 +159,11 @@ def _seeded_continuity_pairs(rng, count):
     return pairs
 
 
-def run_verification_suites(config, cache=None):
+def run_verification_suites(cache, max_len, seed):
     """All finite-scale suites over the standard corpus; list of reports."""
-    if cache is None:
-        cache = make_cache(config)
-    reports = [check_properties(cache, config.max_len)]
+    reports = [check_properties(cache, max_len)]
     corpus = standard_corpus()
-    depth = min(CORPUS_BLOCK_DEPTH, max(config.max_len, 1) + 2)
+    depth = min(CORPUS_BLOCK_DEPTH, max(max_len, 1) + 2)
     for spec in corpus:
         reports.append(unit_ball_check(cache, spec, depth))
     for spec in corpus:
@@ -217,30 +179,29 @@ def run_verification_suites(config, cache=None):
                     witness.norm_value, DIVERGENCE_TARGET,
                     note=f"prefix_len={witness.prefix_len}")
             reports.append(rep)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     for spec_a, spec_b, agree_to in _seeded_continuity_pairs(rng, CONTINUITY_PAIRS):
         reports.append(continuity_check(cache, spec_a, spec_b, agree_to, CONTINUITY_EXTRA))
     return reports
 
 
-def cmd_verify(config):
+def cmd_verify(cache, max_len, seed, out):
     """Run every suite, write the machine-readable report, exit by outcome."""
-    cache = make_cache(config)
-    reports = run_verification_suites(config, cache)
+    reports = run_verification_suites(cache, max_len, seed)
     payload = {
         "config": {
-            "a": config.a, "q": config.q, "max_len": config.max_len,
-            "eta": config.eta, "seed": config.seed,
+            "a": cache.ladder.a, "q": cache.ladder.q, "max_len": max_len,
+            "eta": cache.margin.eta, "seed": seed,
         },
         "suites": [r.to_dict() for r in reports],
         "ok": all(r.ok for r in reports),
     }
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "verify_report.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "verify_report.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
     for r in reports:
         print(r.summary())
-    print(f"report written to {out}")
+    print(f"report written to {path}")
     return 0 if payload["ok"] else 1
 
 
@@ -250,12 +211,11 @@ TRACE_COLUMNS = [
 ]
 
 
-def cmd_trace(config, spec_text, k, target=None):
+def cmd_trace(cache, spec_text, k, target, out):
     """Emit the block table of a path as CSV (full-precision values)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     spec = parse_alpha_spec(spec_text)
-    cache = make_cache(config)
     bits = path_bits(spec, k)
     ladder = cache.ladder
     rows = []
@@ -270,24 +230,23 @@ def cmd_trace(config, spec_text, k, target=None):
         ]
         row += [repr(pnorm_pow(node.phi, ladder.exponent(i))) for i in range(4)]
         rows.append(row)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "trace.csv"
-    with out.open("w", newline="") as fh:
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "trace.csv"
+    with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         writer.writerows(rows)
     print(",".join(TRACE_COLUMNS))
     for row in rows:
         print(",".join(str(c) for c in row))
-    print(f"trace written to {out}")
+    print(f"trace written to {path}")
     if in_p3(spec):
         for i in range(STABILIZATION_ROWS):
             rep = stabilization_check(cache, spec, i, k)
             print(rep.summary())
     else:
         row_i = bad_row(spec)
-        witness = divergence_witness(
-            cache, spec, row_i, DIVERGENCE_TARGET if target is None else target)
+        witness = divergence_witness(cache, spec, row_i, target)
         print(f"divergence at row {row_i}: power sum {witness.norm_value!r} "
               f"after prefix of length {witness.prefix_len}")
     return 0
@@ -312,14 +271,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
 
 
-def _config_from(args):
-    ladder = tuple(float(p) for p in args.ladder.split(",") if p) if args.ladder else ()
-    out = Path(args.out) if args.out else _default_out()
-    return RunConfig(a=args.a, q=args.q, ladder_override=ladder, max_len=args.max_len,
-                     eta=args.eta, step_budget=args.step_budget,
-                     output_dir=out, seed=args.seed)
-
-
 def _print_sigma(err):
     sigma = getattr(err, "sigma", None)
     if sigma is not None:
@@ -329,7 +280,7 @@ def _print_sigma(err):
 @functools.cache
 def _parser():
     """The argument parser, built once per process; ``--out`` defaults to
-    None, so ``$LPRL_OUT`` is read per call by ``_config_from``."""
+    None, so ``$LPRL_OUT`` is read per call by ``main``."""
     parser = argparse.ArgumentParser(
         prog="lprl",
         description="Certified finite-scale checks for the sequence-space construction. "
@@ -345,7 +296,7 @@ def _parser():
                          help="point spec, e.g. 'row=0:finite{1,2};row=2:eventually(0)'")
     p_trace.add_argument("--k", type=int, default=CORPUS_BLOCK_DEPTH,
                          help="number of blocks to trace")
-    p_trace.add_argument("--target", type=float, default=None,
+    p_trace.add_argument("--target", type=float, default=DIVERGENCE_TARGET,
                          help="divergence target for non-member specs")
     return parser
 
@@ -353,12 +304,16 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        config = _config_from(args)
+        ladder = ExpLadder(args.a, args.q, tuple(float(p) for p in args.ladder.split(",") if p))
+        cache = ConstructionCache(ladder, Margin(args.eta), args.step_budget)
+        if args.max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        out = Path(args.out or os.environ.get("LPRL_OUT", "out"))
         if args.command == "build":
-            return cmd_build(config)
+            return cmd_build(cache, args.max_len, out)
         if args.command == "verify":
-            return cmd_verify(config)
-        return cmd_trace(config, args.spec, args.k, args.target)
+            return cmd_verify(cache, args.max_len, args.seed, out)
+        return cmd_trace(cache, args.spec, args.k, args.target, out)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         _print_sigma(err)

@@ -78,6 +78,8 @@ class ConstructionCache:
         self.ladder = ladder
         self.margin = margin
         self.step_budget = int(step_budget)
+        if self.step_budget < 1:
+            raise ValueError("step_budget must be >= 1")
         self._nodes = {(): Node((), EMPTY, (), EMPTY)}
 
     def __len__(self):
@@ -312,7 +314,7 @@ def import_cache(path):
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
-    texts = {(): ""}  # each imported node's phi text
+    texts = {}  # each imported record's phi text
     for lineno, line in body:
         try:
             bits_text, m_text, phi_text = line.split("|")
@@ -330,11 +332,14 @@ def import_cache(path):
             segs = _parse_segments(text[len(head) + 1:] if head else text) if extends else None
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
+        if sigma in texts:
+            raise ValueError(f"{path}: line {lineno}: a second record for {bits_text}")
         if sigma == ():  # the root is pre-seeded; its record must match it
             if line != _ROOT_RECORD:
                 raise ValueError(
                     f"{path}: line {lineno}: the root record must read "
                     f"{_ROOT_RECORD!r}, got {line!r}")
+            texts[sigma] = ""
             continue
         parent = cache._nodes.get(sigma[:-1])
         if parent is None:

@@ -45,7 +45,7 @@ from lprl import (
     verify_witness,
     bad_row,
 )
-from lprl.cli import RunConfig, cmd_build
+from lprl.cli import main as lprl_main
 
 from oracles import power_sum_plain
 
@@ -216,8 +216,8 @@ def test_criterion_8_corollary_machinery(cache02):
 
 @pytest.mark.parametrize("a,q,max_len", [(0.0, 2.0, 8), (1.0, 3.0, 6)])
 def test_criterion_9_determinism(tmp_path, a, q, max_len):
-    cfg = RunConfig(a=a, q=q, max_len=max_len, output_dir=tmp_path / "inproc")
-    assert cmd_build(cfg) == 0
+    assert lprl_main(["build", "--a", str(a), "--q", str(q), "--max-len", str(max_len),
+                      "--out", str(tmp_path / "inproc")]) == 0
     name = f"cache_a{a}_q{q}_len{max_len}.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "lprl.cli", "build", "--a", str(a), "--q", str(q),

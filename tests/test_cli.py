@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import AlphaSpec, EventuallyOne, FiniteOnes, PeriodicOnes
+from lprl import AlphaSpec, ConstructionCache, EventuallyOne, ExpLadder, FiniteOnes, PeriodicOnes
+from lprl import construction
 from lprl.cli import (
-    RunConfig,
+    DIVERGENCE_TARGET,
     SpecParseError,
     _parser,
     cmd_build,
@@ -24,9 +25,10 @@ class TestSpecGrammar:
         assert spec.row_pattern(0) == FiniteOnes(frozenset({1, 2}))
 
     def test_empty_finite_and_whitespace(self):
-        spec = parse_alpha_spec(" row=3:finite{} ; row=1:eventually(4) ")
+        spec = parse_alpha_spec(" row=3:finite{} ; row=1:eventually(4) ; row=0:finite{ 1 ,\t2 } ")
         assert spec.row_pattern(3) == FiniteOnes(frozenset())
         assert spec.row_pattern(1) == EventuallyOne(4)
+        assert spec.row_pattern(0) == FiniteOnes(frozenset({1, 2}))
 
     def test_periodic(self):
         spec = parse_alpha_spec("row=2:periodic(1,3,0)")
@@ -51,6 +53,16 @@ class TestSpecGrammar:
         spec = AlphaSpec.from_rows(rows)
         assert parse_alpha_spec(format_alpha_spec(spec)) == spec
 
+    @pytest.mark.parametrize("body", ["1 2", "1,,2", "1,", ",1", ","])
+    def test_malformed_finite_is_two(self, tmp_path, capsys, body):
+        clause = f"row=0:finite{{{body}}}"
+        with pytest.raises(SpecParseError, match="clause 1"):
+            parse_alpha_spec(f"row=1:eventually(0);{clause}")
+        rc = main(["trace", "--spec", clause, "--k", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"clause 0: unrecognized token {clause!r}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_errors_cite_clause(self):
         with pytest.raises(SpecParseError, match="clause 1"):
             parse_alpha_spec("row=0:finite{1};bogus")
@@ -58,27 +70,10 @@ class TestSpecGrammar:
             parse_alpha_spec("row=0:finite{1};row=0:eventually(2)")
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(a=2.0, q=1.0)
-        with pytest.raises(ValueError):
-            RunConfig(max_len=0)
-        with pytest.raises(ValueError):
-            RunConfig(eta=-1.0)
-
-    def test_env_var_output_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPRL_OUT", str(tmp_path / "envout"))
-        cfg = RunConfig(max_len=2)
-        assert cfg.output_dir == tmp_path / "envout"
-
-
 class TestCommands:
     def test_build_writes_deterministic_cache(self, tmp_path, capsys):
-        cfg1 = RunConfig(max_len=5, output_dir=tmp_path / "one")
-        cfg2 = RunConfig(max_len=5, output_dir=tmp_path / "two")
-        assert cmd_build(cfg1) == 0
-        assert cmd_build(cfg2) == 0
+        for out in ("one", "two"):
+            assert cmd_build(ConstructionCache(ExpLadder(0.0, 2.0)), 5, tmp_path / out) == 0
         out = capsys.readouterr().out
         assert "nodes cached: 63" in out
         f1 = tmp_path / "one" / "cache_a0.0_q2.0_len5.txt"
@@ -86,8 +81,8 @@ class TestCommands:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_trace_zero_path(self, tmp_path, capsys):
-        cfg = RunConfig(max_len=6, output_dir=tmp_path)
-        assert cmd_trace(cfg, "", 5) == 0
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        assert cmd_trace(cache, "", 5, DIVERGENCE_TARGET, tmp_path) == 0
         rows = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert len(rows) == 7  # header + six blocks
         for line in rows[1:]:
@@ -96,8 +91,8 @@ class TestCommands:
             assert float(fields[3]) == 0  # zero q-cost
 
     def test_trace_reports_divergence(self, tmp_path, capsys):
-        cfg = RunConfig(max_len=6, output_dir=tmp_path)
-        assert cmd_trace(cfg, "row=0:eventually(0)", 5, target=2.0) == 0
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        assert cmd_trace(cache, "row=0:eventually(0)", 5, 2.0, tmp_path) == 0
         out = capsys.readouterr().out
         assert "divergence at row 0" in out
 
@@ -106,6 +101,32 @@ class TestMainExitCodes:
     def test_usage_error_is_two(self, tmp_path):
         rc = main(["build", "--a", "3", "--q", "1", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", [
+        ["build"], ["verify"], ["trace", "--spec", "row=0:eventually(0)"],
+    ], ids=["build", "verify", "trace"])
+    def test_max_len_below_one_is_two(self, tmp_path, capsys, command):
+        rc = main(command + ["--max-len", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: max_len must be >= 1\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_eta_is_two(self, tmp_path, capsys):
+        rc = main(["build", "--eta", "-1", "--max-len", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: margin eta must be finite and >= 0, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_step_budget_below_one_is_two(self, tmp_path, capsys, monkeypatch, budget):
+        built = []
+        extend_node = construction._extend_node
+        monkeypatch.setattr(construction, "_extend_node",
+                            lambda *args: built.append(args) or extend_node(*args))
+        rc = main(["build", "--step-budget", budget, "--max-len", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: step_budget must be >= 1\n"
+        assert built == []  # refused before any node is built
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_spec_is_two(self, tmp_path, capsys):
         rc = main(["trace", "--spec", "row=0:finite{1};nope", "--k", "3",

@@ -199,6 +199,7 @@ class TestExportImport:
 
     @pytest.mark.parametrize("key,value", [
         ("a", "x"), ("q", "0.0"), ("eta", "-1"), ("explicit", "1.0,x"), ("step_budget", "1.5"),
+        ("step_budget", "0"), ("step_budget", "-3"),
     ])
     def test_bad_header_value_names_file(self, tmp_path, small_cache, key, value):
         build_tree(small_cache, 2)
@@ -264,6 +265,22 @@ class TestExportImport:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"bad.txt: line {lineno}: the root record must read '-|M=|phi='")):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("bits,edit", [
+        ("1", lambda record: record),
+        ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record)),
+        ("-", lambda record: record),
+    ], ids=["identical", "altered-caps", "root"])
+    def test_rejects_a_second_record_for_a_string(self, tmp_path, bits, edit):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        record = next(line for line in lines if line.startswith(bits + "|"))
+        lines.append(edit(record))
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {len(lines)}: a second record for {bits}")):
             import_cache(bad)
 
 
