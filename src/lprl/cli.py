@@ -23,6 +23,7 @@ from .construction import (
     cache_stats,
     check_properties,
     export_cache,
+    power_row,
 )
 from .errors import ResourceLimitError
 from .grid import pair
@@ -218,18 +219,15 @@ def cmd_trace(cache, spec_text, k, target, out):
     spec = parse_alpha_spec(spec_text)
     bits = path_bits(spec, k)
     ladder = cache.ladder
+    exps = (ladder.q,) + ladder.exponents(4)
     rows = []
+    parent, sums = None, ()
     for t in range(k + 1):
         node = build_node(cache, bits[:t + 1])
-        row = [
-            t,
-            bits[t],
-            node.block.length,
-            repr(pnorm_pow(node.block, ladder.q)),
-            repr(pnorm_pow(node.phi, ladder.q)),
-        ]
-        row += [repr(pnorm_pow(node.phi, ladder.exponent(i))) for i in range(4)]
-        rows.append(row)
+        sums = power_row(node, exps, parent, sums)
+        rows.append([t, bits[t], node.block.length, repr(pnorm_pow(node.block, ladder.q)),
+                     *map(repr, sums)])
+        parent = node
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.csv"
     with path.open("w", newline="") as fh:

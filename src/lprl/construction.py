@@ -10,16 +10,16 @@ and a vector of natural caps M_0..M_{d(sigma)}, one per grid row reached:
     below that level and a q-cost budget of 2**-(lh(sigma)+1).
 
 ``check_properties`` re-verifies the whole bundle of invariants over the
-populated tree by independent re-summation: prefix coherence, per-block
-q-cost, cap discipline, cap stability under both extensions, forced
-growth, and the cap-vector length bookkeeping.
+populated tree by re-summation (a 0-node's sums are its parent's, which
+exact zeros cannot change): prefix coherence, per-block q-cost, cap
+discipline, cap stability under both extensions, forced growth, and the
+cap-vector length bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 from .errors import PreconditionError, ResourceLimitError
@@ -87,17 +87,20 @@ class ConstructionCache:
 
 
 def build_node(cache, sigma):
-    """Return the node at sigma, building all missing prefixes first."""
+    """Return the node at sigma, building its missing prefixes first."""
     sigma = bitstring(sigma)
     nodes = cache._nodes
-    hit = nodes.get(sigma)
-    if hit is not None:
-        return hit
-    for length in range(1, len(sigma) + 1):
-        prefix = sigma[:length]
-        if prefix not in nodes:
-            nodes[prefix] = _extend_node(cache, nodes[sigma[:length - 1]], prefix[-1])
-    return nodes[sigma]
+    node = nodes.get(sigma)
+    if node is not None:
+        return node
+    built = len(sigma) - 1
+    while sigma[:built] not in nodes:
+        built -= 1
+    node = nodes[sigma[:built]]
+    for bit in sigma[built:]:
+        node = _extend_node(cache, node, bit)
+        nodes[node.sigma] = node
+    return node
 
 
 # one block object shared by every 0-extension, half the nodes of a tree
@@ -140,58 +143,105 @@ def build_tree(cache, max_len):
     """Populate every node with lh(sigma) <= max_len (2**(max_len+1)-1 nodes)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    for length in range(1, max_len + 1):
-        for bits in product((0, 1), repeat=length):
-            build_node(cache, bits)
+    nodes = cache._nodes
+    frontier = [nodes[()]]
+    for _ in range(max_len):
+        children = []
+        for parent in frontier:
+            for bit in (0, 1):
+                sigma = parent.sigma + (bit,)
+                node = nodes.get(sigma)
+                if node is None:
+                    node = nodes[sigma] = _extend_node(cache, parent, bit)
+                children.append(node)
+        frontier = children
     return cache
+
+
+def _adds_zeros(node, parent):
+    """Whether node's phi is parent's phi followed by entries exactly 0.0.
+
+    Read from the segments, never from a rounded sum: a literal run of
+    zeros or a window of scale 0.0. Each adds a part of exactly 0.0 at
+    every exponent, which leaves a ``math.fsum`` unchanged.
+    """
+    phi = node.phi
+    if phi.base is not parent.phi:
+        return False
+    for seg in phi.segments[len(parent.phi.segments):]:
+        if seg.scale != 0.0 if isinstance(seg, PowerWindow) else any(seg.values):
+            return False
+    return True
+
+
+def power_row(node, exps, parent=None, parent_row=()):
+    """``pnorm_pow(node.phi, p)`` for each p in exps, as a tuple.
+
+    ``parent_row`` holds the parent's power sums at a prefix of exps. When
+    node's phi is its parent's followed by exact zeros, those sums are its
+    own bit for bit, so they are taken over and only the rest is summed.
+    """
+    head = parent_row[:len(exps)] if parent is not None and _adds_zeros(node, parent) else ()
+    return head + tuple(pnorm_pow(node.phi, p) for p in exps[len(head):])
 
 
 def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
-    Every quantity is re-summed from the stored sequences; nothing is
-    trusted from the bookkeeping that produced them. Violations carry the
-    offending string.
+    Every power sum is re-summed from the stored sequences, except that a
+    node whose phi is its parent's followed by exact zeros takes its
+    parent's sums (``power_row``): nothing is trusted from the bookkeeping
+    that produced the caps. Violations carry the offending string.
     """
     ladder = cache.ladder
     margin = cache.margin
     q = ladder.q
+    nodes = cache._nodes
     rep = CheckReport(f"construction-properties max_len={max_len}")
-    root = build_node(cache, ())
+    root = nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
 
+    # (node, its row, its tag) per node of the previous level
+    frontier = [(root, (), "")]
     for length in range(1, max_len + 1):
-        for bits in product((0, 1), repeat=length):
-            node = build_node(cache, bits)
-            parent = cache._nodes[bits[:-1]]
-            tag = "".join(map(str, bits))
-            d = depth(bits)
+        probe = (0,) * length  # depth and level depend on the length alone
+        d, l = depth(probe), level(probe)
+        exps = ladder.exponents(d + 1)
+        bound = 2.0 ** -length
+        last = length == max_len
+        children = []
+        for parent, parent_row, parent_tag in frontier:
+            for bit in (0, 1):
+                sigma = parent.sigma + (bit,)
+                node = nodes.get(sigma) or build_node(cache, sigma)
+                tag = parent_tag + "01"[bit]
 
-            rep.add("bookkeeping", len(node.M) == d + 1, len(node.M), d + 1, note=tag)
-            rep.add("phi-nonempty", node.phi.length >= 1, node.phi.length, 1, note=tag)
-            rep.add("p1-prefix", parent.phi.is_prefix_of(node.phi, proper=True), note=tag)
+                rep.add("bookkeeping", len(node.M) == d + 1, len(node.M), d + 1, note=tag)
+                rep.add("phi-nonempty", node.phi.length >= 1, node.phi.length, 1, note=tag)
+                rep.add("p1-prefix", parent.phi.is_prefix_of(node.phi, proper=True), note=tag)
 
-            block_cost = pnorm_pow(node.block, q)
-            bound = 2.0 ** -length
-            rep.add("p2-block-cost", certified_less(block_cost, bound, margin),
-                    block_cost, bound, note=tag)
+                block_cost = pnorm_pow(node.block, q)
+                rep.add("p2-block-cost", certified_less(block_cost, bound, margin),
+                        block_cost, bound, note=tag)
 
-            for i in range(d + 1):
-                s = pnorm_pow(node.phi, ladder.exponent(i))
-                rep.add("p3-caps", certified_less(s, float(node.M[i]), margin),
-                        s, node.M[i], note=f"{tag} i={i}")
+                row = power_row(node, exps, parent, parent_row)
+                for i, s in enumerate(row):
+                    rep.add("p3-caps", certified_less(s, float(node.M[i]), margin),
+                            s, node.M[i], note=f"{tag} i={i}")
 
-            if bits[-1] == 0 and length >= 2:
-                rep.add("p4-zero-stable", node.M[:len(parent.M)] == parent.M,
-                        node.M, parent.M, note=tag)
-            if bits[-1] == 1:
-                l = level(bits)
-                if l > 0:
-                    rep.add("p5-one-stable", node.M[:l] == parent.M[:l],
-                            node.M[:l], parent.M[:l], note=tag)
-                growth = pnorm_pow(node.phi, ladder.exponent(l))
-                rep.add("p6-forced-growth", certified_less(float(length), growth, margin),
-                        growth, length, note=tag)
+                if bit == 0 and length >= 2:
+                    rep.add("p4-zero-stable", node.M[:len(parent.M)] == parent.M,
+                            node.M, parent.M, note=tag)
+                if bit == 1:
+                    if l > 0:
+                        rep.add("p5-one-stable", node.M[:l] == parent.M[:l],
+                                node.M[:l], parent.M[:l], note=tag)
+                    growth = row[l]
+                    rep.add("p6-forced-growth", certified_less(float(length), growth, margin),
+                            growth, length, note=tag)
+                if not last:
+                    children.append((node, row, tag))
+        frontier = children
     return rep
 
 
@@ -277,6 +327,18 @@ def export_cache(cache, path):
     return path
 
 
+_BIT_OF = {"0": 0, "1": 1}
+
+
+def _parse_bits(text):
+    """A record's bits field as a bit tuple; anything but 0s and 1s gets
+    ``bitstring``'s verdict."""
+    try:
+        return tuple(map(_BIT_OF.__getitem__, text))
+    except KeyError:
+        return bitstring(text)
+
+
 _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
 _ROOT_RECORD = "-|M=|phi="
 
@@ -325,7 +387,7 @@ def import_cache(path):
         try:
             if not (m_text.startswith("M=") and phi_text.startswith("phi=")):
                 raise ValueError("fields must read bits|M=...|phi=...")
-            sigma = () if bits_text == "-" else bitstring(bits_text)
+            sigma = () if bits_text == "-" else _parse_bits(bits_text)
             caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
             text, head = phi_text[4:], texts.get(sigma[:-1], "")
             extends = not head or text.startswith(head + ";")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .construction import build_node
+from .construction import build_node, power_row
 from .grid import pair, unpair
 from .reports import CheckReport
 from .seqspace import certified_less, pnorm_pow
@@ -218,10 +218,11 @@ def divergence_witness(cache, spec, row, target):
     Each one-bit at grid cell (row, j) forces the power sum at that row's
     exponent past the cell index plus one, so the walk certifiably clears
     any finite target; the returned value is an independent re-summation
-    of the winning prefix.
+    of the winning prefix. A negative target, which every prefix clears
+    and so certifies nothing, is refused.
     """
-    if not math.isfinite(target):
-        raise ValueError(f"divergence target must be finite, got {target!r}")
+    if not (math.isfinite(target) and target >= 0.0):
+        raise ValueError(f"divergence target must be finite and >= 0, got {target!r}")
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
@@ -258,10 +259,12 @@ def stabilization_check(cache, spec, i, max_k):
     p_i = cache.ladder.exponent(i)
     bits = path_bits(spec, max_k)
     m_ref = build_node(cache, bits[:n_stable + 1]).M[i]
+    parent, row = None, ()
     for k in range(n_stable, max_k + 1):
         node = build_node(cache, bits[:k + 1])
         rep.add("cap-stable", node.M[i] == m_ref, node.M[i], m_ref, note=f"k={k}")
-        s = pnorm_pow(node.phi, p_i)
+        row = power_row(node, (p_i,), parent, row)
+        parent, s = node, row[0]
         rep.add("prefix-bounded", certified_less(s, float(m_ref), cache.margin),
                 s, m_ref, note=f"k={k}")
     return rep

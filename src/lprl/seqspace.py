@@ -308,8 +308,11 @@ class FinSeq:
     __slots__ = ("segments", "length", "base", "_sums")
 
     def __init__(self, segments=(), base=None):
-        segs = tuple(s for s in segments if s.length > 0)
-        length = sum(s.length for s in segs)
+        segs = tuple(segments)
+        lengths = [s.length for s in segs]
+        if 0 in lengths:
+            segs = tuple(s for s, n in zip(segs, lengths) if n)
+        length = sum(lengths)
         if base is not None:
             segs = base.segments + segs
             length += base.length

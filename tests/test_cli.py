@@ -143,12 +143,12 @@ class TestMainExitCodes:
         assert "[PASS]" not in captured.out
         assert not (tmp_path / "trace.csv").exists()
 
-    @pytest.mark.parametrize("target", ["nan", "inf"])
+    @pytest.mark.parametrize("target", ["nan", "inf", "-1"])
     def test_non_finite_target_is_two(self, tmp_path, capsys, target):
         rc = main(["trace", "--spec", "row=0:eventually(0)", "--k", "4",
                    "--target", target, "--out", str(tmp_path)])
         assert rc == 2
-        assert f"divergence target must be finite, got {target}" in capsys.readouterr().err
+        assert f"divergence target must be finite and >= 0, got {target}" in capsys.readouterr().err
 
     def test_resource_error_is_three(self, tmp_path):
         rc = main(["build", "--max-len", "4", "--step-budget", "10",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 
@@ -11,6 +12,7 @@ from lprl import (
     ConstructionCache,
     ExpLadder,
     Margin,
+    PowerWindow,
     ResourceLimitError,
     build_node,
     build_tree,
@@ -24,7 +26,10 @@ from lprl import (
     level,
     pnorm_pow,
 )
-from lprl import witness
+from lprl import construction, witness
+from lprl.cli import main
+from lprl.construction import Node, power_row
+from lprl.seqspace import FinSeq, concat, finseq
 
 from oracles import power_sum_plain
 
@@ -94,6 +99,37 @@ class TestBaseCases:
         node = build_node(small_cache, (1, 0))
         assert node.phi.length == parent.phi.length + 1
         assert node.phi.entry(node.phi.length - 1) == 0.0
+
+
+class TestBuildSteps:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        built = []
+        extend_node = construction._extend_node
+        monkeypatch.setattr(construction, "_extend_node",
+                            lambda *args: built.append(args[1:]) or extend_node(*args))
+        return built
+
+    def test_build_node_extends_from_the_nearest_built_prefix(self, small_cache, counted):
+        nodes = small_cache._nodes
+        build_node(small_cache, (1, 0))
+        assert counted == [(nodes[()], 1), (nodes[(1,)], 0)]
+        node = build_node(small_cache, (1, 0, 1, 1))
+        assert counted[2:] == [(nodes[(1, 0)], 1), (nodes[(1, 0, 1)], 1)]
+        assert nodes[(1, 0, 1, 1)] is node
+        assert len(small_cache) == 1 + len(counted)
+
+    def test_build_tree_extends_only_missing_nodes(self, small_cache, counted):
+        build_node(small_cache, (0, 1, 1))
+        build_tree(small_cache, 4)
+        assert len(counted) == len(small_cache) - 1 == 2 ** 5 - 2
+        assert len({(parent.sigma, bit) for parent, bit in counted}) == len(counted)
+
+    @pytest.mark.parametrize("sigma", ["012", (0, 2)])
+    def test_build_node_still_validates_bits(self, small_cache, counted, sigma):
+        with pytest.raises(ValueError, match="bit string entries must be 0 or 1"):
+            build_node(small_cache, sigma)
+        assert counted == [] and len(small_cache) == 1
 
 
 class TestProperties:
@@ -284,6 +320,79 @@ class TestExportImport:
             import_cache(bad)
 
 
+def _rows_used(monkeypatch, cache, depth):
+    """check_properties' report, and every (node, exps, row) it read."""
+    rows = []
+
+    def recorded(node, exps, parent=None, parent_row=()):
+        row = power_row(node, exps, parent, parent_row)
+        rows.append((node, exps, row))
+        return row
+
+    monkeypatch.setattr(construction, "power_row", recorded)
+    return check_properties(cache, depth), rows
+
+
+class TestPowerRow:
+    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_a_full_resummation(self, tmp_path_factory, ladder, eta, depth):
+        cache = build_tree(ConstructionCache(ladder, Margin(eta)), depth)
+        loaded = import_cache(export_cache(cache, tmp_path_factory.mktemp("rows") / "cache.txt"))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for c in (cache, loaded):
+                rep, rows = _rows_used(monkeypatch, c, depth)
+                assert rep.ok, rep.summary()
+                assert len(rows) == len(c) - 1  # one row per non-root node
+                for node, exps, row in rows:
+                    # summed from scratch: no stored parts, no inheritance
+                    fresh = FinSeq(node.phi.segments)
+                    assert [s.hex() for s in row] == [pnorm_pow(fresh, p).hex() for p in exps]
+
+    def test_a_zero_block_inherits_the_parents_row(self, small_cache):
+        build_tree(small_cache, 3)
+        parent, node = small_cache._nodes[(1, 0)], small_cache._nodes[(1, 0, 0)]
+        exps = small_cache.ladder.exponents(3)
+        given_row = (-1.0, -2.0)  # not sums at all: only inheritance returns them
+        row = power_row(node, exps, parent, given_row)
+        assert row[:2] == given_row
+        assert row[2] == pnorm_pow(node.phi, exps[2])
+        # a parent that node's phi does not extend gives nothing to inherit
+        other = small_cache._nodes[(1, 1)]
+        assert power_row(node, exps, other, given_row) == tuple(
+            pnorm_pow(node.phi, p) for p in exps)
+
+    @pytest.mark.parametrize("block", [finseq((0.0, -0.0)), FinSeq((PowerWindow(1.0, 3, 9, 0.0),))])
+    def test_exact_zeros_are_inherited(self, small_cache, block):
+        root = small_cache._nodes[()]
+        node = Node((0,), concat(root.phi, block), (1,), block)
+        assert power_row(node, (1.0,), root, (-1.0,)) == (-1.0,)
+
+    def test_a_block_whose_cost_underflows_is_summed(self, small_cache):
+        block = finseq((1e-200,))
+        assert pnorm_pow(block, small_cache.ladder.q) == 0.0  # (1e-200)**2 underflows
+        root = small_cache._nodes[()]
+        node = Node((0,), concat(root.phi, block), (1,), block)
+        exps = small_cache.ladder.exponents(1)
+        assert exps == (1.0,)
+        assert power_row(node, exps, root, (0.0,)) == (1e-200,)
+
+    def test_a_zero_node_cap_below_its_sum_is_a_violation(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        node = cache._nodes[(1, 0, 0)]
+        s = pnorm_pow(node.phi, 1.0)
+        assert 1.0 < s < node.M[0]
+        lineno = next(n for n, line in enumerate(lines) if line.startswith("100|"))
+        caps = ",".join(map(str, (1,) + node.M[1:]))
+        lines[lineno] = re.sub(r"\|M=[^|]*\|", f"|M={caps}|", lines[lineno])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rep = check_properties(import_cache(bad), 3)
+        assert [(c.label, c.lhs, c.rhs, c.note) for c in rep.violations if c.label == "p3-caps"] \
+            == [("p3-caps", s, 1, "100 i=0")]
+
+
 # SHA-256 of the depth-10 exports; any change to a witness window shows here
 GOLDEN_DEPTH10 = [
     (0.0, 2.0, "c20991a70d2adecd37df82cd62a853806c7275e5b2998ac6082cda55a66547e1"),
@@ -297,6 +406,23 @@ def test_depth10_export_is_golden(tmp_path, a, q, digest):
     cache = build_tree(ConstructionCache(ExpLadder(a, q)), 10)
     path = export_cache(cache, tmp_path / "cache.txt")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of verify_report.json from `lprl verify --max-len 10`
+GOLDEN_VERIFY10 = [
+    (0.0, 2.0, "7b3801d6fe44a85c90617b8e6b3b21002a75f78dc5a4a8cb114d0fc8372a2eed"),
+    (0.0, 0.5, "b7dc9c73f2fb694b1939a0e767a54ea72ca91fd6a661b198a58d6254fc9adc94"),
+    (1.0, 3.0, "dc254df8c14ff8f62c24b9c6f60f61791f8cc3b47529db7bb2eecc5ad0b6a065"),
+]
+
+
+@pytest.mark.parametrize("a,q,digest", GOLDEN_VERIFY10, ids=["a0-q2", "a0-q0.5", "a1-q3"])
+def test_depth10_verify_report_is_golden(tmp_path, capsys, a, q, digest):
+    assert main(["verify", "--a", str(a), "--q", str(q), "--max-len", "10",
+                 "--out", str(tmp_path)]) == 0
+    report = tmp_path / "verify_report.json"
+    assert json.loads(report.read_text())["ok"]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestResourceHandling:
