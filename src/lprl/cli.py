@@ -34,6 +34,7 @@ from .reduction import (
     PeriodicOnes,
     alpha_bit,
     bad_row,
+    check_divergence_target,
     continuity_check,
     divergence_witness,
     in_p3,
@@ -213,10 +214,17 @@ TRACE_COLUMNS = [
 
 
 def cmd_trace(cache, spec_text, k, target, out):
-    """Emit the block table of a path as CSV (full-precision values)."""
+    """Emit the block table of a path as CSV (full-precision values).
+
+    A non-member spec's divergence target is checked before anything is
+    built, written or printed; a member spec never reads it.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     spec = parse_alpha_spec(spec_text)
+    member = in_p3(spec)
+    if not member:
+        check_divergence_target(target)
     bits = path_bits(spec, k)
     ladder = cache.ladder
     exps = (ladder.q,) + ladder.exponents(4)
@@ -238,7 +246,7 @@ def cmd_trace(cache, spec_text, k, target, out):
     for row in rows:
         print(",".join(str(c) for c in row))
     print(f"trace written to {path}")
-    if in_p3(spec):
+    if member:
         for i in range(STABILIZATION_ROWS):
             rep = stabilization_check(cache, spec, i, k)
             print(rep.summary())

@@ -38,6 +38,7 @@ from .seqspace import (
     finite_literal,
     finseq,
     pnorm_pow,
+    _power_sum_parts,
 )
 from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, cap_room, extend
 
@@ -174,15 +175,18 @@ def _adds_zeros(node, parent):
     return True
 
 
-def power_row(node, exps, parent=None, parent_row=()):
+def power_row(node, exps, parent=None, parent_row=(), *, keep=False):
     """``pnorm_pow(node.phi, p)`` for each p in exps, as a tuple.
 
     ``parent_row`` holds the parent's power sums at a prefix of exps. When
     node's phi is its parent's followed by exact zeros, those sums are its
     own bit for bit, so they are taken over and only the rest is summed.
+    With ``keep``, node's phi keeps the parts it sums, for children that
+    will be summed from it next.
     """
     head = parent_row[:len(exps)] if parent is not None and _adds_zeros(node, parent) else ()
-    return head + tuple(pnorm_pow(node.phi, p) for p in exps[len(head):])
+    return head + tuple(math.fsum(_power_sum_parts(node.phi, p, keep))
+                        for p in exps[len(head):])
 
 
 def check_properties(cache, max_len):
@@ -191,7 +195,10 @@ def check_properties(cache, max_len):
     Every power sum is re-summed from the stored sequences, except that a
     node whose phi is its parent's followed by exact zeros takes its
     parent's sums (``power_row``): nothing is trusted from the bookkeeping
-    that produced the caps. Violations carry the offending string.
+    that produced the caps. Nodes above the last level keep their parts,
+    so a child sums its own block only; the last level keeps none.
+    Violations carry the offending string; p3 compares a row only against
+    the caps a node has, so a short cap vector is a bookkeeping violation.
     """
     ladder = cache.ladder
     margin = cache.margin
@@ -224,10 +231,10 @@ def check_properties(cache, max_len):
                 rep.add("p2-block-cost", certified_less(block_cost, bound, margin),
                         block_cost, bound, note=tag)
 
-                row = power_row(node, exps, parent, parent_row)
-                for i, s in enumerate(row):
-                    rep.add("p3-caps", certified_less(s, float(node.M[i]), margin),
-                            s, node.M[i], note=f"{tag} i={i}")
+                row = power_row(node, exps, parent, parent_row, keep=not last)
+                for i, (s, cap) in enumerate(zip(row, node.M)):
+                    rep.add("p3-caps", certified_less(s, float(cap), margin),
+                            s, cap, note=f"{tag} i={i}")
 
                 if bit == 0 and length >= 2:
                     rep.add("p4-zero-stable", node.M[:len(parent.M)] == parent.M,
@@ -346,12 +353,15 @@ _ROOT_RECORD = "-|M=|phi="
 def import_cache(path):
     """Rebuild a ConstructionCache from an exported file.
 
-    Each node's phi is ``concat(parent.phi, block)``, as in a built tree, so
-    its power sums grow from its parent's. A record's phi text must be its
-    parent's followed by ``;`` and the block, which alone is parsed, as
-    ``export_cache`` writes it. Any other record is refused, among them one
-    that merges the parent's last run with new entries: its entries extend
-    the parent's, but no block of whole segments does.
+    Each node's phi is its parent's phi followed by its block, linked to the
+    parent's as in a built tree, so its power sums grow from its parent's.
+    A record's phi text must be its parent's followed by ``;`` and the
+    block, as ``export_cache`` writes it. Any other record is refused,
+    among them one that merges the parent's last run with new entries: its
+    entries extend the parent's, but no block of whole segments does. Only
+    the block is parsed, once per distinct block text: records with equal
+    block texts share one block object, as a built tree's 0-nodes share
+    ``_ZERO_BLOCK``.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
@@ -377,6 +387,7 @@ def import_cache(path):
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
     texts = {}  # each imported record's phi text
+    blocks = {}  # one block per distinct block text
     for lineno, line in body:
         try:
             bits_text, m_text, phi_text = line.split("|")
@@ -390,8 +401,12 @@ def import_cache(path):
             sigma = () if bits_text == "-" else _parse_bits(bits_text)
             caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
             text, head = phi_text[4:], texts.get(sigma[:-1], "")
-            extends = not head or text.startswith(head + ";")
-            segs = _parse_segments(text[len(head) + 1:] if head else text) if extends else None
+            block = None
+            if not head or text.startswith(head + ";"):
+                block_text = text[len(head) + 1:] if head else text
+                block = blocks.get(block_text)
+                if block is None:
+                    block = blocks[block_text] = FinSeq(_parse_segments(block_text))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
         if sigma in texts:
@@ -406,10 +421,9 @@ def import_cache(path):
         parent = cache._nodes.get(sigma[:-1])
         if parent is None:
             raise ValueError(f"{path}: record for {bits_text} appears before its parent")
-        if segs is None:
+        if block is None:
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
-        block = FinSeq(segs)
         texts[sigma] = text
-        cache._nodes[sigma] = Node(sigma, concat(parent.phi, block), caps, block)
+        cache._nodes[sigma] = Node(sigma, FinSeq(block.segments, base=parent.phi), caps, block)
     return cache

@@ -212,17 +212,22 @@ class DivergenceWitness(NamedTuple):
     norm_value: float
 
 
+def check_divergence_target(target):
+    """Refuse a divergence target that is not finite, or negative: every
+    prefix clears a negative target, so it certifies nothing."""
+    if not (math.isfinite(target) and target >= 0.0):
+        raise ValueError(f"divergence target must be finite and >= 0, got {target!r}")
+
+
 def divergence_witness(cache, spec, row, target):
     """Walk the ones of a bad row until the row-exponent power sum beats target.
 
     Each one-bit at grid cell (row, j) forces the power sum at that row's
     exponent past the cell index plus one, so the walk certifiably clears
     any finite target; the returned value is an independent re-summation
-    of the winning prefix. A negative target, which every prefix clears
-    and so certifies nothing, is refused.
+    of the winning prefix. Targets are checked by ``check_divergence_target``.
     """
-    if not (math.isfinite(target) and target >= 0.0):
-        raise ValueError(f"divergence target must be finite and >= 0, got {target!r}")
+    check_divergence_target(target)
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")

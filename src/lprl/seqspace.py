@@ -18,10 +18,11 @@ so millions of terms give ``np.sum``'s value in 0.5 MB.
 
 A sequence made by ``concat`` links to the sequence it extends, and its
 power sums grow along that link: its per-segment parts are its base's
-parts followed by those of its own segments, and a base keeps that tuple
-per exponent once a longer sequence has been summed from it. A power sum
-is ``math.fsum`` of the parts, so the power sum of a tree node sums one
-block yet is the ``math.fsum`` over all of its segments' parts.
+parts followed by those of its own segments. A sequence keeps that tuple
+per exponent once a longer sequence has been summed from it, or at once
+when it is summed by a caller that will extend it next (``keep``). A
+power sum is ``math.fsum`` of the parts, so the power sum of a tree node
+sums one block yet is the ``math.fsum`` over all of its segments' parts.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -298,7 +299,8 @@ class FinSeq:
     keeps the link to u, and ``segments`` is still the full tuple, u's
     segments then its own. ``pnorm_pow`` sums only the own segments and
     takes the rest from u's power-sum parts, which u keeps per exponent
-    in ``_sums`` once they have been computed through u.
+    in ``_sums`` once they have been computed through u, or computed for u
+    by a caller that will extend it next.
 
     Immutable by convention. ``length`` is an exact int and may exceed
     anything materializable; entry access and materialization guard against
@@ -547,12 +549,13 @@ def _segment_power_sum(seg, p):
     return _window_power_sum(seg, p)
 
 
-def _power_sum_parts(x, p):
+def _power_sum_parts(x, p, keep=False):
     """x's per-segment power-sum parts at p, in segment order.
 
-    They are stored on the bases they were grown through, not on x: a
-    sequence keeps its parts once a longer one has been summed from it, so
-    the leaves of a tree, half its nodes, store none.
+    They are stored on the bases they were grown through, and on x itself
+    only with ``keep``, which a caller sets when a longer sequence will be
+    summed from x next (a tree node above the last level, the prefix of a
+    witness search). So the leaves of a tree, half its nodes, store none.
     """
     chain = []
     while x is not None and p not in x._sums:
@@ -562,7 +565,7 @@ def _power_sum_parts(x, p):
     for y in reversed(chain):
         own = y.segments if y.base is None else y.segments[len(y.base.segments):]
         parts += tuple(_segment_power_sum(seg, p) for seg in own)
-        if y is not chain[0]:
+        if keep or y is not chain[0]:
             y._sums[p] = parts
     return parts
 

@@ -41,6 +41,7 @@ from .seqspace import (
     concat,
     pnorm_pow,
     window_seq,
+    _power_sum_parts,
     _range_power_sum,
     _summed_directly,
 )
@@ -192,10 +193,12 @@ def extend(req, margin=DEFAULT_MARGIN):
     Pure function of (request, margin): identical inputs give the identical
     window, which is what makes the tree construction well-defined. The two
     window searches answer repeated arguments from their memo; the block is
-    still built and re-checked by ``verify_witness`` on every call.
+    still built and re-checked by ``verify_witness`` on every call. The
+    prefix u keeps the power-sum parts summed for it here, so that the
+    re-check sums ``u~v`` from them, block only.
     """
     pb = req.exps[-1]
-    u_sums = [pnorm_pow(req.u, p) for p in req.exps[:-1]]
+    u_sums = [math.fsum(_power_sum_parts(req.u, p, keep=True)) for p in req.exps[:-1]]
     slacks = []
     for i, (us, r) in enumerate(zip(u_sums, req.caps)):
         if not certified_less(us, r, margin):

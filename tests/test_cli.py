@@ -148,7 +148,17 @@ class TestMainExitCodes:
         rc = main(["trace", "--spec", "row=0:eventually(0)", "--k", "4",
                    "--target", target, "--out", str(tmp_path)])
         assert rc == 2
-        assert f"divergence target must be finite and >= 0, got {target}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"divergence target must be finite and >= 0, got {target}" in captured.err
+        # refused before any node is built, written or printed
+        assert captured.out == ""
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_member_spec_never_reads_the_target(self, tmp_path):
+        rc = main(["trace", "--spec", "row=0:finite{1}", "--k", "3",
+                   "--target", "-1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "trace.csv").exists()
 
     def test_resource_error_is_three(self, tmp_path):
         rc = main(["build", "--max-len", "4", "--step-budget", "10",

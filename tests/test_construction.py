@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,10 @@ from lprl import (
     level,
     pnorm_pow,
 )
-from lprl import construction, witness
+from lprl import construction, seqspace, witness
 from lprl.cli import main
 from lprl.construction import Node, power_row
-from lprl.seqspace import FinSeq, concat, finseq
+from lprl.seqspace import FinSeq, _power_sum_parts, concat, finseq
 
 from oracles import power_sum_plain
 
@@ -215,6 +216,15 @@ class TestExportImport:
         path2 = export_cache(loaded, tmp_path / "cache2.txt")
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_equal_block_texts_share_one_block(self, tmp_path, small_cache):
+        build_tree(small_cache, 3)
+        loaded = import_cache(export_cache(small_cache, tmp_path / "cache.txt"))
+        zero_nodes = [node for sigma, node in loaded._nodes.items() if sigma[-1:] == (0,)]
+        assert len(zero_nodes) == 7
+        assert all(node.block is zero_nodes[0].block for node in zero_nodes)
+        assert all(node.phi.base is loaded._nodes[sigma[:-1]].phi
+                   for sigma, node in loaded._nodes.items() if sigma)
+
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a cache\n")
@@ -292,6 +302,22 @@ class TestExportImport:
                 f"bad.txt: line {lineno}: phi at 100 does not extend its parent")):
             imported("W:1.0,1.0,2,6;L:0.0,0.4")
 
+    def test_a_record_with_too_few_caps_is_a_bookkeeping_violation(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines) if line.startswith("100|"))
+        assert lines[lineno].startswith("100|M=2,3|")
+        lines[lineno] = lines[lineno].replace("|M=2,3|", "|M=2|")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rep = check_properties(import_cache(bad), 3)
+        assert [(c.label, c.lhs, c.rhs, c.note) for c in rep.violations] == [
+            ("bookkeeping", 1, 2, "100"),
+            ("p4-zero-stable", (2,), (2, 3), "100"),
+        ]
+        # p3 compares 100's row against its one cap only
+        assert rep.counts["p3-caps"] == check_properties(cache, 3).counts["p3-caps"] - 1
+
     def test_rejects_a_root_record_with_caps(self, tmp_path):
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
         lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
@@ -324,8 +350,8 @@ def _rows_used(monkeypatch, cache, depth):
     """check_properties' report, and every (node, exps, row) it read."""
     rows = []
 
-    def recorded(node, exps, parent=None, parent_row=()):
-        row = power_row(node, exps, parent, parent_row)
+    def recorded(node, exps, *args, **kwargs):
+        row = power_row(node, exps, *args, **kwargs)
         rows.append((node, exps, row))
         return row
 
@@ -341,13 +367,50 @@ class TestPowerRow:
         loaded = import_cache(export_cache(cache, tmp_path_factory.mktemp("rows") / "cache.txt"))
         with pytest.MonkeyPatch.context() as monkeypatch:
             for c in (cache, loaded):
-                rep, rows = _rows_used(monkeypatch, c, depth)
-                assert rep.ok, rep.summary()
-                assert len(rows) == len(c) - 1  # one row per non-root node
-                for node, exps, row in rows:
-                    # summed from scratch: no stored parts, no inheritance
+                # the second check reads the parts the first one kept
+                for _ in range(2):
+                    rep, rows = _rows_used(monkeypatch, c, depth)
+                    assert rep.ok, rep.summary()
+                    assert len(rows) == len(c) - 1  # one row per non-root node
+                    for node, exps, row in rows:
+                        # summed from scratch: no stored parts, no inheritance
+                        fresh = FinSeq(node.phi.segments)
+                        assert [s.hex() for s in row] == [pnorm_pow(fresh, p).hex() for p in exps]
+                for node in c._nodes.values():
                     fresh = FinSeq(node.phi.segments)
-                    assert [s.hex() for s in row] == [pnorm_pow(fresh, p).hex() for p in exps]
+                    for p, parts in node.phi._sums.items():
+                        assert [x.hex() for x in parts] == [
+                            x.hex() for x in _power_sum_parts(fresh, p)]
+
+    @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
+    def test_only_levels_above_the_last_keep_parts(self, tmp_path, imported):
+        depth = 5
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
+        if imported:
+            cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
+        assert check_properties(cache, depth).ok
+        for sigma, node in cache._nodes.items():
+            assert bool(node.phi._sums) == (len(sigma) < depth), sigma
+
+    def test_each_window_is_summed_once_per_exponent(self, monkeypatch):
+        # a built tree holds one window object per 1-node; with no parts
+        # stored, a check that kept none would sum a parent's window again
+        # for each child
+        depth = 6
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
+        for node in cache._nodes.values():
+            node.phi._sums.clear()
+        summed = []
+        segment_power_sum = seqspace._segment_power_sum
+
+        def recorded(seg, p):
+            if isinstance(seg, PowerWindow):
+                summed.append((id(seg), p))
+            return segment_power_sum(seg, p)
+
+        monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
+        assert check_properties(cache, depth).ok
+        assert summed and len(summed) == len(set(summed))
 
     def test_a_zero_block_inherits_the_parents_row(self, small_cache):
         build_tree(small_cache, 3)
@@ -406,6 +469,17 @@ def test_depth10_export_is_golden(tmp_path, a, q, digest):
     cache = build_tree(ConstructionCache(ExpLadder(a, q)), 10)
     path = export_cache(cache, tmp_path / "cache.txt")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+STORED_DEPTH10 = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+@pytest.mark.parametrize("a,q", [(a, q) for a, q, _ in GOLDEN_DEPTH10],
+                         ids=["a0-q2", "a0-q0.5", "a1-q3"])
+def test_stored_depth10_export_survives_a_roundtrip(tmp_path, a, q):
+    path = STORED_DEPTH10 / f"cache_a{a}_q{q}_len10.txt"
+    again = export_cache(import_cache(path), tmp_path / path.name)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # SHA-256 of verify_report.json from `lprl verify --max-len 10`

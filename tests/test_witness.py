@@ -21,7 +21,7 @@ from lprl import (
     verify_witness,
     window_seq,
 )
-from lprl import witness
+from lprl import seqspace, witness
 from lprl.seqspace import DIRECT_CUTOFF, _WINDOW_SUM_CACHE, _range_power_sum, certified_less
 from lprl.witness import _least_end, _least_start, _least_true
 
@@ -113,6 +113,24 @@ class TestExtendProperties:
         w = extend(req, MARGIN)
         rep = verify_witness(req, w, MARGIN)
         assert rep.ok
+
+    def test_the_prefix_is_summed_once_per_exponent(self, monkeypatch):
+        # extend sums u for the cap slack and keeps its parts, so the
+        # re-check of u~v sums the new block alone
+        u = concat(window_seq(1.0, 0, 3, 0.5), window_seq(1.0, 10, 20, 0.25))
+        summed = []
+        segment_power_sum = seqspace._segment_power_sum
+
+        def recorded(seg, p):
+            if any(seg is own for own in u.segments):
+                summed.append((id(seg), p))
+            return segment_power_sum(seg, p)
+
+        monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
+        req = ClaimRequest(u=u, q=2.0, exps=(1.5, 1.2, 1.0), caps=(10.0, 10.0), M=2.0, eps=0.1)
+        assert verify_witness(req, extend(req, MARGIN), MARGIN).ok
+        assert sorted(summed) == sorted({(id(seg), p) for seg in u.segments
+                                         for p in req.exps})
 
     def test_cap_violation_rejected(self):
         req = ClaimRequest(u=finseq((2.0,)), q=2.0, exps=(1.0, 0.5), caps=(1.5,),
