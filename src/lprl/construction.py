@@ -65,12 +65,23 @@ class Node:
     block: FinSeq
 
 
+# the root of every cache, which ``_child`` counts as each memo's own node
+_ROOT = Node((), EMPTY, (), EMPTY)
+
+# Built nodes per configuration, {(ladder, margin, step_budget): {sigma:
+# node}}, shared by every cache of that configuration, since a node is a
+# pure function of it and sigma. Only nodes built from the memo's own
+# parents enter it: never a node read from a file, nor one built from one.
+_NODE_MEMO = {}
+
+
 class ConstructionCache:
-    """Memoized, prefix-closed store of construction nodes.
+    """Prefix-closed store of the construction nodes a run asked for.
 
     Nodes are pure functions of (ladder, margin, step budget, sigma), so
-    population order never changes values. Completed nodes are immutable
-    and safe to read concurrently.
+    population order never changes values, and built nodes are shared
+    process-wide by every cache of one configuration (``_NODE_MEMO``).
+    Completed nodes are immutable and safe to read concurrently.
     """
 
     def __init__(self, ladder, margin=DEFAULT_MARGIN, step_budget=DEFAULT_STEP_BUDGET):
@@ -81,7 +92,7 @@ class ConstructionCache:
         self.step_budget = int(step_budget)
         if self.step_budget < 1:
             raise ValueError("step_budget must be >= 1")
-        self._nodes = {(): Node((), EMPTY, (), EMPTY)}
+        self._nodes = {(): _ROOT}
 
     def __len__(self):
         return len(self._nodes)
@@ -98,9 +109,33 @@ def build_node(cache, sigma):
     while sigma[:built] not in nodes:
         built -= 1
     node = nodes[sigma[:built]]
+    memo = _memo_of(cache)
     for bit in sigma[built:]:
-        node = _extend_node(cache, node, bit)
-        nodes[node.sigma] = node
+        node = _child(cache, memo, node, bit)
+    return node
+
+
+def _memo_of(cache):
+    """The built nodes of cache's configuration, by string."""
+    return _NODE_MEMO.setdefault((cache.ladder, cache.margin, cache.step_budget), {(): _ROOT})
+
+
+def _child(cache, memo, parent, bit):
+    """Store the child of parent by bit in cache and return it.
+
+    A parent that is memo's own node (the root is) gets its child from
+    memo, built and stored there on a miss. Any other parent was read from
+    a file, or built from one: its child is built from it and stored in
+    cache alone. A build that raises stores nothing.
+    """
+    if memo.get(parent.sigma) is parent:
+        node = memo.get(parent.sigma + (bit,))
+        if node is None:
+            node = _extend_node(cache, parent, bit)
+            memo[node.sigma] = node
+    else:
+        node = _extend_node(cache, parent, bit)
+    cache._nodes[node.sigma] = node
     return node
 
 
@@ -145,17 +180,11 @@ def build_tree(cache, max_len):
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     nodes = cache._nodes
+    memo = _memo_of(cache)
     frontier = [nodes[()]]
     for _ in range(max_len):
-        children = []
-        for parent in frontier:
-            for bit in (0, 1):
-                sigma = parent.sigma + (bit,)
-                node = nodes.get(sigma)
-                if node is None:
-                    node = nodes[sigma] = _extend_node(cache, parent, bit)
-                children.append(node)
-        frontier = children
+        frontier = [nodes.get(parent.sigma + (bit,)) or _child(cache, memo, parent, bit)
+                    for parent in frontier for bit in (0, 1)]
     return cache
 
 
@@ -204,6 +233,7 @@ def check_properties(cache, max_len):
     margin = cache.margin
     q = ladder.q
     nodes = cache._nodes
+    memo = _memo_of(cache)
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
@@ -219,8 +249,7 @@ def check_properties(cache, max_len):
         children = []
         for parent, parent_row, parent_tag in frontier:
             for bit in (0, 1):
-                sigma = parent.sigma + (bit,)
-                node = nodes.get(sigma) or build_node(cache, sigma)
+                node = nodes.get(parent.sigma + (bit,)) or _child(cache, memo, parent, bit)
                 tag = parent_tag + "01"[bit]
 
                 rep.add("bookkeeping", len(node.M) == d + 1, len(node.M), d + 1, note=tag)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lprl import ConstructionCache, ExpLadder
+from lprl import ConstructionCache, ExpLadder, construction
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +17,9 @@ def ladder02():
 def cache02(ladder02):
     """One shared (a=0, q=2) cache; nodes are pure so sharing is safe."""
     return ConstructionCache(ladder02)
+
+
+@pytest.fixture
+def fresh_nodes():
+    """Empty the process-wide node memo, so that the test builds every node."""
+    construction._NODE_MEMO.clear()

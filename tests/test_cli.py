@@ -73,6 +73,7 @@ class TestSpecGrammar:
 class TestCommands:
     def test_build_writes_deterministic_cache(self, tmp_path, capsys):
         for out in ("one", "two"):
+            construction._NODE_MEMO.clear()  # two independent builds
             assert cmd_build(ConstructionCache(ExpLadder(0.0, 2.0)), 5, tmp_path / out) == 0
         out = capsys.readouterr().out
         assert "nodes cached: 63" in out

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from lprl import (
     ExpLadder,
     Margin,
     PowerWindow,
+    PreconditionError,
     ResourceLimitError,
     build_node,
     build_tree,
@@ -38,6 +42,16 @@ from oracles import power_sum_plain
 @pytest.fixture
 def small_cache():
     return ConstructionCache(ExpLadder(0.0, 2.0))
+
+
+@pytest.fixture
+def counted(monkeypatch, fresh_nodes):
+    """Every (parent, bit) that ``_extend_node`` builds, from an empty memo."""
+    built = []
+    extend_node = construction._extend_node
+    monkeypatch.setattr(construction, "_extend_node",
+                        lambda *args: built.append(args[1:]) or extend_node(*args))
+    return built
 
 
 class TestLeastNaturalAbove:
@@ -103,14 +117,6 @@ class TestBaseCases:
 
 
 class TestBuildSteps:
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        built = []
-        extend_node = construction._extend_node
-        monkeypatch.setattr(construction, "_extend_node",
-                            lambda *args: built.append(args[1:]) or extend_node(*args))
-        return built
-
     def test_build_node_extends_from_the_nearest_built_prefix(self, small_cache, counted):
         nodes = small_cache._nodes
         build_node(small_cache, (1, 0))
@@ -162,11 +168,125 @@ class TestDeterminism:
         c1 = ConstructionCache(ExpLadder(0.0, 2.0))
         c2 = ConstructionCache(ExpLadder(0.0, 2.0))
         build_tree(c1, 5)
+        construction._NODE_MEMO.clear()  # two independent builds
         build_tree(c2, 5)
         for sigma, n1 in c1._nodes.items():
             n2 = c2._nodes[sigma]
             assert n1.M == n2.M
             assert n1.phi == n2.phi
+
+
+def _built(counted):
+    """The strings ``counted`` saw built."""
+    return [parent.sigma + (bit,) for parent, bit in counted]
+
+
+class TestNodeMemo:
+    def test_a_second_cache_gets_the_same_nodes(self, counted):
+        first = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
+        assert len(counted) == len(first) - 1
+        counted.clear()
+        second = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
+        checked = ConstructionCache(ExpLadder(0.0, 2.0))
+        assert check_properties(checked, 5).ok  # builds what it checks
+        third = ConstructionCache(ExpLadder(0.0, 2.0))
+        node = build_node(third, (1, 0, 1, 1, 0))
+        assert counted == []
+        for cache in (second, checked):
+            assert cache._nodes.keys() == first._nodes.keys()
+            assert all(cache._nodes[sigma] is node for sigma, node in first._nodes.items())
+        assert len(third) == 6 and node is first._nodes[(1, 0, 1, 1, 0)]
+        assert all(third._nodes[sigma] is first._nodes[sigma] for sigma in third._nodes)
+
+    @pytest.mark.parametrize("other", [
+        dict(margin=Margin(2.0 ** -21)),
+        dict(step_budget=10 ** 7),
+        dict(ladder=ExpLadder(0.0, 3.0)),
+    ], ids=["eta", "step-budget", "ladder"])
+    def test_another_configuration_builds_its_nodes_anew(self, counted, other):
+        config = dict(ladder=ExpLadder(0.0, 2.0), margin=Margin(), step_budget=10 ** 8)
+        first = build_tree(ConstructionCache(**config), 3)
+        counted.clear()
+        second = build_tree(ConstructionCache(**{**config, **other}), 3)
+        assert sorted(_built(counted)) == sorted(sigma for sigma in second._nodes if sigma)
+        assert not any(second._nodes[sigma] is first._nodes[sigma] for sigma in first._nodes if sigma)
+
+    def test_imported_nodes_never_meet_the_memo(self, tmp_path, counted):
+        ladder = ExpLadder(0.0, 2.0)
+        cache = build_tree(ConstructionCache(ladder), 3)
+        path = export_cache(cache, tmp_path / "cache.txt")
+        stored = path.read_bytes()
+        lines = path.read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines) if line.startswith("011|"))
+        assert lines[lineno].endswith(";W:1.0,1.0,8,170")
+        lines[lineno] = lines[lineno].replace(";W:1.0,1.0,8,170", ";L:0.0")  # 011's block
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+
+        build_tree(cache, 5)  # the memo now holds 011 and the nodes below it
+        memo = construction._memo_of(cache)
+        before = dict(memo)
+        loaded = import_cache(bad)
+        counted.clear()
+        build_tree(loaded, 5)
+        # every node below the file's depth is built from the file's nodes
+        assert sorted(_built(counted)) == sorted(s for s in loaded._nodes if len(s) > 3)
+        assert memo == before and all(memo[s] is node for s, node in before.items())
+        edited = loaded._nodes[(0, 1, 1)]
+        assert edited is not memo[(0, 1, 1)]
+        child = loaded._nodes[(0, 1, 1, 0)]
+        assert child.phi.base is edited.phi and child.phi != memo[(0, 1, 1, 0)].phi
+
+        rep = check_properties(loaded, 3)
+        assert [(c.label, c.note) for c in rep.violations] == [("p6-forced-growth", "011")]
+        fresh = build_tree(ConstructionCache(ladder), 3)
+        assert export_cache(fresh, tmp_path / "fresh.txt").read_bytes() == stored
+
+    def test_a_shallow_build_after_a_deep_one_exports_its_own_depth(self, tmp_path, fresh_nodes):
+        ladder = ExpLadder(0.0, 2.0)
+        alone = export_cache(build_tree(ConstructionCache(ladder), 4), tmp_path / "alone.txt")
+        construction._NODE_MEMO.clear()
+        build_tree(ConstructionCache(ladder), 6)
+        shallow = build_tree(ConstructionCache(ladder), 4)
+        assert len(shallow) == 31
+        assert export_cache(shallow, tmp_path / "after.txt").read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("config,sigma,error", [
+        (dict(step_budget=100), (0, 0, 1), ResourceLimitError),  # a window of a few hundred terms
+        (dict(margin=Margin(0.3)), (0, 1), PreconditionError),  # its budget 2**-2 is below eta
+    ], ids=["resource", "precondition"])
+    def test_a_build_that_raises_stores_nothing(self, counted, config, sigma, error):
+        cache = ConstructionCache(ExpLadder(0.0, 2.0), **config)
+        memo = construction._memo_of(cache)
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                build_node(cache, sigma)
+            assert err.value.sigma == sigma
+            assert sigma not in memo and memo.keys() == cache._nodes.keys()
+        assert _built(counted).count(sigma) == 2  # the retry built it again
+
+    @pytest.mark.parametrize("spec", ["row=0:finite{1,3};row=2:periodic(0,3,1)",
+                                      "row=1:eventually(2)"], ids=["member", "non-member"])
+    @pytest.mark.parametrize("a,q", [(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)],
+                             ids=["a0-q2", "a0-q0.5", "a1-q3"])
+    def test_a_trace_after_others_equals_a_fresh_process(self, tmp_path, capsys, counted,
+                                                         spec, a, q):
+        request = ["trace", "--a", str(a), "--q", str(q), "--spec", spec, "--k", "9",
+                   "--out", str(tmp_path)]
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from lprl.cli import main; sys.exit(main(sys.argv[1:]))",
+             *request], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        fresh_csv = (tmp_path / "trace.csv").read_bytes()
+        for other in ("row=0:finite{1}", "row=0:eventually(4)", spec):
+            assert main(["trace", "--a", str(a), "--q", str(q), "--spec", other, "--k", "6",
+                         "--out", str(tmp_path / "other")]) == 0
+        capsys.readouterr()
+        counted.clear()
+        assert main(request) == 0
+        assert len(counted) < 10  # its path has 10 nodes, and the memo held some
+        assert capsys.readouterr().out == fresh.stdout
+        assert (tmp_path / "trace.csv").read_bytes() == fresh_csv
 
 
 @st.composite
@@ -383,7 +503,7 @@ class TestPowerRow:
                             x.hex() for x in _power_sum_parts(fresh, p)]
 
     @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
-    def test_only_levels_above_the_last_keep_parts(self, tmp_path, imported):
+    def test_only_levels_above_the_last_keep_parts(self, tmp_path, fresh_nodes, imported):
         depth = 5
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
         if imported:
@@ -528,7 +648,7 @@ SEARCHES = (witness._least_start, witness._least_end)
 
 class TestSearchMemo:
     @pytest.fixture
-    def cleared(self):
+    def cleared(self, fresh_nodes):
         for search in SEARCHES:
             search.cache_clear()
 
@@ -537,7 +657,7 @@ class TestSearchMemo:
         info = witness._least_end.cache_info()
         assert info.misses == info.currsize == 6
 
-    def test_every_block_is_still_rechecked(self, small_cache, monkeypatch):
+    def test_every_block_is_still_rechecked(self, small_cache, monkeypatch, fresh_nodes):
         checked = []
         verify_witness = witness.verify_witness
 
@@ -563,6 +683,7 @@ class TestSearchMemo:
         c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
         misses = [search.cache_info().misses for search in SEARCHES]
         assert all(misses)
+        construction._NODE_MEMO.clear()  # c2 searches again, with no misses
         c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
         assert [search.cache_info().misses for search in SEARCHES] == misses
         assert c1._nodes.keys() == c2._nodes.keys()
