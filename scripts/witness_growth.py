@@ -11,7 +11,8 @@ change to a window shows as a diff against it.
 
 import math
 
-from lprl import EMPTY, ClaimRequest, extend
+from lprl.seqspace import EMPTY
+from lprl.witness import ClaimRequest, extend
 
 print("M,eps,n0,n1,block_len,log_block_len")
 for m_target in range(1, 15):

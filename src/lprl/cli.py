@@ -18,12 +18,12 @@ from pathlib import Path
 
 from .construction import (
     ConstructionCache,
-    build_node,
     build_tree,
     cache_stats,
     check_properties,
     export_cache,
     power_row,
+    walk_path,
 )
 from .errors import ResourceLimitError
 from .grid import pair
@@ -225,16 +225,14 @@ def cmd_trace(cache, spec_text, k, target, out):
     member = in_p3(spec)
     if not member:
         check_divergence_target(target)
-    bits = path_bits(spec, k)
     ladder = cache.ladder
     exps = (ladder.q,) + ladder.exponents(4)
     rows = []
     parent, sums = None, ()
-    for t in range(k + 1):
-        node = build_node(cache, bits[:t + 1])
+    for t, node in enumerate(walk_path(cache, path_bits(spec, k))):
         sums = power_row(node, exps, parent, sums)
-        rows.append([t, bits[t], node.block.length, repr(pnorm_pow(node.block, ladder.q)),
-                     *map(repr, sums)])
+        rows.append([t, node.sigma[-1], node.block.length,
+                     repr(pnorm_pow(node.block, ladder.q)), *map(repr, sums)])
         parent = node
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.csv"

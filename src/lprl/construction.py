@@ -100,19 +100,23 @@ class ConstructionCache:
 
 def build_node(cache, sigma):
     """Return the node at sigma, building its missing prefixes first."""
-    sigma = bitstring(sigma)
-    nodes = cache._nodes
-    node = nodes.get(sigma)
-    if node is not None:
-        return node
-    built = len(sigma) - 1
-    while sigma[:built] not in nodes:
-        built -= 1
-    node = nodes[sigma[:built]]
-    memo = _memo_of(cache)
-    for bit in sigma[built:]:
-        node = _child(cache, memo, node, bit)
+    node = cache._nodes[()]
+    for node in walk_path(cache, bitstring(sigma)):
+        pass
     return node
+
+
+def walk_path(cache, bits):
+    """Yield the node at each prefix of bits, from length 1 on.
+
+    Each step is one ``_child``, so bits may be any iterable, an endless
+    one included: a node is built only when the walk reaches it.
+    """
+    memo = _memo_of(cache)
+    node = cache._nodes[()]
+    for bit in bits:
+        node = _child(cache, memo, node, bit)
+        yield node
 
 
 def _memo_of(cache):
@@ -121,15 +125,20 @@ def _memo_of(cache):
 
 
 def _child(cache, memo, parent, bit):
-    """Store the child of parent by bit in cache and return it.
+    """The child of parent by bit, stored in cache.
 
-    A parent that is memo's own node (the root is) gets its child from
-    memo, built and stored there on a miss. Any other parent was read from
-    a file, or built from one: its child is built from it and stored in
-    cache alone. A build that raises stores nothing.
+    A child already in cache is returned as it is. Otherwise, a parent that
+    is memo's own node (the root is) gets its child from memo, built and
+    stored there on a miss. Any other parent was read from a file, or built
+    from one: its child is built from it and stored in cache alone. A build
+    that raises stores nothing.
     """
+    tau = parent.sigma + (bit,)
+    node = cache._nodes.get(tau)
+    if node is not None:
+        return node
     if memo.get(parent.sigma) is parent:
-        node = memo.get(parent.sigma + (bit,))
+        node = memo.get(tau)
         if node is None:
             node = _extend_node(cache, parent, bit)
             memo[node.sigma] = node
@@ -179,12 +188,10 @@ def build_tree(cache, max_len):
     """Populate every node with lh(sigma) <= max_len (2**(max_len+1)-1 nodes)."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    nodes = cache._nodes
     memo = _memo_of(cache)
-    frontier = [nodes[()]]
+    frontier = [cache._nodes[()]]
     for _ in range(max_len):
-        frontier = [nodes.get(parent.sigma + (bit,)) or _child(cache, memo, parent, bit)
-                    for parent in frontier for bit in (0, 1)]
+        frontier = [_child(cache, memo, parent, bit) for parent in frontier for bit in (0, 1)]
     return cache
 
 
@@ -232,10 +239,9 @@ def check_properties(cache, max_len):
     ladder = cache.ladder
     margin = cache.margin
     q = ladder.q
-    nodes = cache._nodes
     memo = _memo_of(cache)
     rep = CheckReport(f"construction-properties max_len={max_len}")
-    root = nodes[()]
+    root = cache._nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
 
     # (node, its row, its tag) per node of the previous level
@@ -249,7 +255,7 @@ def check_properties(cache, max_len):
         children = []
         for parent, parent_row, parent_tag in frontier:
             for bit in (0, 1):
-                node = nodes.get(parent.sigma + (bit,)) or _child(cache, memo, parent, bit)
+                node = _child(cache, memo, parent, bit)
                 tag = parent_tag + "01"[bit]
 
                 rep.add("bookkeeping", len(node.M) == d + 1, len(node.M), d + 1, note=tag)

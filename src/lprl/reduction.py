@@ -15,11 +15,13 @@ stabilization along good rows, and forced divergence along bad ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .construction import build_node, power_row
+from .construction import walk_path
+from .errors import PreconditionError
 from .grid import pair, unpair
 from .reports import CheckReport
 from .seqspace import certified_less, pnorm_pow
@@ -149,8 +151,7 @@ def f_blocks(cache, spec, k):
     """Blocks u_0..u_k of the reduced point; they concatenate to the path's phi."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    bits = path_bits(spec, k)
-    return tuple(build_node(cache, bits[:j + 1]).block for j in range(k + 1))
+    return tuple(node.block for node in walk_path(cache, path_bits(spec, k)))
 
 
 def unit_ball_check(cache, spec, k):
@@ -225,20 +226,27 @@ def divergence_witness(cache, spec, row, target):
     Each one-bit at grid cell (row, j) forces the power sum at that row's
     exponent past the cell index plus one, so the walk certifiably clears
     any finite target; the returned value is an independent re-summation
-    of the winning prefix. Targets are checked by ``check_divergence_target``.
+    of the winning prefix. The path is walked once, lazily, and a row
+    whose first one has a q-cost budget 2**-(position+1) that underflows
+    to 0.0 is refused before anything is built. Targets are checked by
+    ``check_divergence_target``.
     """
     check_divergence_target(target)
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
+    first = pair(row, next(pat.ones()))
+    if 2.0 ** -(first + 1) == 0.0:
+        raise PreconditionError(
+            f"row {row}'s first one is at position {first}, where the block "
+            f"budget 2**-{first + 1} underflows to 0.0")
     p_row = cache.ladder.exponent(row)
-    for j in pat.ones():
-        n = pair(row, j)
-        node = build_node(cache, path_bits(spec, n))
-        value = pnorm_pow(node.phi, p_row)
-        if certified_less(target, value, cache.margin):
-            return DivergenceWitness(node.phi.length, value)
-    raise AssertionError("unreachable: targets grow past any bound")
+    bits = (alpha_bit(spec, n) for n in itertools.count())
+    for n, node in enumerate(walk_path(cache, bits)):
+        if node.sigma[-1] == 1 and unpair(n)[0] == row:
+            value = pnorm_pow(node.phi, p_row)
+            if certified_less(target, value, cache.margin):
+                return DivergenceWitness(node.phi.length, value)
 
 
 def stabilization_check(cache, spec, i, max_k):
@@ -262,14 +270,11 @@ def stabilization_check(cache, spec, i, max_k):
                 note="stabilization index beyond max_k; nothing to check")
         return rep
     p_i = cache.ladder.exponent(i)
-    bits = path_bits(spec, max_k)
-    m_ref = build_node(cache, bits[:n_stable + 1]).M[i]
-    parent, row = None, ()
-    for k in range(n_stable, max_k + 1):
-        node = build_node(cache, bits[:k + 1])
+    path = list(walk_path(cache, path_bits(spec, max_k)))[n_stable:]
+    m_ref = path[0].M[i]
+    for k, node in enumerate(path, n_stable):
         rep.add("cap-stable", node.M[i] == m_ref, node.M[i], m_ref, note=f"k={k}")
-        row = power_row(node, (p_i,), parent, row)
-        parent, s = node, row[0]
+        s = pnorm_pow(node.phi, p_i)
         rep.add("prefix-bounded", certified_less(s, float(m_ref), cache.margin),
                 s, m_ref, note=f"k={k}")
     return rep

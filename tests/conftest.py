@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lprl import ConstructionCache, ExpLadder, construction
+from lprl import construction
+from lprl.construction import ConstructionCache
+from lprl.seqspace import ExpLadder
 
 
 @pytest.fixture(scope="session")

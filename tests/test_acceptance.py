@@ -12,39 +12,28 @@ import time
 
 import pytest
 
-from lprl import (
-    AlphaSpec,
-    ClaimRequest,
-    ConstructionCache,
-    EventuallyOne,
-    ExpLadder,
-    FiniteOnes,
-    Margin,
+from lprl.construction import ConstructionCache, build_tree, check_properties
+from lprl.grid import depth, extend_laws_check, level, pair, unpair
+from lprl.hierarchy import (
     build_pi4_certificate,
-    build_tree,
-    check_properties,
-    continuity_check,
-    depth,
-    difference,
-    divergence_witness,
     embedding_inequality_check,
-    extend,
-    extend_laws_check,
     extract_row,
-    finseq,
-    in_p3,
     interleave,
-    level,
-    pair,
-    pnorm_pow,
+)
+from lprl.reduction import (
+    AlphaSpec,
+    EventuallyOne,
+    FiniteOnes,
+    bad_row,
+    continuity_check,
+    divergence_witness,
+    in_p3,
     stabilization_check,
     standard_corpus,
-    sup_norm,
-    unpair,
     unit_ball_check,
-    verify_witness,
-    bad_row,
 )
+from lprl.seqspace import ExpLadder, Margin, difference, finseq, pnorm_pow, sup_norm
+from lprl.witness import ClaimRequest, extend, verify_witness
 from lprl.cli import main as lprl_main
 
 from oracles import power_sum_plain

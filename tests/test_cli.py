@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import AlphaSpec, ConstructionCache, EventuallyOne, ExpLadder, FiniteOnes, PeriodicOnes
 from lprl import construction
+from lprl.construction import ConstructionCache
+from lprl.reduction import AlphaSpec, EventuallyOne, FiniteOnes, PeriodicOnes
+from lprl.seqspace import ExpLadder
 from lprl.cli import (
     DIVERGENCE_TARGET,
     SpecParseError,
@@ -179,6 +184,16 @@ class TestMainExitCodes:
         assert label == "partial_sum:"
         assert 1.0 < float(value) < 2.0  # ten terms short of the target 2
         assert err[3:] == ["  steps: 10"]
+
+    def test_an_underflowing_divergence_budget_is_two_at_once(self, tmp_path):
+        # the row's first one sits at position ~5e27, which no walk reaches
+        done = subprocess.run(
+            [sys.executable, "-m", "lprl.cli", "trace", "--spec",
+             "row=99999999999999:eventually(0)", "--k", "3", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 2
+        assert "error: row 99999999999999's first one is at position" in done.stderr
 
     def test_margin_error_names_node(self, tmp_path, capsys):
         rc = main(["verify", "--eta", "0.01", "--max-len", "3", "--out", str(tmp_path)])

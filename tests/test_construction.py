@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -11,30 +12,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lprl import (
-    ClaimRequest,
+from lprl import construction, reduction, seqspace, witness
+from lprl.cli import main
+from lprl.construction import (
     ConstructionCache,
-    ExpLadder,
-    Margin,
-    PowerWindow,
-    PreconditionError,
-    ResourceLimitError,
+    Node,
     build_node,
     build_tree,
     cache_stats,
-    certified_less,
     check_properties,
     export_cache,
-    extend,
     import_cache,
     least_natural_above,
-    level,
+    power_row,
+    walk_path,
+)
+from lprl.errors import PreconditionError, ResourceLimitError
+from lprl.grid import level
+from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness
+from lprl.seqspace import (
+    ExpLadder,
+    FinSeq,
+    Margin,
+    PowerWindow,
+    _power_sum_parts,
+    certified_less,
+    concat,
+    finseq,
     pnorm_pow,
 )
-from lprl import construction, seqspace, witness
-from lprl.cli import main
-from lprl.construction import Node, power_row
-from lprl.seqspace import FinSeq, _power_sum_parts, concat, finseq
+from lprl.witness import ClaimRequest, extend
 
 from oracles import power_sum_plain
 
@@ -137,6 +144,47 @@ class TestBuildSteps:
         with pytest.raises(ValueError, match="bit string entries must be 0 or 1"):
             build_node(small_cache, sigma)
         assert counted == [] and len(small_cache) == 1
+
+
+class TestWalkPath:
+    BITS = (1, 0, 1, 1, 0)
+
+    @pytest.fixture(params=["fresh", "imported"])
+    def cache(self, request, tmp_path, fresh_nodes):
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        if request.param == "fresh":
+            return cache
+        return import_cache(export_cache(build_tree(cache, 3), tmp_path / "cache.txt"))
+
+    def test_yields_the_nodes_build_node_gives(self, cache):
+        walked = list(walk_path(cache, self.BITS))
+        assert [node.sigma for node in walked] == [self.BITS[:t + 1] for t in range(5)]
+        assert all(build_node(cache, self.BITS[:t + 1]) is node for t, node in enumerate(walked))
+
+    def test_an_endless_path_is_walked_lazily(self, small_cache):
+        walked = list(itertools.islice(walk_path(small_cache, itertools.repeat(0)), 6))
+        assert [node.sigma for node in walked] == [(0,) * t for t in range(1, 7)]
+        assert len(small_cache) == 7
+
+    def test_walking_past_an_import_adds_nothing_to_the_memo(self, tmp_path, fresh_nodes):
+        path = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3),
+                            tmp_path / "cache.txt")
+        before = {key: dict(memo) for key, memo in construction._NODE_MEMO.items()}
+        loaded = import_cache(path)
+        assert len(list(walk_path(loaded, self.BITS + (1, 1)))) == 7
+        assert len(loaded) == 15 + 4
+        assert construction._NODE_MEMO == before
+
+    def test_divergence_reads_each_position_once(self, small_cache, monkeypatch, fresh_nodes):
+        spec = AlphaSpec.from_rows({1: PeriodicOnes(0, 2, 0)})  # ones at 1, 8, 19, ...
+        calls = []
+        alpha_bit = reduction.alpha_bit
+        monkeypatch.setattr(reduction, "alpha_bit",
+                            lambda spec, n: calls.append(n) or alpha_bit(spec, n))
+        found = divergence_witness(small_cache, spec, 1, 3.0)
+        assert calls == list(range(9))  # the one at 8 clears the target
+        last = build_node(small_cache, (0, 1, 0, 0, 0, 0, 0, 0, 1))
+        assert found.prefix_len == last.phi.length and len(small_cache) == 10
 
 
 class TestProperties:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import depth, extend_laws_check, level, pair, unpair
+from lprl.grid import depth, extend_laws_check, level, pair, unpair
 
 from oracles import depth_by_scan, level_by_scan, pairing_by_scan
 

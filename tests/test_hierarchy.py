@@ -5,23 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lprl import (
-    AlphaSpec,
-    ConstructionCache,
-    EventuallyOne,
-    ExpLadder,
+from lprl.construction import ConstructionCache
+from lprl.grid import pair
+from lprl.hierarchy import (
     build_pi4_certificate,
     embedding_inequality_check,
     extract_row,
-    finseq,
-    in_p3,
     interleave,
-    pair,
-    pnorm_pow,
-    standard_corpus,
-    sup_norm,
-    difference,
 )
+from lprl.reduction import AlphaSpec, EventuallyOne, in_p3, standard_corpus
+from lprl.seqspace import ExpLadder, difference, finseq, pnorm_pow, sup_norm
 
 rows_strategy = st.lists(
     st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), max_size=6),

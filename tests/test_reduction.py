@@ -3,32 +3,26 @@ import random
 
 import pytest
 
-from lprl import (
+from lprl.construction import ConstructionCache, build_node, build_tree, export_cache, import_cache
+from lprl.errors import PreconditionError
+from lprl.grid import pair
+from lprl.reduction import (
     AlphaSpec,
-    ConstructionCache,
     EventuallyOne,
-    ExpLadder,
     FiniteOnes,
-    Margin,
     PeriodicOnes,
     alpha_bit,
     bad_row,
-    build_node,
-    build_tree,
     continuity_check,
     divergence_witness,
-    export_cache,
     f_blocks,
-    import_cache,
     in_p3,
-    pair,
     path_bits,
-    pnorm_pow,
-    scale,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
 )
+from lprl.seqspace import ExpLadder, Margin, pnorm_pow, scale
 
 from lprl.cli import _seeded_continuity_pairs
 from oracles import distance_plain, power_sum_plain
@@ -222,6 +216,14 @@ class TestDivergence:
         spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({1}))})
         with pytest.raises(ValueError):
             divergence_witness(cache02, spec, 0, 1.0)
+
+    def test_a_first_one_whose_budget_underflows_is_refused_unwalked(self):
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        spec = AlphaSpec.from_rows({46: EventuallyOne(0)})
+        assert pair(46, 0) == 1081  # its budget 2**-1082 is 0.0
+        with pytest.raises(PreconditionError, match="row 46's first one is at position 1081"):
+            divergence_witness(cache, spec, 46, 3.0)
+        assert len(cache) == 1
 
 
 class TestStabilization:

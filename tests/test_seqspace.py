@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lprl import (
+from lprl.errors import ResourceLimitError
+from lprl.seqspace import (
     DEFAULT_MARGIN,
     EMPTY,
     ExpLadder,
     Margin,
     PowerWindow,
-    ResourceLimitError,
     certified_less,
     concat,
     difference,
@@ -22,8 +22,6 @@ from lprl import (
     scale,
     sup_norm,
     window_seq,
-)
-from lprl.seqspace import (
     DIRECT_CUTOFF,
     FSUM_CUTOFF,
     FinSeq,

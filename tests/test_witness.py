@@ -5,25 +5,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lprl import (
+from lprl import seqspace, witness
+from lprl.errors import PreconditionError, ResourceLimitError
+from lprl.seqspace import (
+    DIRECT_CUTOFF,
     EMPTY,
-    ClaimRequest,
-    ClaimWitness,
     Margin,
     PowerWindow,
-    PreconditionError,
-    ResourceLimitError,
+    _WINDOW_SUM_CACHE,
+    _range_power_sum,
+    certified_less,
     concat,
-    extend,
     finseq,
     pnorm_pow,
     scale,
-    verify_witness,
     window_seq,
 )
-from lprl import seqspace, witness
-from lprl.seqspace import DIRECT_CUTOFF, _WINDOW_SUM_CACHE, _range_power_sum, certified_less
-from lprl.witness import _least_end, _least_start, _least_true
+from lprl.witness import (
+    ClaimRequest,
+    ClaimWitness,
+    _least_end,
+    _least_start,
+    _least_true,
+    extend,
+    verify_witness,
+)
 
 from oracles import generator_tail_bracket, harmonic_first_crossing, power_sum_plain
 
