@@ -7,7 +7,6 @@ error, 3 resource exhaustion.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -234,15 +233,12 @@ def cmd_trace(cache, spec_text, k, target, out):
         rows.append([t, node.sigma[-1], node.block.length,
                      repr(pnorm_pow(node.block, ladder.q)), *map(repr, sums)])
         parent = node
+    # no field needs quoting: each is an int, a column name or a float repr
+    lines = [",".join(map(str, r)) for r in (TRACE_COLUMNS, *rows)]
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trace.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(rows)
-    print(",".join(TRACE_COLUMNS))
-    for row in rows:
-        print(",".join(str(c) for c in row))
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    print("\n".join(lines))
     print(f"trace written to {path}")
     if member:
         for i in range(STABILIZATION_ROWS):
@@ -261,9 +257,9 @@ def cmd_trace(cache, spec_text, k, target, out):
 # ---------------------------------------------------------------------------
 
 def _add_common(parser):
+    """The flags every command reads."""
     parser.add_argument("--a", type=float, default=0.0, help="lower exponent limit (>= 0)")
     parser.add_argument("--q", type=float, default=2.0, help="ambient exponent (> a)")
-    parser.add_argument("--max-len", type=int, default=10, help="tree depth to build/check")
     parser.add_argument("--eta", type=float, default=DEFAULT_ETA,
                         help="strictness margin for certified comparisons")
     parser.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
@@ -272,7 +268,6 @@ def _add_common(parser):
                         help="explicit leading ladder exponents, comma-separated")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (default $LPRL_OUT or ./out)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
 
 
 def _print_sigma(err):
@@ -291,9 +286,11 @@ def _parser():
                     "Trace CSV columns: " + ", ".join(TRACE_COLUMNS) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
     p_build = sub.add_parser("build", help="build the tree and export the cache")
-    _add_common(p_build)
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p_verify)
+    for p in (p_build, p_verify):
+        _add_common(p)
+        p.add_argument("--max-len", type=int, default=10, help="tree depth to build/check")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     p_trace = sub.add_parser("trace", help="emit the block table of one path")
     _add_common(p_trace)
     p_trace.add_argument("--spec", type=str, required=True,
@@ -310,14 +307,14 @@ def main(argv=None):
         args = _parser().parse_args(argv)
         ladder = ExpLadder(args.a, args.q, tuple(float(p) for p in args.ladder.split(",") if p))
         cache = ConstructionCache(ladder, Margin(args.eta), args.step_budget)
+        out = Path(args.out or os.environ.get("LPRL_OUT", "out"))
+        if args.command == "trace":
+            return cmd_trace(cache, args.spec, args.k, args.target, out)
         if args.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        out = Path(args.out or os.environ.get("LPRL_OUT", "out"))
         if args.command == "build":
             return cmd_build(cache, args.max_len, out)
-        if args.command == "verify":
-            return cmd_verify(cache, args.max_len, args.seed, out)
-        return cmd_trace(cache, args.spec, args.k, args.target, out)
+        return cmd_verify(cache, args.max_len, args.seed, out)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         _print_sigma(err)

@@ -226,27 +226,32 @@ def divergence_witness(cache, spec, row, target):
     Each one-bit at grid cell (row, j) forces the power sum at that row's
     exponent past the cell index plus one, so the walk certifiably clears
     any finite target; the returned value is an independent re-summation
-    of the winning prefix. The path is walked once, lazily, and a row
-    whose first one has a q-cost budget 2**-(position+1) that underflows
-    to 0.0 is refused before anything is built. Targets are checked by
-    ``check_divergence_target``.
+    of the winning prefix. The path is walked once, lazily, from one of
+    the row to the next, and a one whose q-cost budget 2**-(position+1)
+    underflows to 0.0 is refused before the walk reaches it. Targets are
+    checked by ``check_divergence_target``.
     """
     check_divergence_target(target)
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
-    first = pair(row, next(pat.ones()))
-    if 2.0 ** -(first + 1) == 0.0:
-        raise PreconditionError(
-            f"row {row}'s first one is at position {first}, where the block "
-            f"budget 2**-{first + 1} underflows to 0.0")
-    p_row = cache.ladder.exponent(row)
-    bits = (alpha_bit(spec, n) for n in itertools.count())
-    for n, node in enumerate(walk_path(cache, bits)):
-        if node.sigma[-1] == 1 and unpair(n)[0] == row:
-            value = pnorm_pow(node.phi, p_row)
-            if certified_less(target, value, cache.margin):
-                return DivergenceWitness(node.phi.length, value)
+    path = enumerate(walk_path(cache, (alpha_bit(spec, n) for n in itertools.count())))
+    value = None
+    for j in pat.ones():
+        pos = pair(row, j)
+        if math.ldexp(1.0, -(pos + 1)) == 0.0:  # 2.0 ** -(pos + 1), for any int pos
+            if value is None:
+                raise PreconditionError(
+                    f"row {row}'s first one is at position {pos}, where the block "
+                    f"budget 2**-{pos + 1} underflows to 0.0")
+            raise PreconditionError(
+                f"row {row}'s next one is at position {pos}, where the block "
+                f"budget 2**-{pos + 1} underflows to 0.0; the power sum so far "
+                f"is {value!r}")
+        node = next(node for n, node in path if n == pos)
+        value = pnorm_pow(node.phi, cache.ladder.exponent(row))
+        if certified_less(target, value, cache.margin):
+            return DivergenceWitness(node.phi.length, value)
 
 
 def stabilization_check(cache, spec, i, max_k):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -108,13 +109,24 @@ class TestMainExitCodes:
         rc = main(["build", "--a", "3", "--q", "1", "--out", str(tmp_path)])
         assert rc == 2
 
-    @pytest.mark.parametrize("command", [
-        ["build"], ["verify"], ["trace", "--spec", "row=0:eventually(0)"],
-    ], ids=["build", "verify", "trace"])
+    @pytest.mark.parametrize("command", [["build"], ["verify"]], ids=["build", "verify"])
     def test_max_len_below_one_is_two(self, tmp_path, capsys, command):
         rc = main(command + ["--max-len", "0", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == "error: max_len must be >= 1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,flag", [
+        (["build"], ["--seed", "1"]),
+        (["trace", "--spec", "row=0:eventually(0)"], ["--seed", "1"]),
+        (["trace", "--spec", "row=0:eventually(0)"], ["--max-len", "3"]),
+    ], ids=["build-seed", "trace-seed", "trace-max-len"])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                               command, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(command + flag + ["--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_negative_eta_is_two(self, tmp_path, capsys):
@@ -195,6 +207,16 @@ class TestMainExitCodes:
         assert done.returncode == 2
         assert "error: row 99999999999999's first one is at position" in done.stderr
 
+    def test_a_later_underflowing_divergence_budget_is_two_at_once(self, tmp_path):
+        # the row's one at 0 reaches ~1; its next sits at position ~5e23
+        done = subprocess.run(
+            [sys.executable, "-m", "lprl.cli", "trace", "--spec",
+             "row=0:periodic(0,1000000000000,0)", "--k", "3", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 2
+        assert "error: row 0's next one is at position 500000000001500000000000" in done.stderr
+
     def test_margin_error_names_node(self, tmp_path, capsys):
         rc = main(["verify", "--eta", "0.01", "--max-len", "3", "--out", str(tmp_path)])
         assert rc == 2
@@ -246,3 +268,38 @@ class TestMainExitCodes:
         assert main(["build", "--max-len", "4", "--out", str(tmp_path)]) == 0
         assert main(["trace", "--spec", "row=1:finite{0}", "--k", "4",
                      "--out", str(tmp_path)]) == 0
+
+
+MEMBER, NON_MEMBER = "row=0:finite{1,3};row=2:finite{0,2}", "row=1:eventually(2)"
+
+# SHA-256 of trace.csv and of stdout (the out directory written as <out>)
+# from `lprl trace --k 12`
+GOLDEN_TRACE = [
+    (0.0, 2.0, MEMBER, "13ebbee0bf6054c8638bfee87e1a9cc0758b05155f939ec31c0e8ae510f05dd5",
+     "cad868e4b4b565a4e0c41e45f66e6fed1da99ceec173d9ce21083e194db5b7ef"),
+    (0.0, 2.0, NON_MEMBER, "8f6c47657fbac8e12599c64ebc2042db042c39c622d9509aa260fdcccaea6b7d",
+     "d69996bc455c31b3f4e7686d289f4fd76c7fd1f0fd7156fa628e26b85c931a8c"),
+    # with a = 0 the blocks' power sums depend on the exponents' ratios to q alone
+    (0.0, 0.5, MEMBER, "13ebbee0bf6054c8638bfee87e1a9cc0758b05155f939ec31c0e8ae510f05dd5",
+     "cad868e4b4b565a4e0c41e45f66e6fed1da99ceec173d9ce21083e194db5b7ef"),
+    (0.0, 0.5, NON_MEMBER, "8f6c47657fbac8e12599c64ebc2042db042c39c622d9509aa260fdcccaea6b7d",
+     "d69996bc455c31b3f4e7686d289f4fd76c7fd1f0fd7156fa628e26b85c931a8c"),
+    (1.0, 3.0, MEMBER, "c550b7a6affed7fa097b69fb50cbf32d8e2d3e16d00e940d39ac572e3c435db1",
+     "2315beb71563552da49434b51fd952c82467a9eab82a0a37ab6483d38c17beae"),
+    (1.0, 3.0, NON_MEMBER, "fc81a54c58a4a839e2273999f4bab191ba257f17dd7e96b43deeda61f8a75afc",
+     "1f3707d9de503b1aad80d1746702eb740690380ac66a65f161072575fadb7bd2"),
+]
+
+
+@pytest.mark.parametrize("a,q,spec,csv_digest,out_digest", GOLDEN_TRACE, ids=[
+    f"{config}-{kind}" for config in ("a0-q2", "a0-q0.5", "a1-q3")
+    for kind in ("member", "non-member")])
+def test_trace_output_is_golden(tmp_path, capsys, a, q, spec, csv_digest, out_digest):
+    assert main(["trace", "--a", str(a), "--q", str(q), "--spec", spec, "--k", "12",
+                 "--out", str(tmp_path)]) == 0
+    csv_bytes = (tmp_path / "trace.csv").read_bytes()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest
+    assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
+    # the file and stdout carry the same lines
+    assert csv_bytes.decode().split("\r\n")[:-1] == out.splitlines()[:14]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lprl import construction, reduction, seqspace, witness
-from lprl.cli import main
+from lprl.cli import main, parse_alpha_spec
 from lprl.construction import (
     ConstructionCache,
     Node,
@@ -29,7 +29,7 @@ from lprl.construction import (
 )
 from lprl.errors import PreconditionError, ResourceLimitError
 from lprl.grid import level
-from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness
+from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3
 from lprl.seqspace import (
     ExpLadder,
     FinSeq,
@@ -313,12 +313,14 @@ class TestNodeMemo:
             assert sigma not in memo and memo.keys() == cache._nodes.keys()
         assert _built(counted).count(sigma) == 2  # the retry built it again
 
-    @pytest.mark.parametrize("spec", ["row=0:finite{1,3};row=2:periodic(0,3,1)",
-                                      "row=1:eventually(2)"], ids=["member", "non-member"])
+    @pytest.mark.parametrize("spec,member", [("row=0:finite{1,3};row=2:finite{0,2}", True),
+                                             ("row=1:eventually(2)", False)],
+                             ids=["member", "non-member"])
     @pytest.mark.parametrize("a,q", [(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)],
                              ids=["a0-q2", "a0-q0.5", "a1-q3"])
     def test_a_trace_after_others_equals_a_fresh_process(self, tmp_path, capsys, counted,
-                                                         spec, a, q):
+                                                         spec, member, a, q):
+        assert in_p3(parse_alpha_spec(spec)) == member
         request = ["trace", "--a", str(a), "--q", str(q), "--spec", spec, "--k", "9",
                    "--out", str(tmp_path)]
         fresh = subprocess.run(

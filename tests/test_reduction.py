@@ -1,9 +1,18 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from lprl.construction import ConstructionCache, build_node, build_tree, export_cache, import_cache
+from lprl import reduction
+from lprl.construction import (
+    ConstructionCache,
+    build_node,
+    build_tree,
+    export_cache,
+    import_cache,
+    walk_path,
+)
 from lprl.errors import PreconditionError
 from lprl.grid import pair
 from lprl.reduction import (
@@ -224,6 +233,22 @@ class TestDivergence:
         with pytest.raises(PreconditionError, match="row 46's first one is at position 1081"):
             divergence_witness(cache, spec, 46, 3.0)
         assert len(cache) == 1
+
+    def test_a_later_one_whose_budget_underflows_is_refused_unwalked(self, monkeypatch):
+        # a walk past the last positive budget (position 1073) fails the test, not hangs it
+        monkeypatch.setattr(reduction, "walk_path",
+                            lambda cache, bits: itertools.islice(walk_path(cache, bits), 1100))
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        spec = AlphaSpec.from_rows({0: PeriodicOnes(0, 10 ** 12, 0)})
+        second = pair(0, 10 ** 12)  # about 5e23, past every positive budget
+        with pytest.raises(PreconditionError) as err:
+            divergence_witness(cache, spec, 0, 3.0)
+        assert len(cache) == 2  # the root and the first one's node alone
+        reached = pnorm_pow(cache._nodes[(1,)].phi, cache.ladder.exponent(0))
+        assert 1.0 < reached < 3.0
+        assert str(err.value) == (
+            f"row 0's next one is at position {second}, where the block budget "
+            f"2**-{second + 1} underflows to 0.0; the power sum so far is {reached!r}")
 
 
 class TestStabilization:
