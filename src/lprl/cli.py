@@ -23,6 +23,7 @@ from .construction import (
     export_cache,
     power_row,
     walk_path,
+    write_output,
 )
 from .errors import ResourceLimitError
 from .grid import pair
@@ -116,8 +117,7 @@ def cmd_build(cache, max_len, out):
     """Populate the full tree to max_len and export it deterministically."""
     build_tree(cache, max_len)
     stats = cache_stats(cache)
-    path = out / f"cache_a{cache.ladder.a}_q{cache.ladder.q}_len{max_len}.txt"
-    export_cache(cache, path)
+    path = export_cache(cache, out / f"cache_a{cache.ladder.a}_q{cache.ladder.q}_len{max_len}.txt")
     print(f"nodes cached: {stats['nodes']}")
     print(f"max phi length: {stats['max_phi_length']}")
     print(f"stored literal entries: {stats['literal_entries']}")
@@ -197,9 +197,7 @@ def cmd_verify(cache, max_len, seed, out):
         "suites": [r.to_dict() for r in reports],
         "ok": all(r.ok for r in reports),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "verify_report.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path = write_output(out / "verify_report.json", json.dumps(payload, indent=2) + "\n")
     for r in reports:
         print(r.summary())
     print(f"report written to {path}")
@@ -235,9 +233,7 @@ def cmd_trace(cache, spec_text, k, target, out):
         parent = node
     # no field needs quoting: each is an int, a column name or a float repr
     lines = [",".join(map(str, r)) for r in (TRACE_COLUMNS, *rows)]
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "trace.csv"
-    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    path = write_output(out / "trace.csv", "\r\n".join(lines) + "\r\n")
     print("\n".join(lines))
     print(f"trace written to {path}")
     if member:

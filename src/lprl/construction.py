@@ -289,25 +289,14 @@ def check_properties(cache, max_len):
 
 def cache_stats(cache):
     """Node count plus size measures (window lengths are exact ints)."""
-    max_phi = 0
-    literal_entries = 0
-    window_entries = 0
-    windows = 0
-    for node in cache._nodes.values():
-        if node.phi.length > max_phi:
-            max_phi = node.phi.length
-        for seg in node.block.segments:
-            if isinstance(seg, Literal):
-                literal_entries += seg.length
-            else:
-                windows += 1
-                window_entries += seg.length
+    segs = [seg for node in cache._nodes.values() for seg in node.block.segments]
+    windows = [seg.length for seg in segs if not isinstance(seg, Literal)]
     return {
         "nodes": len(cache._nodes),
-        "max_phi_length": max_phi,
-        "literal_entries": literal_entries,
-        "window_segments": windows,
-        "window_entries": window_entries,
+        "max_phi_length": max(node.phi.length for node in cache._nodes.values()),
+        "literal_entries": sum(seg.length for seg in segs if isinstance(seg, Literal)),
+        "window_segments": len(windows),
+        "window_entries": sum(windows),
     }
 
 
@@ -363,9 +352,24 @@ def export_cache(cache, path):
         bits = "".join(map(str, sigma)) or "-"
         mvec = ",".join(str(m) for m in node.M)
         lines.append(f"{bits}|M={mvec}|phi={texts[sigma]}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    return write_output(path, "\n".join(lines) + "\n")
+
+
+def write_output(path, text):
+    """Write ``text`` to ``path`` as a new file, untranslated; return the path.
+
+    An old file is unlinked, not truncated, which costs far less on ext4.
+    So a link at ``path`` is replaced and its target kept, and a crash can
+    leave a partial file but never an earlier, longer file's tail. The
+    parent directory is made only when the write finds it missing.
+    """
+    path, data = Path(path), text.encode()
+    path.unlink(missing_ok=True)
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     return path
 
 

@@ -111,11 +111,13 @@ def test_criterion_3_claim_soundness():
     report(3, "claim soundness", ok and elapsed < 30.0)
 
 
-def test_criterion_4_construction_properties(cache02):
+def test_criterion_4_construction_properties():
+    # each configuration gets a cache of its own: the shared cache02 may
+    # already hold nodes past depth 10, which would break the count
     ok = True
-    build_tree(cache02, 10)
-    rep = check_properties(cache02, 10)
-    ok = ok and rep.ok and len(cache02) == 2047
+    cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 10)
+    rep = check_properties(cache, 10)
+    ok = ok and rep.ok and len(cache) == 2047
     for a, q in ((0.0, 0.5), (1.0, 3.0)):
         cache = ConstructionCache(ExpLadder(a, q))
         rep = check_properties(cache, 10)

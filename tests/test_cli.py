@@ -303,3 +303,55 @@ def test_trace_output_is_golden(tmp_path, capsys, a, q, spec, csv_digest, out_di
     assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
     # the file and stdout carry the same lines
     assert csv_bytes.decode().split("\r\n")[:-1] == out.splitlines()[:14]
+
+
+class TestOutputsAreNewFiles:
+    """Every output is written as a new file, so nothing at its path before
+    the run shows in it: not the tail of a longer file, nor a link's target."""
+
+    STALE = b"stale row\n" * 64
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["verify", "--max-len", "3"], "verify_report.json"),
+        (["build", "--max-len", "4"], "cache_a0.0_q2.0_len4.txt"),
+    ], ids=["verify", "build"])
+    def test_a_longer_file_leaves_no_tail(self, tmp_path, capsys, argv, name):
+        self._run(argv, tmp_path / "fresh", capsys)
+        fresh = (tmp_path / "fresh" / name).read_bytes()
+        (tmp_path / "reused").mkdir()
+        (tmp_path / "reused" / name).write_bytes(fresh + self.STALE)
+        self._run(argv, tmp_path / "reused", capsys)
+        assert (tmp_path / "reused" / name).read_bytes() == fresh
+
+    def test_a_shorter_trace_after_a_longer_one(self, tmp_path, capsys):
+        spec = ["trace", "--spec", "row=0:eventually(0)"]
+        self._run(spec + ["--k", "12"], tmp_path / "reused", capsys)
+        longer = (tmp_path / "reused" / "trace.csv").read_bytes()
+        self._run(spec + ["--k", "3"], tmp_path / "reused", capsys)
+        self._run(spec + ["--k", "3"], tmp_path / "fresh", capsys)
+        fresh = (tmp_path / "fresh" / "trace.csv").read_bytes()
+        assert len(fresh) < len(longer)
+        assert (tmp_path / "reused" / "trace.csv").read_bytes() == fresh
+
+    def test_a_symlink_is_replaced_and_its_target_kept(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_bytes(self.STALE)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "trace.csv").symlink_to(target)
+        argv = ["trace", "--spec", "row=0:finite{1}", "--k", "4"]
+        self._run(argv, tmp_path / "out", capsys)
+        self._run(argv, tmp_path / "fresh", capsys)
+        written = tmp_path / "out" / "trace.csv"
+        assert not written.is_symlink() and written.is_file()
+        assert written.read_bytes() == (tmp_path / "fresh" / "trace.csv").read_bytes()
+        assert target.read_bytes() == self.STALE
+
+    def test_write_output_makes_a_missing_parent_and_keeps_line_ends(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.csv"
+        assert construction.write_output(path, "x\r\ny\n") == path
+        assert path.read_bytes() == b"x\r\ny\n"
