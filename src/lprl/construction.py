@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import PreconditionError, ResourceLimitError
 from .grid import bitstring, depth, level
-from .reports import CheckReport
+from .reports import Check, CheckReport
 from .seqspace import (
     DEFAULT_MARGIN,
     EMPTY,
@@ -232,9 +232,13 @@ def check_properties(cache, max_len):
     node whose phi is its parent's followed by exact zeros takes its
     parent's sums (``power_row``): nothing is trusted from the bookkeeping
     that produced the caps. Nodes above the last level keep their parts,
-    so a child sums its own block only; the last level keeps none.
-    Violations carry the offending string; p3 compares a row only against
-    the caps a node has, so a short cap vector is a bookkeeping violation.
+    so a child sums its own block only; the last level keeps none. A block
+    keeps its q-cost parts, so each block object is summed once: every
+    0-node's ``_ZERO_BLOCK``, and an imported tree's one block per text.
+    Every claim is evaluated at every node, but only violations are
+    recorded, each noting the offending string; instances are counted once
+    per level. p3 compares a row only against the caps a node has, so a
+    short cap vector is a bookkeeping violation.
     """
     ladder = cache.ladder
     margin = cache.margin
@@ -244,46 +248,65 @@ def check_properties(cache, max_len):
     root = cache._nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
 
-    # (node, its row, its tag) per node of the previous level
-    frontier = [(root, (), "")]
+    def fail(label, lhs, rhs, node, i=None):
+        tag = "".join(map(str, node.sigma))
+        rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
+
+    # the previous level's nodes, and their rows unless it is the last
+    nodes, rows = [root], [()]
     for length in range(1, max_len + 1):
         probe = (0,) * length  # depth and level depend on the length alone
         d, l = depth(probe), level(probe)
         exps = ladder.exponents(d + 1)
         bound = 2.0 ** -length
-        last = length == max_len
-        children = []
-        for parent, parent_row, parent_tag in frontier:
+        keep = length < max_len
+        parents, parent_rows, nodes, rows = nodes, rows, [], []
+        for parent, parent_row in zip(parents, parent_rows):
             for bit in (0, 1):
                 node = _child(cache, memo, parent, bit)
-                tag = parent_tag + "01"[bit]
+                M = node.M
+                if len(M) != d + 1:
+                    fail("bookkeeping", len(M), d + 1, node)
+                if node.phi.length < 1:
+                    fail("phi-nonempty", node.phi.length, 1, node)
+                if not parent.phi.is_prefix_of(node.phi, proper=True):
+                    fail("p1-prefix", None, None, node)
 
-                rep.add("bookkeeping", len(node.M) == d + 1, len(node.M), d + 1, note=tag)
-                rep.add("phi-nonempty", node.phi.length >= 1, node.phi.length, 1, note=tag)
-                rep.add("p1-prefix", parent.phi.is_prefix_of(node.phi, proper=True), note=tag)
+                block_cost = math.fsum(_power_sum_parts(node.block, q, keep=True))
+                if not certified_less(block_cost, bound, margin):
+                    fail("p2-block-cost", block_cost, bound, node)
 
-                block_cost = pnorm_pow(node.block, q)
-                rep.add("p2-block-cost", certified_less(block_cost, bound, margin),
-                        block_cost, bound, note=tag)
+                row = power_row(node, exps, parent, parent_row, keep=keep)
+                for i, (s, cap) in enumerate(zip(row, M)):
+                    if not certified_less(s, float(cap), margin):
+                        fail("p3-caps", s, cap, node, i)
 
-                row = power_row(node, exps, parent, parent_row, keep=not last)
-                for i, (s, cap) in enumerate(zip(row, node.M)):
-                    rep.add("p3-caps", certified_less(s, float(cap), margin),
-                            s, cap, note=f"{tag} i={i}")
-
-                if bit == 0 and length >= 2:
-                    rep.add("p4-zero-stable", node.M[:len(parent.M)] == parent.M,
-                            node.M, parent.M, note=tag)
-                if bit == 1:
-                    if l > 0:
-                        rep.add("p5-one-stable", node.M[:l] == parent.M[:l],
-                                node.M[:l], parent.M[:l], note=tag)
-                    growth = row[l]
-                    rep.add("p6-forced-growth", certified_less(float(length), growth, margin),
-                            growth, length, note=tag)
-                if not last:
-                    children.append((node, row, tag))
-        frontier = children
+                if bit == 0:
+                    if length >= 2 and M[:len(parent.M)] != parent.M:
+                        fail("p4-zero-stable", M, parent.M, node)
+                else:
+                    if l > 0 and M[:l] != parent.M[:l]:
+                        fail("p5-one-stable", M[:l], parent.M[:l], node)
+                    if not certified_less(float(length), row[l], margin):
+                        fail("p6-forced-growth", row[l], length, node)
+                nodes.append(node)
+                if keep:
+                    rows.append(row)
+        # A new label enters the report where a node-by-node count would
+        # first meet it: the 0-node first (p4), then the 1-node (p5, p6),
+        # with p3 at the first node that has caps.
+        n, half = len(nodes), len(parents)
+        first_caps = next((k for k, node in enumerate(nodes) if node.M), 0)
+        tallies = [
+            (0, "bookkeeping", n), (0, "phi-nonempty", n), (0, "p1-prefix", n),
+            (0, "p2-block-cost", n),
+            (first_caps, "p3-caps", sum(min(len(node.M), d + 1) for node in nodes)),
+            (0, "p4-zero-stable", half if length >= 2 else 0),
+            (1, "p5-one-stable", half if l > 0 else 0),
+            (1, "p6-forced-growth", half),
+        ]
+        for _, label, count in sorted(tallies, key=lambda t: t[0]):
+            rep.count(label, count)
     return rep
 
 
@@ -409,8 +432,14 @@ def import_cache(path):
     body = []
     for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("# "):
+            if body:
+                raise ValueError(f"{path}: line {lineno}: a header line after the first record")
             for tok in line[2:].split():
                 key, _, val = tok.partition("=")
+                if key not in _HEADER_KEYS:
+                    raise ValueError(f"{path}: line {lineno}: unknown header key {key!r}")
+                if key in meta:
+                    raise ValueError(f"{path}: line {lineno}: header key {key!r} given twice")
                 meta[key] = val
         elif line:
             body.append((lineno, line))

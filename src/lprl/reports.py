@@ -46,6 +46,12 @@ class CheckReport:
             self.checks.append(Check(label, ok, lhs, rhs, note))
         return ok
 
+    def count(self, label, n):
+        """Count n instances of label at once; a caller that counts this way
+        appends its violations to ``checks`` itself."""
+        if n:
+            self.counts[label] += n
+
     @property
     def violations(self):
         return [c for c in self.checks if not c.ok]

@@ -557,15 +557,22 @@ def _power_sum_parts(x, p, keep=False):
     summed from x next (a tree node above the last level, the prefix of a
     witness search). So the leaves of a tree, half its nodes, store none.
     """
-    chain = []
-    while x is not None and p not in x._sums:
-        chain.append(x)
-        x = x.base
-    parts = () if x is None else x._sums[p]
+    parts = x._sums.get(p)
+    if parts is not None:
+        return parts
+    chain, y = [x], x.base
+    while y is not None and (parts := y._sums.get(p)) is None:
+        chain.append(y)
+        y = y.base
+    if y is None:
+        parts = ()
     for y in reversed(chain):
         own = y.segments if y.base is None else y.segments[len(y.base.segments):]
-        parts += tuple(_segment_power_sum(seg, p) for seg in own)
-        if keep or y is not chain[0]:
+        if len(own) == 1:
+            parts += (_segment_power_sum(own[0], p),)
+        else:
+            parts += tuple(_segment_power_sum(seg, p) for seg in own)
+        if keep or y is not x:
             y._sums[p] = parts
     return parts
 

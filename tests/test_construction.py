@@ -205,6 +205,27 @@ class TestProperties:
             if sigma:
                 assert pnorm_pow(node.block, 2.0) < 2.0 ** -len(sigma)
 
+    def test_each_block_is_costed_once(self, monkeypatch):
+        cache = import_cache(STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt")
+        q = cache.ladder.q
+        costed = []
+        segment_power_sum = seqspace._segment_power_sum
+
+        def recorded(seg, p):
+            if p == q:
+                costed.append(id(seg))
+            return segment_power_sum(seg, p)
+
+        monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
+        rep = check_properties(cache, 10)
+        assert rep.ok, rep.summary()
+        # import_cache shares one block per distinct block text
+        blocks = {id(node.block): node.block for sigma, node in cache._nodes.items() if sigma}
+        assert len(blocks) < 20
+        assert sorted(costed) == sorted(id(seg) for block in blocks.values()
+                                        for seg in block.segments)
+        assert rep.counts["p2-block-cost"] == len(cache) - 1
+
     def test_sub_one_q_configuration(self):
         cache = ConstructionCache(ExpLadder(0.0, 0.5))
         rep = check_properties(cache, 5)
@@ -399,6 +420,28 @@ class TestExportImport:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a cache\n")
         with pytest.raises(ValueError):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("lineno,line,message", [
+        # appended after the records, where it would re-set the run's margin
+        # or ladder; the check would pass, or report thousands of violations
+        (None, "# eta=0.0", "a header line after the first record"),
+        (None, "# eta=0.5 q=7.0", "a header line after the first record"),
+        # a key given twice, on one header line or on two
+        (2, "# a=1.0 a=0.0", "header key 'a' given twice"),
+        (4, "# eta=0.0", "header key 'eta' given twice"),
+        (2, "# seed=3", "unknown header key 'seed'"),
+    ], ids=["eta-after-records", "ladder-after-records", "twice-on-one-line",
+            "twice-on-two-lines", "unknown-key"])
+    def test_rejects_a_header_that_is_not_one_block_of_known_keys(self, tmp_path, lineno,
+                                                                   line, message):
+        lines = (STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt").read_text().splitlines()
+        if lineno is None:
+            lineno = len(lines) + 1
+        lines.insert(lineno - 1, line)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"bad.txt: line {lineno}: {message}")):
             import_cache(bad)
 
     @pytest.mark.parametrize("key", ["a", "q", "explicit", "eta", "step_budget"])
@@ -650,6 +693,82 @@ def test_stored_depth10_export_survives_a_roundtrip(tmp_path, a, q):
     path = STORED_DEPTH10 / f"cache_a{a}_q{q}_len10.txt"
     again = export_cache(import_cache(path), tmp_path / path.name)
     assert again.read_bytes() == path.read_bytes()
+
+
+# check_properties' whole report, as recorded when every instance was
+# counted node by node: a label enters ``instances`` where it is first met
+_DEPTH10_INSTANCES = [
+    ("bookkeeping", 2047), ("phi-nonempty", 2046), ("p1-prefix", 2046),
+    ("p2-block-cost", 2046), ("p3-caps", 8042), ("p6-forced-growth", 1023),
+    ("p4-zero-stable", 1022), ("p5-one-stable", 474),
+]
+
+
+@pytest.mark.parametrize("a,q", [(a, q) for a, q, _ in GOLDEN_DEPTH10],
+                         ids=["a0-q2", "a0-q0.5", "a1-q3"])
+def test_stored_depth10_report_is_pinned(a, q):
+    report = check_properties(import_cache(STORED_DEPTH10 / f"cache_a{a}_q{q}_len10.txt"), 10)
+    assert report.to_dict() == {"title": "construction-properties max_len=10", "ok": True,
+                                "instances": dict(_DEPTH10_INSTANCES), "violations": []}
+    assert list(report.to_dict()["instances"].items()) == _DEPTH10_INSTANCES
+
+
+# records replaced in the (0, 2) depth-4 export, and the report that follows
+CORRUPTED_DEPTH4 = {
+    "five-families": (
+        {
+            # bookkeeping and p4: a 0-node drops a cap (and p5 at its 1-child)
+            "100": "100|M=2|phi=W:1.0,1.0,2,6;L:0.0;L:0.0",
+            # p6: a 1-node's block is a zero
+            "0001": "0001|M=1,1,5|phi=L:0.0;L:0.0;L:0.0;L:0.0",
+            # p4: a 0-node changes a cap it inherits
+            "0100": "0100|M=1,4,8|phi=L:0.0;W:0.5,1.0,4,32;L:0.0;L:0.0",
+            # p2 and p3: a block costs 0.16 > 2**-4
+            "0111": "0111|M=4,23,68|phi=L:0.0;W:0.5,1.0,4,32;W:1.0,1.0,8,170;"
+                    "W:0.25,1.0,16,900;L:0.4",
+            # p3: a cap below its sum
+            "1011": "1011|M=5,23,1|phi=W:1.0,1.0,2,6;L:0.0;W:1.0,1.0,8,170;W:0.25,1.0,16,900",
+        },
+        [("bookkeeping", 31), ("phi-nonempty", 30), ("p1-prefix", 30), ("p2-block-cost", 30),
+         ("p3-caps", 73), ("p6-forced-growth", 15), ("p4-zero-stable", 14),
+         ("p5-one-stable", 10)],
+        [("bookkeeping", "1", "2", "100"),
+         ("p4-zero-stable", "(2,)", "(2, 3)", "100"),
+         ("p6-forced-growth", "0.0", "4", "0001"),
+         ("p4-zero-stable", "(1, 4, 8)", "(1, 3)", "0100"),
+         ("p2-block-cost", "0.16000000042541415", "0.0625", "0111"),
+         ("p3-caps", "23.057218370286563", "23", "0111 i=1"),
+         ("p3-caps", "68.67709771293309", "68", "0111 i=2"),
+         ("p5-one-stable", "(2, 3)", "(2,)", "1001"),
+         ("p3-caps", "63.94010823371998", "1", "1011 i=2")],
+    ),
+    # the first node with caps is 01, so p3 is first met after p6 and p4
+    "p3-first-met-at-01": (
+        {"0": "0|M=|phi=L:0.0", "1": "1|M=|phi=W:1.0,1.0,2,6", "00": "00|M=|phi=L:0.0;L:0.0"},
+        [("bookkeeping", 31), ("phi-nonempty", 30), ("p1-prefix", 30), ("p2-block-cost", 30),
+         ("p6-forced-growth", 15), ("p4-zero-stable", 14), ("p3-caps", 70),
+         ("p5-one-stable", 10)],
+        [("bookkeeping", "0", "1", "0"),
+         ("bookkeeping", "0", "1", "1"),
+         ("bookkeeping", "0", "2", "00"),
+         ("p5-one-stable", "(1,)", "()", "01"),
+         ("p5-one-stable", "(2,)", "()", "11")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTED_DEPTH4))
+def test_corrupted_depth4_report_is_pinned(tmp_path, name):
+    records, instances, violations = CORRUPTED_DEPTH4[name]
+    cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
+    lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(records.get(line.split("|")[0], line) for line in lines) + "\n")
+    report = check_properties(import_cache(bad), 4).to_dict()
+    assert (report["title"], report["ok"]) == ("construction-properties max_len=4", False)
+    assert list(report["instances"].items()) == instances
+    assert [(v["label"], v["lhs"], v["rhs"], v["note"]) for v in report["violations"]] \
+        == violations
 
 
 # SHA-256 of verify_report.json from `lprl verify --max-len 10`
