@@ -160,6 +160,15 @@ def _seeded_continuity_pairs(rng, count):
     return pairs
 
 
+def int_text(n):
+    """n in decimal, or in hex (``0x...``) where decimal would pass Python's
+    limit on int-to-string conversion, which hex is exempt from."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 def run_verification_suites(cache, max_len, seed):
     """All finite-scale suites over the standard corpus; list of reports."""
     reports = [check_properties(cache, max_len)]
@@ -178,7 +187,7 @@ def run_verification_suites(cache, max_len, seed):
             rep.add("target-cleared",
                     certified_less(DIVERGENCE_TARGET, witness.norm_value, cache.margin),
                     witness.norm_value, DIVERGENCE_TARGET,
-                    note=f"prefix_len={witness.prefix_len}")
+                    note=f"prefix_len={int_text(witness.prefix_len)}")
             reports.append(rep)
     rng = random.Random(seed)
     for spec_a, spec_b, agree_to in _seeded_continuity_pairs(rng, CONTINUITY_PAIRS):
@@ -244,7 +253,7 @@ def cmd_trace(cache, spec_text, k, target, out):
         row_i = bad_row(spec)
         witness = divergence_witness(cache, spec, row_i, target)
         print(f"divergence at row {row_i}: power sum {witness.norm_value!r} "
-              f"after prefix of length {witness.prefix_len}")
+              f"after prefix of length {int_text(witness.prefix_len)}")
     return 0
 
 

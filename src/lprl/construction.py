@@ -157,30 +157,29 @@ def _extend_node(cache, parent, bit):
     cap per row from ``keep`` to its depth, above its power sum there."""
     sigma = parent.sigma
     tau = sigma + (bit,)
-    ladder = cache.ladder
+    exps = cache.ladder.exponents(depth(tau) + 1)
     if bit == 0:
         keep, block = len(parent.M), _ZERO_BLOCK
     else:
         keep = level(tau)
         req = ClaimRequest(
             u=parent.phi,
-            q=ladder.q,
-            exps=ladder.exponents(keep + 1),
+            q=cache.ladder.q,
+            exps=exps[:keep + 1],
             caps=tuple(float(c) for c in parent.M[:keep]),
             M=float(len(sigma) + 1),
             eps=2.0 ** -(len(sigma) + 1),
             step_budget=cache.step_budget,
         )
         try:
-            block = extend(req, cache.margin).v
+            # the block's sums for the new caps come from extend's one walk
+            block = extend(req, cache.margin, exps[keep + 1:]).v
         except (PreconditionError, ResourceLimitError) as err:
             err.sigma = tau
             raise
     phi = concat(parent.phi, block)
     caps = parent.M[:keep] + tuple(
-        least_natural_above(pnorm_pow(phi, ladder.exponent(i)), cache.margin)
-        for i in range(keep, depth(tau) + 1)
-    )
+        least_natural_above(pnorm_pow(phi, p), cache.margin) for p in exps[keep:])
     return Node(tau, phi, caps, block)
 
 

@@ -14,7 +14,11 @@ x**-c is positive, so that correction bounds the remainder), at a working
 precision that grows with the endpoints' digits. All of this is one
 kernel, ``_range_power_sum(c, a, b)``, memoized process-wide by those
 arguments; it sums its numpy regime in leaves split as ``np.sum`` splits,
-so millions of terms give ``np.sum``'s value in 0.5 MB.
+so millions of terms give ``np.sum``'s value in 0.5 MB of arrays.
+``_range_power_sums(cs, a, b)`` asks it for several exponents at once: the
+numpy regime then makes each leaf's indices once for all of them, and it
+keeps the sums of the halves on the right edge of its splits, so a window
+one term longer than one summed before sums little more than its last leaf.
 
 A sequence made by ``concat`` links to the sequence it extends, and its
 power sums grow along that link: its per-segment parts are its base's
@@ -172,39 +176,90 @@ def _range_power_sum(c, a, b=None):
     terms, numpy above); longer windows and tails are evaluated
     analytically.
     """
-    key = (c, a, b)
-    out = _WINDOW_SUM_CACHE.get(key)
+    out = _WINDOW_SUM_CACHE.get((c, a, b))
     if out is None:
-        if not _summed_directly(a, b):
-            out = _analytic_range_sum(c, a, b)
-        elif b - a < FSUM_CUTOFF:
-            out = math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
-        else:
-            out = _numpy_power_sum(c, a, b - a + 1)
-        _WINDOW_SUM_CACHE[key] = out
+        out, = _range_power_sums((c,), a, b)
     return out
 
 
-# Terms per numpy array in ``_numpy_power_sum``: 0.5 MB of float64.
-_LEAF_TERMS = 1 << 16
+def _range_power_sums(cs, a, b=None):
+    """``_range_power_sum(c, a, b)`` for each c in cs, as a tuple.
+
+    Exponents the memo lacks are summed in one request and stored only
+    once all of them are: the numpy regime walks the window's leaves once
+    for all of them, the other regimes take them one by one.
+    """
+    memo = _WINDOW_SUM_CACHE
+    todo = [c for c in dict.fromkeys(cs) if (c, a, b) not in memo]
+    if todo:
+        if not _summed_directly(a, b):
+            fresh = [_analytic_range_sum(c, a, b) for c in todo]
+        elif b - a < FSUM_CUTOFF:
+            fresh = [math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1)) for c in todo]
+        else:
+            fresh = _numpy_power_sums(todo, a, b - a + 1)
+        memo.update(((c, a, b), s) for c, s in zip(todo, fresh))
+    return tuple(memo[(c, a, b)] for c in cs)
 
 
-def _numpy_power_sum(c, a, n):
-    """sum_{m=a}^{a+n-1} m**(-c) as ``np.sum`` over all n terms gives it.
+# Terms per leaf in ``_numpy_power_sums``: a leaf's 0.25 MB of float64
+# indices, and as much again for its powers when it serves several
+# exponents, keep a walk's arrays within 0.5 MB.
+_LEAF_TERMS = 1 << 15
+
+# The left halves' sums along the right edge of the numpy regime's
+# pairwise splits, by (c, a, n): at most one per level for each window and
+# exponent, and the sums the next longer window of the same start reuses.
+_HALF_SUM_CACHE = {}
+
+
+def _numpy_power_sums(cs, a, n):
+    """sum_{m=a}^{a+n-1} m**(-c) for each c in cs, as ``np.sum`` over all n
+    terms gives it.
 
     ``np.sum`` adds pairwise: a block of more than 128 terms is split
     after ``half = n // 2`` rounded down to a multiple of 8, and the
     halves' sums are added. Splitting the same way down to leaves of at
     most ``_LEAF_TERMS`` terms, each summed by ``np.sum``, is therefore the
-    same sum bit for bit, in bounded memory.
+    same sum bit for bit, in bounded memory: a leaf's indices are made
+    once and powered for each exponent, so a walk holds at most two
+    leaf-sized arrays, 0.5 MB.
+
+    Each left half on the right edge of the split tree is looked up in
+    ``_HALF_SUM_CACHE``, and a missing one is stored once the whole call
+    has succeeded, so the memo grows by at most one entry per level
+    (O(log n)) for each window and exponent. A window one term longer
+    splits the same way unless a length on that edge is 15 mod 16, and
+    then sums only its last leaf (two, where that leaf was full).
     """
+    fresh = {}
+    out = _pairwise_sums(cs, a, n, np.empty(_LEAF_TERMS) if len(cs) > 1 else None, fresh)
+    _HALF_SUM_CACHE.update(fresh)
+    return out
+
+
+def _pairwise_sums(cs, a, n, buf, fresh=None):
+    """The walk of ``_numpy_power_sums``, its left halves read from the
+    memo and new ones put in ``fresh`` where that is given (on the right
+    edge). A leaf's indices are powered into ``buf`` for each exponent but
+    the last, which powers them in place."""
     if n <= _LEAF_TERMS:
         m = np.arange(a, a + n, dtype=np.float64)
-        m **= -c  # in place
-        return float(np.sum(m))
+        out = [float(np.sum(np.power(m, -c, out=buf[:n]))) for c in cs[:-1]]
+        return out + [float(np.sum(np.power(m, -cs[-1], out=m)))]
     half = n // 2
     half -= half % 8
-    return _numpy_power_sum(c, a, half) + _numpy_power_sum(c, a + half, n - half)
+    if fresh is None:
+        left = _pairwise_sums(cs, a, half, buf)
+    else:
+        sums = {c: _HALF_SUM_CACHE.get((c, a, half)) for c in cs}
+        todo = [c for c, s in sums.items() if s is None]
+        if todo:
+            sums.update(zip(todo, _pairwise_sums(todo, a, half, buf)))
+            fresh.update(((c, a, half), sums[c]) for c in todo)
+        left = sums.values()
+    right = _pairwise_sums(cs, a + half, n - half, buf, fresh)
+    return [x + y for x, y in zip(left, right)]
 
 
 def _analytic_range_sum(c, a, b=None):

@@ -43,6 +43,7 @@ from .seqspace import (
     window_seq,
     _power_sum_parts,
     _range_power_sum,
+    _range_power_sums,
     _summed_directly,
 )
 
@@ -180,6 +181,11 @@ def _least_end(n0, M, margin, step_budget):
     return hi
 
 
+# One block object per window, as every 0-extension shares one zero: the
+# block keeps the power-sum parts summed for it, for each node that has it.
+_block = functools.cache(window_seq)
+
+
 def cap_room(total, cap):
     """Mass that may go on top of ``total`` under ``cap``, less two ulps of
     the cap: the re-check rounds the grown sum, which near a cap whose ulp
@@ -187,15 +193,21 @@ def cap_room(total, cap):
     return cap - total - 2.0 * math.ulp(cap)
 
 
-def extend(req, margin=DEFAULT_MARGIN):
+def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
     Pure function of (request, margin): identical inputs give the identical
     window, which is what makes the tree construction well-defined. The two
-    window searches answer repeated arguments from their memo; the block is
-    still built and re-checked by ``verify_witness`` on every call. The
-    prefix u keeps the power-sum parts summed for it here, so that the
-    re-check sums ``u~v`` from them, block only.
+    window searches answer repeated arguments from their memo, and a window
+    found before gives the same block object (``_block``); the block is
+    still re-checked by ``verify_witness`` on every call. The prefix u
+    keeps the power-sum parts summed for it here, so that the re-check sums
+    ``u~v`` from them, block only.
+
+    The block is summed at q, at every exponent of the request and at
+    ``more_exps``, those a caller will sum ``u~v`` at next, in one kernel
+    request: a window the kernel sums with numpy is walked once for all of
+    them, and the re-check and the caller read the sums from its memo.
     """
     pb = req.exps[-1]
     u_sums = [math.fsum(_power_sum_parts(req.u, p, keep=True)) for p in req.exps[:-1]]
@@ -210,7 +222,8 @@ def extend(req, margin=DEFAULT_MARGIN):
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
     n0 = _least_start(s_tail, thr, margin)
     n1 = _least_end(n0, req.M, margin, req.step_budget)
-    w = ClaimWitness(window_seq(pb, n0, n1), n0, n1)
+    _range_power_sums(tuple(p / pb for p in (req.q, *req.exps, *more_exps)), n0 + 1, n1 + 1)
+    w = ClaimWitness(_block(pb, n0, n1), n0, n1)
     rep = verify_witness(req, w, margin)
     if not rep.ok:
         raise ArithmeticError(

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import construction
+from lprl import cli, construction
 from lprl.construction import ConstructionCache
-from lprl.reduction import AlphaSpec, EventuallyOne, FiniteOnes, PeriodicOnes
+from lprl.reduction import (
+    AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
 from lprl.seqspace import ExpLadder
 from lprl.cli import (
     DIVERGENCE_TARGET,
@@ -20,6 +21,7 @@ from lprl.cli import (
     cmd_build,
     cmd_trace,
     format_alpha_spec,
+    int_text,
     main,
     parse_alpha_spec,
 )
@@ -102,6 +104,39 @@ class TestCommands:
         assert cmd_trace(cache, "row=0:eventually(0)", 5, 2.0, tmp_path) == 0
         out = capsys.readouterr().out
         assert "divergence at row 0" in out
+
+
+# an int whose decimal passes Python's default limit of 4300 digits
+HUGE = 10 ** 5000
+
+
+def huge_text():
+    """HUGE as ``int_text`` must give it under this interpreter's limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return hex(HUGE) if 0 < limit < 5001 else str(HUGE)
+
+
+class TestHugePrefixLength:
+    """A divergence prefix length is written whatever its size."""
+
+    def test_int_text(self):
+        assert int_text(12345) == "12345"
+        assert int_text(HUGE) == huge_text()
+        assert int(int_text(HUGE), 0) == HUGE
+
+    def test_verify_notes_it(self, monkeypatch):
+        monkeypatch.setattr(cli, "divergence_witness",
+                            lambda *args: DivergenceWitness(HUGE, 4.0))
+        reports = cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 2, 0)
+        notes = [c.note for r in reports if r.title.startswith("divergence") for c in r.checks]
+        assert notes and set(notes) == {f"prefix_len={huge_text()}"}
+
+    def test_trace_prints_it(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "divergence_witness",
+                            lambda *args: DivergenceWitness(HUGE, 4.0))
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        assert cmd_trace(cache, "row=0:eventually(0)", 3, 2.0, tmp_path) == 0
+        assert f"after prefix of length {huge_text()}\n" in capsys.readouterr().out
 
 
 class TestMainExitCodes:

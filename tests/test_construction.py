@@ -606,10 +606,12 @@ class TestPowerRow:
             assert bool(node.phi._sums) == (len(sigma) < depth), sigma
 
     def test_each_window_is_summed_once_per_exponent(self, monkeypatch):
-        # a built tree holds one window object per 1-node; with no parts
-        # stored, a check that kept none would sum a parent's window again
-        # for each child
+        # built with one window object per 1-node (1-nodes of one window
+        # share it otherwise); with no parts stored, a check that kept none
+        # would sum a parent's window again for each child
         depth = 6
+        monkeypatch.setattr(construction, "_NODE_MEMO", {})
+        monkeypatch.setattr(witness, "_block", seqspace.window_seq)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
         for node in cache._nodes.values():
             node.phi._sums.clear()

@@ -1,11 +1,13 @@
+import contextlib
 import math
 import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lprl import seqspace
 from lprl.errors import ResourceLimitError
 from lprl.seqspace import (
     DEFAULT_MARGIN,
@@ -30,6 +32,7 @@ from lprl.seqspace import (
     _WINDOW_SUM_CACHE,
     _prefix_walk,
     _range_power_sum,
+    _range_power_sums,
     _window_power_sum,
 )
 
@@ -273,6 +276,101 @@ class TestNumpyLeaves:
         assert _range_power_sum(c, a, b).hex() == power_sum_whole_array(c, a, b).hex()
 
 
+# A small leaf and a small direct cutoff give the numpy walk several levels
+# on a few thousand terms. A leaf stays above the 128 terms that np.sum adds
+# without splitting, so the leaves still split as np.sum does.
+SMALL_LEAF = 1 << 8
+SMALL_DIRECT = 1 << 13
+
+
+@contextlib.contextmanager
+def small_kernel():
+    """The kernel with small leaves, a small direct cutoff and empty memos."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqspace, "_LEAF_TERMS", SMALL_LEAF)
+        patch.setattr(seqspace, "DIRECT_CUTOFF", SMALL_DIRECT)
+        patch.setattr(seqspace, "_WINDOW_SUM_CACHE", {})
+        patch.setattr(seqspace, "_HALF_SUM_CACHE", {})
+        yield
+
+
+def fresh_sum(c, a, b):
+    """sum_{m=a}^{b} m**-c summed afresh as the kernel's regime for [a, b] sums it."""
+    if b - a < FSUM_CUTOFF:
+        return math.fsum((m + 0.0) ** -c for m in range(a, b + 1))
+    if b - a < seqspace.DIRECT_CUTOFF:
+        return power_sum_whole_array(c, a, b)
+    return _analytic_range_sum(c, a, b)
+
+
+def right_edge(n):
+    """The lengths on the right edge of the numpy walk's split tree of n
+    terms, from n down to its last leaf."""
+    lengths = [n]
+    while n > seqspace._LEAF_TERMS:
+        half = n // 2
+        n -= half - half % 8
+        lengths.append(n)
+    return lengths
+
+
+# lengths n = b - a + 1 across FSUM_CUTOFF, SMALL_DIRECT and leaf multiples
+small_lengths = st.one_of(
+    st.integers(FSUM_CUTOFF - 1, FSUM_CUTOFF + 3),
+    st.integers(SMALL_DIRECT - 2, SMALL_DIRECT + 1),
+    st.builds(lambda k, d: k * SMALL_LEAF + d,
+              st.integers(FSUM_CUTOFF // SMALL_LEAF + 1, SMALL_DIRECT // SMALL_LEAF - 1),
+              st.integers(-9, 9)),
+    st.integers(FSUM_CUTOFF + 1, SMALL_DIRECT))
+kernel_exponents = st.one_of(st.sampled_from([1.0, 0.5, 2.0, 0.0625]),
+                             st.floats(min_value=0.02, max_value=16.0))
+
+
+class TestMultiExponentWalk:
+    """One walk of a window's leaves gives every exponent's fresh sum."""
+
+    @given(st.lists(kernel_exponents, min_size=1, max_size=5), st.integers(1, 2 ** 40),
+           small_lengths, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_one_walk_equals_fresh_sums_per_exponent(self, cs, a, n, one_first):
+        with small_kernel():
+            if one_first:  # a probe has summed the window at its first exponent
+                _range_power_sum(cs[0], a, a + n - 1)
+            for b in (a + n - 1, a + n):  # lengths n, then n + 1
+                got = _range_power_sums(tuple(cs), a, b)
+                assert [s.hex() for s in got] == [fresh_sum(c, a, b).hex() for c in cs]
+
+    @given(st.lists(kernel_exponents, min_size=1, max_size=4, unique=True),
+           st.integers(1, 2 ** 40),
+           st.integers(FSUM_CUTOFF + 1, SMALL_DIRECT - 1).filter(lambda n: n % 16 != 15))
+    @settings(max_examples=40, deadline=None)
+    @example(cs=[1.0, 0.5], a=129, n=5000)  # right edge 5000, 2504, 1256, 632, 320, 160
+    def test_a_window_one_longer_sums_one_leaf(self, cs, a, n):
+        # every split but the last leaf's stays put when no length on the
+        # right edge is 15 mod 16, and the last leaf does not outgrow a leaf
+        made = []
+        arange = seqspace.np.arange
+
+        def counted(*args, **kwargs):
+            out = arange(*args, **kwargs)
+            made.append(out.size)
+            return out
+
+        with small_kernel(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seqspace.np, "arange", counted)
+            edge = right_edge(n)
+            _range_power_sums(tuple(cs), a, a + n - 1)
+            assert max(made) <= SMALL_LEAF
+            assert len(seqspace._HALF_SUM_CACHE) == len(cs) * (len(edge) - 1)
+            if any(length % 16 == 15 for length in edge[:-1]) or edge[-1] == SMALL_LEAF:
+                return
+            made.clear()
+            halves = dict(seqspace._HALF_SUM_CACHE)
+            _range_power_sums(tuple(cs), a, a + n)
+            assert made == [edge[-1] + 1]
+            assert seqspace._HALF_SUM_CACHE == halves
+
+
 class TestKernelMemo:
     """One memo, keyed by the kernel's own arguments (c, a, b)."""
 
@@ -292,6 +390,11 @@ class TestKernelMemo:
                 _range_power_sum(1.0, 5)
         assert len(_WINDOW_SUM_CACHE) == before
         assert (1.0, 5, None) not in _WINDOW_SUM_CACHE
+        # a request whose second exponent raises keeps neither sum
+        _WINDOW_SUM_CACHE.pop((2.5, 5, None), None)
+        with pytest.raises(ValueError):
+            _range_power_sums((2.5, 1.0), 5)
+        assert (2.5, 5, None) not in _WINDOW_SUM_CACHE
 
 
 @st.composite

@@ -191,12 +191,14 @@ class TestVerifyWitness:
 
     def test_recheck_reuses_the_searched_window_sum(self, monkeypatch):
         # _least_end has summed the block at the divergence exponent (the
-        # kernel's c = 1), so the re-check inside extend adds no entry there
+        # kernel's c = 1), and extend sums it at q and at the cap exponents
+        # in one request before the re-check, which so adds no entry
         added = []
 
         def recording(req, w, margin):
             before = set(_WINDOW_SUM_CACHE)
-            assert (1.0, w.n0 + 1, w.n1 + 1) in before
+            for p in (req.q, *req.exps):
+                assert (p / req.exps[-1], w.n0 + 1, w.n1 + 1) in before
             rep = verify_witness(req, w, margin)
             added.extend(set(_WINDOW_SUM_CACHE) - before)
             return rep
@@ -205,8 +207,8 @@ class TestVerifyWitness:
         req = ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.5), caps=(10.0,),
                            M=1.6180339887, eps=0.03125)
         extend(req, MARGIN)
-        assert added  # the q-cost and cap sums are new keys
-        assert not [key for key in added if key[0] == 1.0]
+        assert added == []
+
 
 def _random_request(rng, q_low, q_high):
     """A request whose window stays at desk scale: tail ratios >= 1.5, M <= 3."""
