@@ -21,6 +21,7 @@ from .construction import (
     cache_stats,
     check_properties,
     export_cache,
+    int_text,
     power_row,
     walk_path,
     write_output,
@@ -119,10 +120,10 @@ def cmd_build(cache, max_len, out):
     stats = cache_stats(cache)
     path = export_cache(cache, out / f"cache_a{cache.ladder.a}_q{cache.ladder.q}_len{max_len}.txt")
     print(f"nodes cached: {stats['nodes']}")
-    print(f"max phi length: {stats['max_phi_length']}")
+    print(f"max phi length: {int_text(stats['max_phi_length'])}")
     print(f"stored literal entries: {stats['literal_entries']}")
     print(f"window segments: {stats['window_segments']} "
-          f"(covering {stats['window_entries']} entries as descriptors)")
+          f"(covering {int_text(stats['window_entries'])} entries as descriptors)")
     print(f"cache written to {path}")
     return 0
 
@@ -158,15 +159,6 @@ def _seeded_continuity_pairs(rng, count):
             continue
         pairs.append((spec_a, spec_b, agree_to))
     return pairs
-
-
-def int_text(n):
-    """n in decimal, or in hex (``0x...``) where decimal would pass Python's
-    limit on int-to-string conversion, which hex is exempt from."""
-    try:
-        return str(n)
-    except ValueError:
-        return hex(n)
 
 
 def run_verification_suites(cache, max_len, seed):

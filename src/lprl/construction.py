@@ -37,7 +37,6 @@ from .seqspace import (
     concat,
     finite_literal,
     finseq,
-    pnorm_pow,
     _power_sum_parts,
 )
 from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, cap_room, extend
@@ -154,12 +153,17 @@ _ZERO_BLOCK = finseq((0.0,))
 
 def _extend_node(cache, parent, bit):
     """The child by ``bit``: its parent's first ``keep`` caps, then one new
-    cap per row from ``keep`` to its depth, above its power sum there."""
+    cap per row from ``keep`` to its depth, above its power sum there.
+
+    A 1-node's phi is the u~v that ``extend``'s re-check summed, and its new
+    caps come from the sums taken there, so its row is summed once."""
     sigma = parent.sigma
     tau = sigma + (bit,)
     exps = cache.ladder.exponents(depth(tau) + 1)
     if bit == 0:
         keep, block = len(parent.M), _ZERO_BLOCK
+        phi = concat(parent.phi, block)
+        sums = [math.fsum(_power_sum_parts(phi, p)) for p in exps[keep:]]
     else:
         keep = level(tau)
         req = ClaimRequest(
@@ -172,14 +176,13 @@ def _extend_node(cache, parent, bit):
             step_budget=cache.step_budget,
         )
         try:
-            # the block's sums for the new caps come from extend's one walk
-            block = extend(req, cache.margin, exps[keep + 1:]).v
+            w = extend(req, cache.margin, exps[keep + 1:])
         except (PreconditionError, ResourceLimitError) as err:
             err.sigma = tau
             raise
-    phi = concat(parent.phi, block)
-    caps = parent.M[:keep] + tuple(
-        least_natural_above(pnorm_pow(phi, p), cache.margin) for p in exps[keep:])
+        block, phi = w.v, w.uv
+        sums = [w.sums[p] for p in exps[keep:]]
+    caps = parent.M[:keep] + tuple(least_natural_above(s, cache.margin) for s in sums)
     return Node(tau, phi, caps, block)
 
 
@@ -231,9 +234,11 @@ def check_properties(cache, max_len):
     node whose phi is its parent's followed by exact zeros takes its
     parent's sums (``power_row``): nothing is trusted from the bookkeeping
     that produced the caps. Nodes above the last level keep their parts,
-    so a child sums its own block only; the last level keeps none. A block
-    keeps its q-cost parts, so each block object is summed once: every
-    0-node's ``_ZERO_BLOCK``, and an imported tree's one block per text.
+    so a child adds its own block's parts only; the last level keeps none.
+    A block keeps its parts, so each block object is summed once per
+    exponent, by the build or here, as the kernel memo answers both: every
+    0-node's ``_ZERO_BLOCK``, a built tree's one block per window and an
+    imported tree's one block per text.
     Every claim is evaluated at every node, but only violations are
     recorded, each noting the offending string; instances are counted once
     per level. p3 compares a row only against the caps a node has, so a
@@ -326,13 +331,28 @@ def cache_stats(cache):
 # Cache export / import
 # ---------------------------------------------------------------------------
 
+def int_text(n):
+    """n in decimal, or in hex (``0x...``) where decimal would pass Python's
+    limit on int-to-string conversion, which hex is exempt from."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
+def _parse_int(text):
+    """An int as ``int_text`` writes it."""
+    return int(text, 16) if text.startswith("0x") else int(text)
+
+
 def _format_segments(fs):
     parts = []
     for seg in fs.segments:
         if isinstance(seg, Literal):
             parts.append("L:" + ",".join(repr(v) for v in seg.values))
         else:
-            parts.append(f"W:{seg.p_bottom!r},{seg.scale!r},{seg.n_start},{seg.n_end}")
+            parts.append(f"W:{seg.p_bottom!r},{seg.scale!r},"
+                         f"{int_text(seg.n_start)},{int_text(seg.n_end)}")
     return ";".join(parts)
 
 
@@ -345,7 +365,7 @@ def _parse_segments(text):
                 segs.append(finite_literal(body.split(",")))
             elif kind == "W":
                 pb, sc, n0, n1 = body.split(",")
-                segs.append(PowerWindow(float(pb), int(n0), int(n1), float(sc)))
+                segs.append(PowerWindow(float(pb), _parse_int(n0), _parse_int(n1), float(sc)))
             else:
                 raise ValueError(f"unknown segment kind {kind!r}")
     return tuple(segs)
@@ -492,5 +512,5 @@ def import_cache(path):
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
         texts[sigma] = text
-        cache._nodes[sigma] = Node(sigma, FinSeq(block.segments, base=parent.phi), caps, block)
+        cache._nodes[sigma] = Node(sigma, concat(parent.phi, block), caps, block)
     return cache

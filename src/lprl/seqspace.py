@@ -20,13 +20,15 @@ numpy regime then makes each leaf's indices once for all of them, and it
 keeps the sums of the halves on the right edge of its splits, so a window
 one term longer than one summed before sums little more than its last leaf.
 
-A sequence made by ``concat`` links to the sequence it extends, and its
-power sums grow along that link: its per-segment parts are its base's
-parts followed by those of its own segments. A sequence keeps that tuple
-per exponent once a longer sequence has been summed from it, or at once
-when it is summed by a caller that will extend it next (``keep``). A
-power sum is ``math.fsum`` of the parts, so the power sum of a tree node
-sums one block yet is the ``math.fsum`` over all of its segments' parts.
+A sequence made by ``concat`` links to the sequence it extends and to the
+block it appends, and its power sums grow along those links: its
+per-segment parts are its base's parts followed by its block's. A block
+keeps its parts per exponent, so a block that many sequences append is
+summed once. A base keeps that tuple once a longer sequence has been
+summed from it, or at once when it is summed by a caller that will extend
+it next (``keep``). A power sum is ``math.fsum`` of the parts, so the
+power sum of a tree node sums one block yet is the ``math.fsum`` over all
+of its segments' parts.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -350,32 +352,35 @@ def _euler_maclaurin(c, a, b):
 class FinSeq:
     """A finite sequence of reals, stored as a tuple of segments.
 
-    ``FinSeq(segments, base=u)`` is u followed by the given segments: it
-    keeps the link to u, and ``segments`` is still the full tuple, u's
-    segments then its own. ``pnorm_pow`` sums only the own segments and
-    takes the rest from u's power-sum parts, which u keeps per exponent
-    in ``_sums`` once they have been computed through u, or computed for u
-    by a caller that will extend it next.
+    ``FinSeq(v, base=u)`` is u followed by the FinSeq v: it keeps the links
+    to u and to v, its ``block``, and ``segments`` is still the full tuple,
+    u's segments then v's. ``pnorm_pow`` takes its power-sum parts from
+    u's and v's, which each keeps per exponent in ``_sums``: v once they
+    have been computed, u once they have been computed through u, or
+    computed for u by a caller that will extend it next.
 
     Immutable by convention. ``length`` is an exact int and may exceed
     anything materializable; entry access and materialization guard against
     that explicitly instead of overflowing.
     """
 
-    __slots__ = ("segments", "length", "base", "_sums")
+    __slots__ = ("segments", "length", "base", "block", "_sums")
 
     def __init__(self, segments=(), base=None):
-        segs = tuple(segments)
-        lengths = [s.length for s in segs]
-        if 0 in lengths:
-            segs = tuple(s for s, n in zip(segs, lengths) if n)
-        length = sum(lengths)
+        block = None
         if base is not None:
-            segs = base.segments + segs
-            length += base.length
+            block = segments
+            segs, length = base.segments + block.segments, base.length + block.length
+        else:
+            segs = tuple(segments)
+            lengths = [s.length for s in segs]
+            if 0 in lengths:
+                segs = tuple(s for s, n in zip(segs, lengths) if n)
+            length = sum(lengths)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "base", base)
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "_sums", {})
 
     def __setattr__(self, *a):
@@ -607,10 +612,12 @@ def _segment_power_sum(seg, p):
 def _power_sum_parts(x, p, keep=False):
     """x's per-segment power-sum parts at p, in segment order.
 
-    They are stored on the bases they were grown through, and on x itself
-    only with ``keep``, which a caller sets when a longer sequence will be
-    summed from x next (a tree node above the last level, the prefix of a
-    witness search). So the leaves of a tree, half its nodes, store none.
+    A linked sequence's parts are its base's followed by its block's. They
+    are stored on every block, on the bases they were grown through, and
+    on x itself only with ``keep``, which a caller sets when a longer
+    sequence will be summed from x next (a tree node above the last level,
+    the prefix of a witness search, a block). So the leaves of a tree, half
+    its nodes, store none, and each distinct block is summed once.
     """
     parts = x._sums.get(p)
     if parts is not None:
@@ -619,28 +626,26 @@ def _power_sum_parts(x, p, keep=False):
     while y is not None and (parts := y._sums.get(p)) is None:
         chain.append(y)
         y = y.base
-    if y is None:
-        parts = ()
     for y in reversed(chain):
-        own = y.segments if y.base is None else y.segments[len(y.base.segments):]
-        if len(own) == 1:
-            parts += (_segment_power_sum(own[0], p),)
+        if y.base is None:  # the chain's start, with no base that kept parts
+            parts = tuple(_segment_power_sum(seg, p) for seg in y.segments)
         else:
-            parts += tuple(_segment_power_sum(seg, p) for seg in own)
+            own = y.block._sums.get(p)
+            parts += _power_sum_parts(y.block, p, keep=True) if own is None else own
         if keep or y is not x:
             y._sums[p] = parts
     return parts
 
 
 def concat(u, v):
-    """u followed by v, as ``FinSeq(v.segments, base=u)``.
+    """u followed by v, as ``FinSeq(v, base=u)``.
 
-    The result links to u, so its power sums add v's parts to u's stored
-    ones, and its prefix test against u compares u's own segment objects.
+    The result links to u and v, so its power sums add v's stored parts to
+    u's stored ones, and its prefix test against u compares u's own segment
+    objects.
     """
     u = as_finseq(u)
-    v = as_finseq(v)
-    return FinSeq(v.segments, base=u)
+    return FinSeq(as_finseq(v), base=u)
 
 
 def scale(x, c):

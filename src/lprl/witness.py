@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
@@ -39,7 +39,6 @@ from .seqspace import (
     as_finseq,
     certified_less,
     concat,
-    pnorm_pow,
     window_seq,
     _power_sum_parts,
     _range_power_sum,
@@ -93,11 +92,28 @@ class ClaimRequest:
 
 @dataclass(frozen=True)
 class ClaimWitness:
-    """The appended block v together with its generator index window."""
+    """The appended block v together with its generator index window.
+
+    A witness from ``extend`` also holds the sequence u~v that its re-check
+    summed, ``uv``, and u~v's power sums by exponent, ``sums``, so that the
+    tree takes u~v as a node's phi and its caps from those sums. Neither
+    takes part in equality.
+    """
 
     v: FinSeq
     n0: int
     n1: int
+    uv: FinSeq = field(default=None, compare=False, repr=False)
+    sums: dict = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class WitnessReport(CheckReport):
+    """``verify_witness``'s report, with the sequence u~v it summed (None
+    for an empty block) and u~v's power sums by exponent."""
+
+    uv: FinSeq = None
+    sums: dict = field(default_factory=dict)
 
 
 def _least_true(pred, guess, floor):
@@ -199,15 +215,15 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     Pure function of (request, margin): identical inputs give the identical
     window, which is what makes the tree construction well-defined. The two
     window searches answer repeated arguments from their memo, and a window
-    found before gives the same block object (``_block``); the block is
-    still re-checked by ``verify_witness`` on every call. The prefix u
-    keeps the power-sum parts summed for it here, so that the re-check sums
-    ``u~v`` from them, block only.
+    found before gives the same block object (``_block``), which keeps its
+    power-sum parts; the block is still re-checked by ``verify_witness`` on
+    every call. The prefix u keeps the power-sum parts summed for it here,
+    so that the re-check sums ``u~v`` from them and the block's.
 
     The block is summed at q, at every exponent of the request and at
-    ``more_exps``, those a caller will sum ``u~v`` at next, in one kernel
-    request: a window the kernel sums with numpy is walked once for all of
-    them, and the re-check and the caller read the sums from its memo.
+    ``more_exps`` in one kernel request: a window the kernel sums with
+    numpy is walked once for all of them. The witness returned holds the
+    re-check's u~v and its power sums, at ``more_exps`` too.
     """
     pb = req.exps[-1]
     u_sums = [math.fsum(_power_sum_parts(req.u, p, keep=True)) for p in req.exps[:-1]]
@@ -223,12 +239,15 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     n0 = _least_start(s_tail, thr, margin)
     n1 = _least_end(n0, req.M, margin, req.step_budget)
     _range_power_sums(tuple(p / pb for p in (req.q, *req.exps, *more_exps)), n0 + 1, n1 + 1)
-    w = ClaimWitness(_block(pb, n0, n1), n0, n1)
-    rep = verify_witness(req, w, margin)
+    block = _block(pb, n0, n1)
+    rep = verify_witness(req, ClaimWitness(block, n0, n1), margin)
     if not rep.ok:
         raise ArithmeticError(
             "constructed witness failed its own re-check:\n" + rep.summary())
-    return w
+    sums = rep.sums
+    for p in more_exps:
+        sums[p] = math.fsum(_power_sum_parts(rep.uv, p))
+    return ClaimWitness(block, n0, n1, rep.uv, sums)
 
 
 def verify_witness(req, w, margin):
@@ -236,19 +255,22 @@ def verify_witness(req, w, margin):
 
     Uses only the block's entries (partial sums), never the tail estimates
     that guided the search, so a bookkeeping bug in ``extend`` cannot
-    certify itself.
+    certify itself. u~v is ``concat(req.u, w.v)``, summed once at each of
+    the request's exponents; the report holds it and those sums.
     """
-    rep = CheckReport("claim-witness", keep_passing=True)
+    rep = WitnessReport("claim-witness", keep_passing=True)
     v = w.v
     rep.add("non-empty", v.length >= 1, v.length, 1)
     if v.length == 0:
         return rep
-    qcost = pnorm_pow(v, req.q)
+    qcost = math.fsum(_power_sum_parts(v, req.q, keep=True))
     rep.add("q-cost", certified_less(qcost, req.eps, margin), qcost, req.eps)
-    uv = concat(req.u, v)
+    rep.uv = uv = concat(req.u, v)
+    sums = rep.sums
+    for p in req.exps:
+        sums[p] = math.fsum(_power_sum_parts(uv, p))
     for i, (p, r) in enumerate(zip(req.exps, req.caps)):
-        tot = pnorm_pow(uv, p)
-        rep.add(f"cap-p{i}", certified_less(tot, r, margin), tot, r)
-    div = pnorm_pow(uv, req.exps[-1])
+        rep.add(f"cap-p{i}", certified_less(sums[p], r, margin), sums[p], r)
+    div = sums[req.exps[-1]]
     rep.add("divergence", certified_less(req.M, div, margin), div, req.M)
     return rep

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -416,6 +417,42 @@ class TestExportImport:
         assert all(node.phi.base is loaded._nodes[sigma[:-1]].phi
                    for sigma, node in loaded._nodes.items() if sigma)
 
+    def test_a_window_index_past_the_int_text_limit_round_trips(self, tmp_path):
+        # str() refuses an int of more than 4300 digits: such an index is
+        # written in hex, and an index that fits stays decimal
+        huge = 10 ** 5000
+        block = FinSeq((PowerWindow(1.0, 7, huge),))
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        cache._nodes[(1,)] = Node((1,), concat(cache._nodes[()].phi, block), (1,), block)
+        path = export_cache(cache, tmp_path / "cache.txt")
+        assert path.read_text().splitlines()[-1] == f"1|M=1|phi=W:1.0,1.0,7,{hex(huge)}"
+        loaded = import_cache(path)
+        assert loaded._nodes[(1,)].block.segments == block.segments
+        assert loaded._nodes[(1,)].phi.length == huge - 6
+        assert export_cache(loaded, tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("index,error", [
+        (lambda n: hex(int(n)), None),
+        (lambda n: "0xZZ", "invalid literal for int() with base 16: '0xZZ'"),
+        (lambda n: "0x", "invalid literal for int() with base 16: '0x'"),
+    ], ids=["hex", "bad-digits", "no-digits"])
+    def test_a_hex_window_index_is_read_back(self, tmp_path, small_cache, index, error):
+        build_tree(small_cache, 2)
+        path = export_cache(small_cache, tmp_path / "cache.txt")
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("01|"))
+        head, n_end = lines[lineno - 1].rsplit(",", 1)  # a leaf's last window end
+        lines[lineno - 1] = f"{head},{index(n_end)}"
+        edited = tmp_path / "edited.txt"
+        edited.write_text("\n".join(lines) + "\n")
+        if error is None:
+            loaded = import_cache(edited)
+            assert loaded._nodes[(0, 1)].block == small_cache._nodes[(0, 1)].block
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"edited.txt: line {lineno}: bad record {lines[lineno - 1]!r}: {error}")):
+                import_cache(edited)
+
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a cache\n")
@@ -607,14 +644,15 @@ class TestPowerRow:
 
     def test_each_window_is_summed_once_per_exponent(self, monkeypatch):
         # built with one window object per 1-node (1-nodes of one window
-        # share it otherwise); with no parts stored, a check that kept none
-        # would sum a parent's window again for each child
+        # share it otherwise); with no parts stored, on phis or on blocks, a
+        # check that kept none would sum a parent's window again for each child
         depth = 6
         monkeypatch.setattr(construction, "_NODE_MEMO", {})
         monkeypatch.setattr(witness, "_block", seqspace.window_seq)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
         for node in cache._nodes.values():
             node.phi._sums.clear()
+            node.block._sums.clear()
         summed = []
         segment_power_sum = seqspace._segment_power_sum
 
@@ -788,6 +826,77 @@ def test_depth10_verify_report_is_golden(tmp_path, capsys, a, q, digest):
     report = tmp_path / "verify_report.json"
     assert json.loads(report.read_text())["ok"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+class TestOneRowPerNode:
+    """A node's power sums are summed once: each distinct block once per
+    exponent, and a 1-node's row where ``extend``'s re-check sums u~v."""
+
+    def test_each_block_reaches_the_kernel_once_per_exponent(self, monkeypatch):
+        monkeypatch.setattr(construction, "_NODE_MEMO", {})
+        # new 1-node blocks, with no parts kept, shared as ``_block`` shares them
+        monkeypatch.setattr(witness, "_block", functools.cache(seqspace.window_seq))
+        summed = []
+        segment_power_sum = seqspace._segment_power_sum
+
+        def recorded(seg, p):
+            summed.append((seg, p))
+            return segment_power_sum(seg, p)
+
+        monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 10)
+        block_of = {id(seg): node.block for node in cache._nodes.values()
+                    for seg in node.block.segments}
+        pairs = [(id(block_of[id(seg)]), p) for seg, p in summed]
+        assert len(pairs) > 10 and len(pairs) == len(set(pairs))
+        # the 1-nodes share one window block per length, each summed here
+        ones = {id(node.block) for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)}
+        assert len(ones) == 10 and ones <= {block for block, _ in pairs}
+
+    def test_a_one_node_phi_is_the_uv_its_recheck_summed(self, monkeypatch, fresh_nodes):
+        rechecks = []
+        verify_witness = witness.verify_witness
+
+        def recorded(req, w, margin):
+            rechecks.append(verify_witness(req, w, margin))
+            return rechecks[-1]
+
+        monkeypatch.setattr(witness, "verify_witness", recorded)
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
+        ones = [node for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)]
+        assert len(ones) == len(rechecks) == 2 ** 5 - 1
+        for node, rep in zip(ones, rechecks):
+            assert node.phi is rep.uv
+            assert node.phi.block is node.block
+
+    @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
+    def test_rows_and_kept_parts_equal_a_full_resummation(self, tmp_path, monkeypatch,
+                                                          fresh_nodes, imported):
+        depth = 6
+        witnesses = []
+
+        def recorded(req, margin, more_exps=()):
+            witnesses.append(extend(req, margin, more_exps))
+            return witnesses[-1]
+
+        monkeypatch.setattr(construction, "extend", recorded)
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), depth)
+        for w in witnesses:  # the sums the new caps were taken from
+            fresh = FinSeq(w.uv.segments)
+            assert {p: s.hex() for p, s in w.sums.items()} == {
+                p: pnorm_pow(fresh, p).hex() for p in w.sums}
+        if imported:
+            cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
+        assert check_properties(cache, depth).ok
+        kept = 0
+        for node in cache._nodes.values():
+            for seq in (node.phi, node.block):
+                fresh = FinSeq(seq.segments)
+                for p, parts in seq._sums.items():
+                    kept += 1
+                    assert [x.hex() for x in parts] == [
+                        x.hex() for x in _power_sum_parts(fresh, p)]
+        assert kept
 
 
 class TestResourceHandling:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lprl import seqspace, witness
+from lprl import reports, seqspace, witness
 from lprl.errors import PreconditionError, ResourceLimitError
 from lprl.seqspace import (
     DIRECT_CUTOFF,
     EMPTY,
+    FinSeq,
     Margin,
     PowerWindow,
     _WINDOW_SUM_CACHE,
@@ -137,6 +138,39 @@ class TestExtendProperties:
         assert verify_witness(req, extend(req, MARGIN), MARGIN).ok
         assert sorted(summed) == sorted({(id(seg), p) for seg in u.segments
                                          for p in req.exps})
+
+    def test_extend_makes_no_passing_check(self, monkeypatch):
+        # extend reads the re-check's verdict, u~v and sums; only a direct
+        # verify_witness caller that reads its checks gets Check objects
+        made = []
+        check = reports.Check
+
+        def recorded(*args):
+            made.append(check(*args))
+            return made[-1]
+
+        monkeypatch.setattr(reports, "Check", recorded)
+        req = ClaimRequest(u=finseq((0.5,)), q=2.0, exps=(1.5, 1.0, 0.5), caps=(10.0, 10.0),
+                           M=1.0, eps=0.5)
+        w = extend(req, MARGIN, (0.25,))
+        assert made == []
+        rep = verify_witness(req, w, MARGIN)
+        assert rep.ok and made == []
+        assert [c.label for c in rep.checks] == ["non-empty", "q-cost", "cap-p0", "cap-p1",
+                                                 "divergence"]
+        assert rep.checks == made and all(c.ok for c in made)
+
+    def test_witness_holds_the_rechecked_uv_and_its_sums(self):
+        u = concat(window_seq(1.0, 0, 3, 0.5), finseq((0.25,)))
+        req = ClaimRequest(u=u, q=2.0, exps=(1.5, 1.2, 1.0), caps=(10.0, 10.0), M=2.0, eps=0.1)
+        w = extend(req, MARGIN, (0.75, 0.5))
+        assert w.uv.base is u and w.uv.block is w.v
+        assert sorted(w.sums) == [0.5, 0.75, 1.0, 1.2, 1.5]
+        fresh = FinSeq(w.uv.segments)  # no links, no stored parts
+        assert {p: s.hex() for p, s in w.sums.items()} == {
+            p: pnorm_pow(fresh, p).hex() for p in w.sums}
+        # neither takes part in equality
+        assert w == ClaimWitness(w.v, w.n0, w.n1)
 
     def test_cap_violation_rejected(self):
         req = ClaimRequest(u=finseq((2.0,)), q=2.0, exps=(1.0, 0.5), caps=(1.5,),
