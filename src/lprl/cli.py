@@ -22,8 +22,6 @@ from .construction import (
     check_properties,
     export_cache,
     int_text,
-    power_row,
-    walk_path,
     write_output,
 )
 from .errors import ResourceLimitError
@@ -39,7 +37,7 @@ from .reduction import (
     continuity_check,
     divergence_witness,
     in_p3,
-    path_bits,
+    path_rows,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
@@ -170,8 +168,9 @@ def run_verification_suites(cache, max_len, seed):
         reports.append(unit_ball_check(cache, spec, depth))
     for spec in corpus:
         if in_p3(spec):
+            path = path_rows(cache, spec, depth, cache.ladder.exponents(STABILIZATION_ROWS))
             for i in range(STABILIZATION_ROWS):
-                reports.append(stabilization_check(cache, spec, i, depth))
+                reports.append(stabilization_check(cache, spec, i, depth, path))
         else:
             row = bad_row(spec)
             witness = divergence_witness(cache, spec, row, DIVERGENCE_TARGET)
@@ -215,7 +214,9 @@ def cmd_trace(cache, spec_text, k, target, out):
     """Emit the block table of a path as CSV (full-precision values).
 
     A non-member spec's divergence target is checked before anything is
-    built, written or printed; a member spec never reads it.
+    built, written or printed; a member spec never reads it. The path to
+    k is walked once (``path_rows``): the table, the stabilization checks
+    and the divergence walk up to k read its nodes and its power sums.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -224,26 +225,25 @@ def cmd_trace(cache, spec_text, k, target, out):
     if not member:
         check_divergence_target(target)
     ladder = cache.ladder
-    exps = (ladder.q,) + ladder.exponents(4)
-    rows = []
-    parent, sums = None, ()
-    for t, node in enumerate(walk_path(cache, path_bits(spec, k))):
-        sums = power_row(node, exps, parent, sums)
+    path = path_rows(cache, spec, k, (ladder.q,) + ladder.exponents(4))
+    rows, cells, last = [], None, None
+    for t, (node, sums) in enumerate(path):
+        if sums is not last:  # a 0-node that shares its parent's sums shares their text
+            cells, last = [*map(repr, sums.values())], sums
         rows.append([t, node.sigma[-1], node.block.length,
-                     repr(pnorm_pow(node.block, ladder.q)), *map(repr, sums)])
-        parent = node
+                     repr(pnorm_pow(node.block, ladder.q)), *cells])
     # no field needs quoting: each is an int, a column name or a float repr
     lines = [",".join(map(str, r)) for r in (TRACE_COLUMNS, *rows)]
-    path = write_output(out / "trace.csv", "\r\n".join(lines) + "\r\n")
+    written = write_output(out / "trace.csv", "\r\n".join(lines) + "\r\n")
     print("\n".join(lines))
-    print(f"trace written to {path}")
+    print(f"trace written to {written}")
     if member:
         for i in range(STABILIZATION_ROWS):
-            rep = stabilization_check(cache, spec, i, k)
+            rep = stabilization_check(cache, spec, i, k, path)
             print(rep.summary())
     else:
         row_i = bad_row(spec)
-        witness = divergence_witness(cache, spec, row_i, target)
+        witness = divergence_witness(cache, spec, row_i, target, path)
         print(f"divergence at row {row_i}: power sum {witness.norm_value!r} "
               f"after prefix of length {int_text(witness.prefix_len)}")
     return 0
@@ -275,8 +275,9 @@ def _print_sigma(err):
 
 @functools.cache
 def _parser():
-    """The argument parser, built once per process; ``--out`` defaults to
-    None, so ``$LPRL_OUT`` is read per call by ``main``."""
+    """The top-level parser and each command's own by name, built once per
+    process; ``--out`` defaults to None, so ``$LPRL_OUT`` is read per call
+    by ``main``."""
     parser = argparse.ArgumentParser(
         prog="lprl",
         description="Certified finite-scale checks for the sequence-space construction. "
@@ -296,12 +297,25 @@ def _parser():
                          help="number of blocks to trace")
     p_trace.add_argument("--target", type=float, default=DIVERGENCE_TARGET,
                          help="divergence target for non-member specs")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
+    """Run one command; return its exit code.
+
+    argv is parsed once, by the named command's own parser, so a usage
+    error names the command. The top-level parser reads only an argv that
+    does not start with a command, such as ``--help``, no command or an
+    unknown one.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
         ladder = ExpLadder(args.a, args.q, tuple(float(p) for p in args.ladder.split(",") if p))
         cache = ConstructionCache(ladder, Margin(args.eta), args.step_budget)
         out = Path(args.out or os.environ.get("LPRL_OUT", "out"))

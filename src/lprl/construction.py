@@ -105,14 +105,15 @@ def build_node(cache, sigma):
     return node
 
 
-def walk_path(cache, bits):
-    """Yield the node at each prefix of bits, from length 1 on.
+def walk_path(cache, bits, start=None):
+    """Yield the node at each prefix of bits, from length 1 on, below start
+    (the root by default).
 
     Each step is one ``_child``, so bits may be any iterable, an endless
     one included: a node is built only when the walk reaches it.
     """
     memo = _memo_of(cache)
-    node = cache._nodes[()]
+    node = cache._nodes[()] if start is None else start
     for bit in bits:
         node = _child(cache, memo, node, bit)
         yield node

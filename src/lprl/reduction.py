@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .construction import walk_path
+from .construction import power_row, walk_path
 from .errors import PreconditionError
 from .grid import pair, unpair
 from .reports import CheckReport
@@ -143,6 +143,27 @@ def path_bits(spec, k):
     return tuple(alpha_bit(spec, n) for n in range(k + 1))
 
 
+def path_rows(cache, spec, k, exps):
+    """The nodes u_0..u_k of spec's path, each with its power sums at exps.
+
+    One walk, as a list of ``(node, {p: sum})`` in exps' order. Each row
+    comes from ``power_row``, which takes a 0-node's sums from its parent,
+    so every sum is ``pnorm_pow(node.phi, p)`` bit for bit. A node whose
+    row is its parent's row object shares its parent's dict, so a reader
+    may format such a row once. The checks below take such a list, so that
+    the table of ``lprl trace`` and its verdicts, or the three
+    stabilization rows of ``lprl verify``, read one walk.
+    """
+    rows, parent, row, sums = [], None, (), {}
+    for node in walk_path(cache, path_bits(spec, k)):
+        last, row = row, power_row(node, exps, parent, row)
+        if row is not last:
+            sums = dict(zip(exps, row))
+        rows.append((node, sums))
+        parent = node
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Blocks and the checks along a path
 # ---------------------------------------------------------------------------
@@ -220,7 +241,7 @@ def check_divergence_target(target):
         raise ValueError(f"divergence target must be finite and >= 0, got {target!r}")
 
 
-def divergence_witness(cache, spec, row, target):
+def divergence_witness(cache, spec, row, target, path=()):
     """Walk the ones of a bad row until the row-exponent power sum beats target.
 
     Each one-bit at grid cell (row, j) forces the power sum at that row's
@@ -230,12 +251,19 @@ def divergence_witness(cache, spec, row, target):
     the row to the next, and a one whose q-cost budget 2**-(position+1)
     underflows to 0.0 is refused before the walk reaches it. Targets are
     checked by ``check_divergence_target``.
+
+    ``path`` is a prefix of the path already walked, as ``path_rows``
+    gives it: its nodes are read as they are, and its sums where they
+    include the row's exponent. The walk goes on from its last node.
     """
     check_divergence_target(target)
     pat = spec.row_pattern(row)
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
-    path = enumerate(walk_path(cache, (alpha_bit(spec, n) for n in itertools.count())))
+    p = cache.ladder.exponent(row)
+    later = walk_path(cache, (alpha_bit(spec, n) for n in itertools.count(len(path))),
+                      path[-1][0] if path else None)
+    steps = enumerate(itertools.chain(path, ((node, ()) for node in later)))
     value = None
     for j in pat.ones():
         pos = pair(row, j)
@@ -248,18 +276,21 @@ def divergence_witness(cache, spec, row, target):
                 f"row {row}'s next one is at position {pos}, where the block "
                 f"budget 2**-{pos + 1} underflows to 0.0; the power sum so far "
                 f"is {value!r}")
-        node = next(node for n, node in path if n == pos)
-        value = pnorm_pow(node.phi, cache.ladder.exponent(row))
+        node, sums = next(step for n, step in steps if n == pos)
+        value = sums[p] if p in sums else pnorm_pow(node.phi, p)
         if certified_less(target, value, cache.margin):
             return DivergenceWitness(node.phi.length, value)
 
 
-def stabilization_check(cache, spec, i, max_k):
+def stabilization_check(cache, spec, i, max_k, path=None):
     """Certify that the cap at row i freezes along a good point's path.
 
     From the first position where rows 0..i have gone permanently zero,
     every longer prefix must keep the identical cap M_i, and every prefix
-    power sum at p_i must stay certifiably below it.
+    power sum at p_i must stay certifiably below it. ``path`` is the path
+    to max_k as ``path_rows`` gives it, with sums at p_i: a caller that
+    checks several rows, or prints the path too, walks it once and passes
+    it. Without it, the path is walked here.
     """
     if not in_p3(spec):
         raise ValueError("stabilization applies only to eventually-zero-row specs")
@@ -275,11 +306,12 @@ def stabilization_check(cache, spec, i, max_k):
                 note="stabilization index beyond max_k; nothing to check")
         return rep
     p_i = cache.ladder.exponent(i)
-    path = list(walk_path(cache, path_bits(spec, max_k)))[n_stable:]
-    m_ref = path[0].M[i]
-    for k, node in enumerate(path, n_stable):
+    if path is None:
+        path = path_rows(cache, spec, max_k, (p_i,))
+    m_ref = path[n_stable][0].M[i]
+    for k, (node, sums) in enumerate(path[n_stable:], n_stable):
         rep.add("cap-stable", node.M[i] == m_ref, node.M[i], m_ref, note=f"k={k}")
-        s = pnorm_pow(node.phi, p_i)
+        s = sums[p_i]
         rep.add("prefix-bounded", certified_less(s, float(m_ref), cache.margin),
                 s, m_ref, note=f"k={k}")
     return rep

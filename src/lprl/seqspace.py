@@ -37,6 +37,7 @@ never silently flip a strictness claim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -577,7 +578,10 @@ class ExpLadder:
             return self.a + (self.explicit[-1] - self.a) * 2.0 ** -(i - k + 1)
         return self.a + (self.q - self.a) * 2.0 ** -(i + 1)
 
+    @functools.cache
     def exponents(self, count):
+        """p_0..p_{count-1}; memoised process-wide by (ladder, count), as
+        every node of one length asks for the same ones."""
         return tuple(self.exponent(i) for i in range(count))
 
 

@@ -222,8 +222,9 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
 
     The block is summed at q, at every exponent of the request and at
     ``more_exps`` in one kernel request: a window the kernel sums with
-    numpy is walked once for all of them. The witness returned holds the
-    re-check's u~v and its power sums, at ``more_exps`` too.
+    numpy is walked once for all of them. A shared block that already holds
+    its parts at each of them sends no request. The witness returned holds
+    the re-check's u~v and its power sums, at ``more_exps`` too.
     """
     pb = req.exps[-1]
     u_sums = [math.fsum(_power_sum_parts(req.u, p, keep=True)) for p in req.exps[:-1]]
@@ -238,8 +239,10 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
     n0 = _least_start(s_tail, thr, margin)
     n1 = _least_end(n0, req.M, margin, req.step_budget)
-    _range_power_sums(tuple(p / pb for p in (req.q, *req.exps, *more_exps)), n0 + 1, n1 + 1)
     block = _block(pb, n0, n1)
+    exps = (req.q, *req.exps, *more_exps)
+    if any(p not in block._sums for p in exps):
+        _range_power_sums(tuple(p / pb for p in exps), n0 + 1, n1 + 1)
     rep = verify_witness(req, ClaimWitness(block, n0, n1), margin)
     if not rep.ok:
         raise ArithmeticError(

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import cli, construction
+from lprl import cli, construction, reduction
 from lprl.construction import ConstructionCache
 from lprl.reduction import (
     AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
+from lprl.reports import CheckReport
 from lprl.seqspace import ExpLadder
 from lprl.cli import (
     DIVERGENCE_TARGET,
@@ -161,8 +162,28 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exit_:
             main(command + flag + ["--out", str(tmp_path)])
         assert exit_.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        # the command's own parser refuses it, and names the command
+        assert err.startswith(f"usage: lprl {command[0]} [-h]")
+        assert f"\nlprl {command[0]}: error: unrecognized arguments" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,code", [
+        ([], 2), (["--help"], 0), (["bogus"], 2), (["trace", "--help"], 0),
+    ], ids=["no-command", "help", "unknown-command", "trace-help"])
+    def test_the_top_level_answers_as_before(self, capsys, argv, code):
+        # main once handed every argv to the top-level parser, which hands a
+        # command's arguments on to that command's parser
+        def answer(parse):
+            with pytest.raises(SystemExit) as exit_:
+                parse(list(argv))
+            return exit_.value.code, capsys.readouterr()
+
+        parser, _ = _parser()
+        got = answer(main)
+        assert got == answer(parser.parse_args)
+        assert got[0] == code
 
     def test_negative_eta_is_two(self, tmp_path, capsys):
         rc = main(["build", "--eta", "-1", "--max-len", "2", "--out", str(tmp_path)])
@@ -299,6 +320,23 @@ class TestMainExitCodes:
                 == (tmp_path / "first" / "trace.csv").read_bytes())
         assert _parser.cache_info().misses == 1
 
+    def test_verify_walks_each_member_path_once(self, monkeypatch):
+        calls = []
+        check = cli.stabilization_check
+
+        def recorded(cache, spec, i, max_k, path=None):
+            calls.append((spec, i, path))
+            return check(cache, spec, i, max_k, path)
+
+        monkeypatch.setattr(cli, "stabilization_check", recorded)
+        cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 4, 0)
+        members = [spec for spec in reduction.standard_corpus() if reduction.in_p3(spec)]
+        assert [(spec, i) for spec, i, _ in calls] == [
+            (spec, i) for spec in members for i in range(3)]
+        for n in range(0, len(calls), 3):
+            (_, _, path), *rest = calls[n:n + 3]
+            assert path is not None and all(other is path for _, _, other in rest)
+
     def test_build_then_trace_cli(self, tmp_path):
         assert main(["build", "--max-len", "4", "--out", str(tmp_path)]) == 0
         assert main(["trace", "--spec", "row=1:finite{0}", "--k", "4",
@@ -338,6 +376,50 @@ def test_trace_output_is_golden(tmp_path, capsys, a, q, spec, csv_digest, out_di
     assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
     # the file and stdout carry the same lines
     assert csv_bytes.decode().split("\r\n")[:-1] == out.splitlines()[:14]
+
+
+class TestOneWalkPerTrace:
+    """A trace request walks its path once: its table, its stabilization
+    checks and its divergence walk up to k read the same nodes and sums."""
+
+    @pytest.mark.parametrize("spec", ["", "row=0:eventually(0)"], ids=["member", "non-member"])
+    def test_a_request_steps_once_per_position(self, tmp_path, capsys, monkeypatch, spec):
+        steps = []
+        child = construction._child
+        monkeypatch.setattr(construction, "_child",
+                            lambda *args: steps.append(args[2].sigma) or child(*args))
+        k = 12
+        assert main(["trace", "--spec", spec, "--k", str(k), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        # every row is checked to k, or the target is cleared before it
+        assert "[PASS] stabilization i=2 j0=0" in out or "divergence at row 0" in out
+        assert len(steps) == k + 1
+
+    def test_stabilization_reads_the_printed_sums(self, tmp_path, monkeypatch):
+        class Keeping(CheckReport):
+            def __init__(self, title, keep_passing=False):
+                super().__init__(title, True)
+
+        monkeypatch.setattr(reduction, "CheckReport", Keeping)
+        reports = []
+        check = cli.stabilization_check
+        monkeypatch.setattr(cli, "stabilization_check",
+                            lambda *args: reports.append(check(*args)) or reports[-1])
+        # rows 0..2 go zero from column 2: positions 5, 8 and 12
+        assert main(["trace", "--spec", "row=0:finite{0,1}", "--k", "12",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        table = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        bounded = []
+        for i, rep in enumerate(reports):
+            for c in rep.checks:
+                if c.label == "prefix-bounded":
+                    t = int(c.note.removeprefix("k="))
+                    assert c.lhs.hex() == float(table[t][f"cum_p{i}_pow"]).hex()
+                    bounded.append((i, t))
+        assert bounded == [(0, t) for t in range(5, 13)] + [(1, t) for t in range(8, 13)] \
+            + [(2, 12)]
+        assert any(float(table[12][f"cum_p{i}_pow"]) > 0 for i in range(3))
 
 
 class TestOutputsAreNewFiles:

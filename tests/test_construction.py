@@ -853,6 +853,19 @@ class TestOneRowPerNode:
         ones = {id(node.block) for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)}
         assert len(ones) == 10 and ones <= {block for block, _ in pairs}
 
+    def test_a_warm_rebuild_sends_no_kernel_request_from_extend(self, monkeypatch,
+                                                                 fresh_nodes):
+        # the 1-nodes of one length share one block, which holds its parts
+        # at every exponent asked once the first build has summed it
+        build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)
+        construction._NODE_MEMO.clear()
+        requests = []
+        range_power_sums = witness._range_power_sums
+        monkeypatch.setattr(witness, "_range_power_sums",
+                            lambda *args: requests.append(args) or range_power_sums(*args))
+        assert len(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)) == 2 ** 13 - 1
+        assert requests == []
+
     def test_a_one_node_phi_is_the_uv_its_recheck_summed(self, monkeypatch, fresh_nodes):
         rechecks = []
         verify_witness = witness.verify_witness

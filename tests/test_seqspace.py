@@ -644,6 +644,12 @@ class TestExpLadder:
         assert ps[0] < lad.q
         assert ps[-1] - a < gap * 2 ** -29
 
+    def test_exponents_are_memoised(self):
+        first = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0)).exponents(12)
+        lad = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0))
+        assert lad.exponents(12) is first
+        assert first == tuple(lad.exponent(i) for i in range(12))
+
     def test_explicit_prefix(self):
         lad = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0))
         assert lad.exponents(2) == (1.5, 1.0)
