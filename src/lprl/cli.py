@@ -1,7 +1,8 @@
 """Command-line front end: build caches, run verification suites, trace paths.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error, 3 resource exhaustion.
+error, 3 a materialization or an entrywise comparison past its entry
+limit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .reduction import (
 )
 from .reports import CheckReport
 from .seqspace import DEFAULT_ETA, ExpLadder, Margin, certified_less, pnorm_pow
-from .witness import DEFAULT_STEP_BUDGET
 
 CORPUS_BLOCK_DEPTH = 12
 DIVERGENCE_TARGET = 3.0
@@ -259,10 +259,6 @@ def _add_common(parser):
     parser.add_argument("--q", type=float, default=2.0, help="ambient exponent (> a)")
     parser.add_argument("--eta", type=float, default=DEFAULT_ETA,
                         help="strictness margin for certified comparisons")
-    parser.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
-                        help="cap on explicit summation steps per search")
-    parser.add_argument("--ladder", type=str, default="",
-                        help="explicit leading ladder exponents, comma-separated")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (default $LPRL_OUT or ./out)")
 
@@ -316,8 +312,7 @@ def main(argv=None):
             args.command = argv[0]
         else:
             args = parser.parse_args(argv)
-        ladder = ExpLadder(args.a, args.q, tuple(float(p) for p in args.ladder.split(",") if p))
-        cache = ConstructionCache(ladder, Margin(args.eta), args.step_budget)
+        cache = ConstructionCache(ExpLadder(args.a, args.q), Margin(args.eta))
         out = Path(args.out or os.environ.get("LPRL_OUT", "out"))
         if args.command == "trace":
             return cmd_trace(cache, args.spec, args.k, args.target, out)
@@ -329,10 +324,6 @@ def main(argv=None):
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         _print_sigma(err)
-        if err.partial_sum is not None:
-            print(f"  partial_sum: {err.partial_sum!r}", file=sys.stderr)
-        if err.steps is not None:
-            print(f"  steps: {err.steps}", file=sys.stderr)
         return 3
     except ValueError as err:  # SpecParseError and PreconditionError included
         print(f"error: {err}", file=sys.stderr)

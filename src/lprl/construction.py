@@ -39,7 +39,7 @@ from .seqspace import (
     finseq,
     _power_sum_parts,
 )
-from .witness import DEFAULT_STEP_BUDGET, ClaimRequest, cap_room, extend
+from .witness import ClaimRequest, cap_room, extend
 
 
 def least_natural_above(x, margin=DEFAULT_MARGIN):
@@ -67,30 +67,27 @@ class Node:
 # the root of every cache, which ``_child`` counts as each memo's own node
 _ROOT = Node((), EMPTY, (), EMPTY)
 
-# Built nodes per configuration, {(ladder, margin, step_budget): {sigma:
-# node}}, shared by every cache of that configuration, since a node is a
-# pure function of it and sigma. Only nodes built from the memo's own
-# parents enter it: never a node read from a file, nor one built from one.
+# Built nodes per configuration, {(ladder, margin): {sigma: node}}, shared
+# by every cache of that configuration, since a node is a pure function of
+# it and sigma. Only nodes built from the memo's own parents enter it:
+# never a node read from a file, nor one built from one.
 _NODE_MEMO = {}
 
 
 class ConstructionCache:
     """Prefix-closed store of the construction nodes a run asked for.
 
-    Nodes are pure functions of (ladder, margin, step budget, sigma), so
-    population order never changes values, and built nodes are shared
-    process-wide by every cache of one configuration (``_NODE_MEMO``).
+    Nodes are pure functions of (ladder, margin, sigma), so population
+    order never changes values, and built nodes are shared process-wide by
+    every cache of one configuration (``_NODE_MEMO``).
     Completed nodes are immutable and safe to read concurrently.
     """
 
-    def __init__(self, ladder, margin=DEFAULT_MARGIN, step_budget=DEFAULT_STEP_BUDGET):
+    def __init__(self, ladder, margin=DEFAULT_MARGIN):
         if not isinstance(ladder, ExpLadder):
             raise TypeError("ladder must be an ExpLadder")
         self.ladder = ladder
         self.margin = margin
-        self.step_budget = int(step_budget)
-        if self.step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
         self._nodes = {(): _ROOT}
 
     def __len__(self):
@@ -121,7 +118,7 @@ def walk_path(cache, bits, start=None):
 
 def _memo_of(cache):
     """The built nodes of cache's configuration, by string."""
-    return _NODE_MEMO.setdefault((cache.ladder, cache.margin, cache.step_budget), {(): _ROOT})
+    return _NODE_MEMO.setdefault((cache.ladder, cache.margin), {(): _ROOT})
 
 
 def _child(cache, memo, parent, bit):
@@ -174,7 +171,6 @@ def _extend_node(cache, parent, bit):
             caps=tuple(float(c) for c in parent.M[:keep]),
             M=float(len(sigma) + 1),
             eps=2.0 ** -(len(sigma) + 1),
-            step_budget=cache.step_budget,
         )
         try:
             w = extend(req, cache.margin, exps[keep + 1:])
@@ -372,6 +368,12 @@ def _parse_segments(text):
     return tuple(segs)
 
 
+# Two v1 header keys name settings the construction no longer has. Each is
+# written with, and read only at, the value every build used: no explicit
+# ladder prefix, and a search step budget of 10**8, which never bound.
+_FIXED_HEADER = {"explicit": "-", "step_budget": "100000000"}
+
+
 def export_cache(cache, path):
     """Write every cached node as structured text, deterministically.
 
@@ -382,10 +384,9 @@ def export_cache(cache, path):
     ``;`` and the block's segments: only the block is formatted.
     """
     ladder = cache.ladder
-    lines = ["# lprl-cache v1"]
-    explicit = ",".join(repr(p) for p in ladder.explicit) if ladder.explicit else "-"
-    lines.append(f"# a={ladder.a!r} q={ladder.q!r} explicit={explicit}")
-    lines.append(f"# eta={cache.margin.eta!r} step_budget={cache.step_budget}")
+    lines = ["# lprl-cache v1",
+             f"# a={ladder.a!r} q={ladder.q!r} explicit={_FIXED_HEADER['explicit']}",
+             f"# eta={cache.margin.eta!r} step_budget={_FIXED_HEADER['step_budget']}"]
     texts = {(): ""}
     for sigma in sorted(cache._nodes, key=lambda s: (len(s), s)):
         node = cache._nodes[sigma]
@@ -443,7 +444,8 @@ def import_cache(path):
     entries extend the parent's, but no block of whole segments does. Only
     the block is parsed, once per distinct block text: records with equal
     block texts share one block object, as a built tree's 0-nodes share
-    ``_ZERO_BLOCK``.
+    ``_ZERO_BLOCK``. The header's ``explicit`` and ``step_budget`` must read
+    as ``export_cache`` writes them (``_FIXED_HEADER``).
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
@@ -467,10 +469,11 @@ def import_cache(path):
         if key not in meta:
             raise ValueError(f"{path}: header is missing the key {key!r}")
     try:
-        explicit = () if meta["explicit"] == "-" else tuple(
-            float(v) for v in meta["explicit"].split(","))
-        ladder = ExpLadder(float(meta["a"]), float(meta["q"]), explicit)
-        cache = ConstructionCache(ladder, Margin(float(meta["eta"])), int(meta["step_budget"]))
+        for key, val in _FIXED_HEADER.items():
+            if meta[key] != val:
+                raise ValueError(f"{key} must read {val}")
+        ladder = ExpLadder(float(meta["a"]), float(meta["q"]))
+        cache = ConstructionCache(ladder, Margin(float(meta["eta"])))
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None

@@ -37,7 +37,7 @@ from .seqspace import (
 from .reduction import in_p3, path_bits
 
 
-def extract_row(flat, m, limit=MATERIALIZE_LIMIT):
+def extract_row(flat, m):
     """Row m of the array: entries of the flat sequence at indices pair(m, t)."""
     out = []
     t = 0
@@ -47,20 +47,20 @@ def extract_row(flat, m, limit=MATERIALIZE_LIMIT):
             break
         out.append(flat.entry(n))
         t += 1
-        if t > limit:
-            raise ResourceLimitError(f"row extraction exceeded {limit} entries")
+        if t > MATERIALIZE_LIMIT:
+            raise ResourceLimitError(f"row extraction exceeded {MATERIALIZE_LIMIT} entries")
     return finseq(out)
 
 
-def interleave(rows, upto, limit=MATERIALIZE_LIMIT):
+def interleave(rows, upto):
     """The flat sequence of length ``upto`` holding rows[m][t] at pair(m, t)."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    if upto > limit:
-        raise ResourceLimitError(f"interleave target length {upto} exceeds {limit}")
+    if upto > MATERIALIZE_LIMIT:
+        raise ResourceLimitError(f"interleave target length {upto} exceeds {MATERIALIZE_LIMIT}")
     vals = [0.0] * upto
     for m, row in enumerate(rows):
-        for t, v in enumerate(as_finseq(row).to_array(limit).tolist()):
+        for t, v in enumerate(as_finseq(row).to_array().tolist()):
             n = pair(m, t)
             if n < upto:
                 vals[n] = v

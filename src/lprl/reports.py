@@ -32,22 +32,18 @@ class CheckReport:
 
     Passing instances are always counted; the Check objects themselves are
     stored only for violations unless ``keep_passing`` is set (useful for
-    small reports where the computed values are the point). A kept instance
-    is held as its values until ``checks`` is read, so a caller that reads
-    ``ok`` alone makes no Check for a passing one.
+    small reports where the computed values are the point).
     """
 
     title: str
     keep_passing: bool = False
     counts: Counter = field(default_factory=Counter)
-    _checks: list = field(default_factory=list, init=False, repr=False)
-    # instances added since ``checks`` was last read, as add's arguments
-    _added: list = field(default_factory=list, init=False, repr=False)
+    checks: list = field(default_factory=list)
 
     def add(self, label, ok, lhs=None, rhs=None, note=""):
         self.counts[label] += 1
         if not ok or self.keep_passing:
-            self._added.append((label, ok, lhs, rhs, note))
+            self.checks.append(Check(label, ok, lhs, rhs, note))
         return ok
 
     def count(self, label, n):
@@ -57,20 +53,12 @@ class CheckReport:
             self.counts[label] += n
 
     @property
-    def checks(self):
-        """The kept instances as Check objects, in the order they came."""
-        if self._added:
-            self._checks += [Check(*args) for args in self._added]
-            self._added.clear()
-        return self._checks
-
-    @property
     def violations(self):
         return [c for c in self.checks if not c.ok]
 
     @property
     def ok(self):
-        return all(args[1] for args in self._added) and all(c.ok for c in self._checks)
+        return not self.violations
 
     @property
     def instances(self):

@@ -54,7 +54,7 @@ DIRECT_CUTOFF = 1 << 22
 # Largest index whose float64 image is still exact; windows beyond this
 # can never be materialized entry by entry.
 MAX_EXACT_INDEX = 1 << 52
-# Default cap on explicit materialization (entries).
+# Cap on explicit materialization and entrywise comparison (entries).
 MATERIALIZE_LIMIT = 1 << 26
 
 DEFAULT_ETA = 2.0 ** -20
@@ -164,11 +164,6 @@ def _window_power_sum(win, p):
     return factor * _range_power_sum(p / win.p_bottom, win.n_start + 1, win.n_end + 1)
 
 
-def _summed_directly(a, b):
-    """Whether ``_range_power_sum`` adds up the terms of [a, b] one by one."""
-    return b is not None and b - a < DIRECT_CUTOFF and b < MAX_EXACT_INDEX
-
-
 def _range_power_sum(c, a, b=None):
     """sum_{m=a}^{b} m**(-c); ``b=None`` means the tail sum_{m>=a} (c > 1).
 
@@ -195,7 +190,7 @@ def _range_power_sums(cs, a, b=None):
     memo = _WINDOW_SUM_CACHE
     todo = [c for c in dict.fromkeys(cs) if (c, a, b) not in memo]
     if todo:
-        if not _summed_directly(a, b):
+        if b is None or b - a >= DIRECT_CUTOFF or b >= MAX_EXACT_INDEX:
             fresh = [_analytic_range_sum(c, a, b) for c in todo]
         elif b - a < FSUM_CUTOFF:
             fresh = [math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1)) for c in todo]
@@ -401,13 +396,13 @@ class FinSeq:
             i -= n
         raise AssertionError("unreachable")
 
-    def materialize(self, limit=MATERIALIZE_LIMIT):
-        return tuple(self.to_array(limit).tolist())
+    def materialize(self):
+        return tuple(self.to_array().tolist())
 
-    def to_array(self, limit=MATERIALIZE_LIMIT):
-        if self.length > limit:
+    def to_array(self):
+        if self.length > MATERIALIZE_LIMIT:
             raise ResourceLimitError(
-                f"refusing to materialize {self.length} entries (limit {limit})")
+                f"refusing to materialize {self.length} entries (limit {MATERIALIZE_LIMIT})")
         parts = [np.asarray(seg.values, dtype=np.float64) if isinstance(seg, Literal)
                  else seg.values() for seg in self.segments]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
@@ -544,38 +539,21 @@ def window_seq(p_bottom, n_start, n_end, scale=1.0):
 
 @dataclass(frozen=True)
 class ExpLadder:
-    """A strictly decreasing exponent sequence p_0 > p_1 > ... with limit a.
-
-    The default rule is ``p_i = a + (q - a) * 2**-(i+1)``, so p_0 = (a+q)/2.
-    An ``explicit`` prefix may override the first entries; past the prefix
-    the geometric descent continues from the last explicit value.
-    """
+    """The strictly decreasing exponents ``p_i = a + (q - a) * 2**-(i+1)``,
+    from p_0 = (a+q)/2 down to the limit a."""
 
     a: float
     q: float
-    explicit: tuple = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.q)):
             raise ValueError("a and q must be finite")
         if not (0.0 <= self.a < self.q):
             raise ValueError(f"need 0 <= a < q, got a={self.a}, q={self.q}")
-        object.__setattr__(self, "explicit", tuple(float(p) for p in self.explicit))
-        prev = self.q
-        for p in self.explicit:
-            if not (self.a < p < prev):
-                raise ValueError(
-                    f"explicit ladder must decrease strictly inside ({self.a}, {self.q}): {self.explicit}")
-            prev = p
 
     def exponent(self, i):
         if i < 0:
             raise ValueError("ladder index must be >= 0")
-        k = len(self.explicit)
-        if i < k:
-            return self.explicit[i]
-        if k:
-            return self.a + (self.explicit[-1] - self.a) * 2.0 ** -(i - k + 1)
         return self.a + (self.q - self.a) * 2.0 ** -(i + 1)
 
     @functools.cache

@@ -17,10 +17,11 @@ margin. The divergence rate is harmonic, so the window length grows like
 ``n0 * exp(M)``. Both searches bisect with one loop, ``_least_true``, on
 ``seqspace._range_power_sum``, the kernel that ``verify_witness`` re-sums
 the block with, so the chosen n1 is exact against the re-check at every
-scale. A directly summed window longer than the step budget raises a
-resource error carrying the partial sum of the first step-budget terms.
-Both searches are pure and memoise themselves process-wide by their full
-arguments; a search that raises stores nothing.
+scale. Neither search has a step budget: the kernel sums every tail, and
+every window of more than ``seqspace.DIRECT_CUTOFF`` terms, analytically,
+so no probe adds more terms one by one than that. Both searches are pure and
+memoise themselves process-wide by their full arguments; a search that
+raises stores nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .reports import CheckReport
 from .seqspace import (
     DEFAULT_MARGIN,
@@ -43,10 +44,7 @@ from .seqspace import (
     _power_sum_parts,
     _range_power_sum,
     _range_power_sums,
-    _summed_directly,
 )
-
-DEFAULT_STEP_BUDGET = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class ClaimRequest:
     caps: tuple
     M: float
     eps: float
-    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
         object.__setattr__(self, "u", as_finseq(self.u))
@@ -86,8 +83,6 @@ class ClaimRequest:
         for name, val in checked:
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive, got {val!r}")
-        if self.step_budget < 1:
-            raise ValueError("step_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,13 +168,12 @@ def _least_start(s, thr, margin):
 
 
 @functools.cache
-def _least_end(n0, M, margin, step_budget):
+def _least_end(n0, M, margin):
     """Least n1 >= n0 whose harmonic window sum_{m=n0+1}^{n1+1} 1/m exceeds M + eta.
 
     The window is summed by ``_range_power_sum``, the kernel that
     ``verify_witness`` re-sums the block with, so the answer is exact
-    against the re-check. A directly summed answer longer than
-    ``step_budget`` terms raises ResourceLimitError.
+    against the re-check.
     """
     target = M + margin.eta
     # H(m) ~ ln(m + 1/2) + gamma puts the crossing near n1 + 1.5 =
@@ -189,12 +183,7 @@ def _least_end(n0, M, margin, step_budget):
     with mp.workdps(40 + 2 * digits):
         aim = mpf(target) + mpf(math.ulp(target)) / 2
         guess = int(mp.exp(aim + mp.harmonic(n0) - mp.euler) - 1.5)
-    hi = _least_true(lambda n1: _range_power_sum(1.0, n0 + 1, n1 + 1) > target, guess, n0)
-    if step_budget < hi - n0 + 1 and _summed_directly(n0 + 1, hi + 1):
-        raise ResourceLimitError(
-            f"harmonic window search exhausted the step budget ({step_budget} terms)",
-            partial_sum=_range_power_sum(1.0, n0 + 1, n0 + step_budget), steps=step_budget)
-    return hi
+    return _least_true(lambda n1: _range_power_sum(1.0, n0 + 1, n1 + 1) > target, guess, n0)
 
 
 # One block object per window, as every 0-extension shares one zero: the
@@ -238,7 +227,7 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     thr = min(delta, req.eps)
     s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
     n0 = _least_start(s_tail, thr, margin)
-    n1 = _least_end(n0, req.M, margin, req.step_budget)
+    n1 = _least_end(n0, req.M, margin)
     block = _block(pb, n0, n1)
     exps = (req.q, *req.exps, *more_exps)
     if any(p not in block._sums for p in exps):
@@ -259,9 +248,10 @@ def verify_witness(req, w, margin):
     Uses only the block's entries (partial sums), never the tail estimates
     that guided the search, so a bookkeeping bug in ``extend`` cannot
     certify itself. u~v is ``concat(req.u, w.v)``, summed once at each of
-    the request's exponents; the report holds it and those sums.
+    the request's exponents; the report holds it and those sums. It counts
+    every claim and keeps a Check for a violation only.
     """
-    rep = WitnessReport("claim-witness", keep_passing=True)
+    rep = WitnessReport("claim-witness")
     v = w.v
     rep.add("non-empty", v.length >= 1, v.length, 1)
     if v.length == 0:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lprl import cli, construction, reduction
 from lprl.construction import ConstructionCache
+from lprl.errors import ResourceLimitError
 from lprl.reduction import (
     AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
 from lprl.reports import CheckReport
@@ -156,7 +157,8 @@ class TestMainExitCodes:
         (["build"], ["--seed", "1"]),
         (["trace", "--spec", "row=0:eventually(0)"], ["--seed", "1"]),
         (["trace", "--spec", "row=0:eventually(0)"], ["--max-len", "3"]),
-    ], ids=["build-seed", "trace-seed", "trace-max-len"])
+        (["trace", "--spec", "row=0:eventually(0)"], ["--ladder", "1.5"]),  # a removed flag
+    ], ids=["build-seed", "trace-seed", "trace-max-len", "trace-ladder"])
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                                command, flag):
         with pytest.raises(SystemExit) as exit_:
@@ -168,6 +170,18 @@ class TestMainExitCodes:
         assert err.startswith(f"usage: lprl {command[0]} [-h]")
         assert f"\nlprl {command[0]}: error: unrecognized arguments" in err
         assert not any(tmp_path.iterdir())
+
+    def test_each_command_reads_its_own_flags(self):
+        _, commands = _parser()
+        flags = {name: sorted(opt for action in parser._actions if action.dest != "help"
+                              for opt in action.option_strings)
+                 for name, parser in commands.items()}
+        common = ["--a", "--eta", "--out", "--q"]
+        assert flags == {
+            "build": sorted(common + ["--max-len"]),
+            "verify": sorted(common + ["--max-len", "--seed"]),
+            "trace": sorted(common + ["--k", "--spec", "--target"]),
+        }
 
     @pytest.mark.parametrize("argv,code", [
         ([], 2), (["--help"], 0), (["bogus"], 2), (["trace", "--help"], 0),
@@ -189,18 +203,6 @@ class TestMainExitCodes:
         rc = main(["build", "--eta", "-1", "--max-len", "2", "--out", str(tmp_path)])
         assert rc == 2
         assert "error: margin eta must be finite and >= 0, got -1.0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_step_budget_below_one_is_two(self, tmp_path, capsys, monkeypatch, budget):
-        built = []
-        extend_node = construction._extend_node
-        monkeypatch.setattr(construction, "_extend_node",
-                            lambda *args: built.append(args) or extend_node(*args))
-        rc = main(["build", "--step-budget", budget, "--max-len", "2", "--out", str(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: step_budget must be >= 1\n"
-        assert built == []  # refused before any node is built
-        assert not any(tmp_path.iterdir())
 
     def test_malformed_spec_is_two(self, tmp_path, capsys):
         rc = main(["trace", "--spec", "row=0:finite{1};nope", "--k", "3",
@@ -234,24 +236,31 @@ class TestMainExitCodes:
         assert rc == 0
         assert (tmp_path / "trace.csv").exists()
 
-    def test_resource_error_is_three(self, tmp_path):
-        rc = main(["build", "--max-len", "4", "--step-budget", "10",
-                   "--out", str(tmp_path)])
-        assert rc == 3
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_step_budget_below_one_is_two(self, tmp_path, capsys, monkeypatch, budget):
+        # no search has a step budget: any value is an unknown flag
+        built = []
+        extend_node = construction._extend_node
+        monkeypatch.setattr(construction, "_extend_node",
+                            lambda *args: built.append(args) or extend_node(*args))
+        with pytest.raises(SystemExit) as exit_:
+            main(["build", "--step-budget", budget, "--max-len", "2", "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --step-budget {budget}" in capsys.readouterr().err
+        assert built == []  # refused before any node is built
+        assert not any(tmp_path.iterdir())
 
-    def test_resource_error_names_node_and_progress(self, tmp_path, capsys):
-        rc = main(["build", "--max-len", "4", "--step-budget", "10",
-                   "--out", str(tmp_path)])
+    def test_resource_error_is_three(self, tmp_path, capsys, monkeypatch):
+        def refuse(cache, max_len, out):
+            err = ResourceLimitError("refusing to materialize 9 entries (limit 8)")
+            err.sigma = (0, 1)
+            raise err
+
+        monkeypatch.setattr(cli, "cmd_build", refuse)
+        rc = main(["build", "--max-len", "2", "--out", str(tmp_path)])
         assert rc == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err[0] == ("resource limit: harmonic window search exhausted "
-                          "the step budget (10 terms)")
-        # (1,) needs 5 terms; (0, 1) is the first 1-extension past the budget
-        assert err[1] == "  sigma: 01"
-        label, value = err[2].split()
-        assert label == "partial_sum:"
-        assert 1.0 < float(value) < 2.0  # ten terms short of the target 2
-        assert err[3:] == ["  steps: 10"]
+        assert capsys.readouterr().err.splitlines() == [
+            "resource limit: refusing to materialize 9 entries (limit 8)", "  sigma: 01"]
 
     def test_an_underflowing_divergence_budget_is_two_at_once(self, tmp_path):
         # the row's first one sits at position ~5e27, which no walk reaches

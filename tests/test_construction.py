@@ -28,7 +28,7 @@ from lprl.construction import (
     power_row,
     walk_path,
 )
-from lprl.errors import PreconditionError, ResourceLimitError
+from lprl.errors import PreconditionError
 from lprl.grid import level
 from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3
 from lprl.seqspace import (
@@ -270,11 +270,10 @@ class TestNodeMemo:
 
     @pytest.mark.parametrize("other", [
         dict(margin=Margin(2.0 ** -21)),
-        dict(step_budget=10 ** 7),
         dict(ladder=ExpLadder(0.0, 3.0)),
-    ], ids=["eta", "step-budget", "ladder"])
+    ], ids=["eta", "ladder"])
     def test_another_configuration_builds_its_nodes_anew(self, counted, other):
-        config = dict(ladder=ExpLadder(0.0, 2.0), margin=Margin(), step_budget=10 ** 8)
+        config = dict(ladder=ExpLadder(0.0, 2.0), margin=Margin())
         first = build_tree(ConstructionCache(**config), 3)
         counted.clear()
         second = build_tree(ConstructionCache(**{**config, **other}), 3)
@@ -322,9 +321,8 @@ class TestNodeMemo:
         assert export_cache(shallow, tmp_path / "after.txt").read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("config,sigma,error", [
-        (dict(step_budget=100), (0, 0, 1), ResourceLimitError),  # a window of a few hundred terms
         (dict(margin=Margin(0.3)), (0, 1), PreconditionError),  # its budget 2**-2 is below eta
-    ], ids=["resource", "precondition"])
+    ], ids=["precondition"])
     def test_a_build_that_raises_stores_nothing(self, counted, config, sigma, error):
         cache = ConstructionCache(ExpLadder(0.0, 2.0), **config)
         memo = construction._memo_of(cache)
@@ -363,15 +361,10 @@ class TestNodeMemo:
 
 @st.composite
 def small_ladders(draw):
-    """Ladders with a in [0, 1.5], q - a in [0.5, 3] and 0-2 explicit exponents."""
+    """Ladders with a in [0, 1.5] and q - a in [0.5, 3]."""
     a = draw(st.floats(min_value=0.0, max_value=1.5))
     q = a + draw(st.floats(min_value=0.5, max_value=3.0))
-    fractions = []
-    if draw(st.booleans()):
-        fractions.append(draw(st.floats(min_value=0.1, max_value=0.95)))
-        if draw(st.booleans()):
-            fractions.append(fractions[0] * draw(st.floats(min_value=0.2, max_value=0.9)))
-    return ExpLadder(a, q, tuple(a + f * (q - a) for f in fractions))
+    return ExpLadder(a, q)
 
 
 class TestExportImport:
@@ -496,6 +489,8 @@ class TestExportImport:
     @pytest.mark.parametrize("key,value", [
         ("a", "x"), ("q", "0.0"), ("eta", "-1"), ("explicit", "1.0,x"), ("step_budget", "1.5"),
         ("step_budget", "0"), ("step_budget", "-3"),
+        # a well-formed value other than the one every export writes
+        ("explicit", "1.5"), ("step_budget", "10"),
     ])
     def test_bad_header_value_names_file(self, tmp_path, small_cache, key, value):
         build_tree(small_cache, 2)
@@ -912,14 +907,6 @@ class TestOneRowPerNode:
         assert kept
 
 
-class TestResourceHandling:
-    def test_budget_error_carries_sigma(self):
-        cache = ConstructionCache(ExpLadder(0.0, 2.0), step_budget=100)
-        with pytest.raises(ResourceLimitError) as err:
-            build_node(cache, (0, 0, 1))  # window of a few hundred direct terms
-        assert err.value.sigma == (0, 0, 1)
-
-
 def _request_of(cache, sigma):
     """The ClaimRequest the construction makes for the 1-extension ``sigma``."""
     ladder = cache.ladder
@@ -932,7 +919,6 @@ def _request_of(cache, sigma):
         caps=tuple(float(c) for c in parent.M[:l_sigma]),
         M=float(len(sigma)),
         eps=2.0 ** -len(sigma),
-        step_budget=cache.step_budget,
     )
 
 
@@ -993,16 +979,15 @@ class TestSearchMemo:
         extend(req, Margin(2.0 ** -21))
         assert stored() == 4
         budget = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
-                              M=req.M, eps=req.eps, step_budget=1000)
+                              M=req.M, eps=req.eps / 2)
         extend(budget, Margin(2.0 ** -20))
-        assert stored() == 5  # same start key, new end key
+        assert stored() == 6  # a half q-cost budget: new start key, new end key
 
     def test_failed_search_stores_nothing(self, cleared):
-        cache = ConstructionCache(ExpLadder(0.0, 2.0), step_budget=10)
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
         req = _request_of(cache, (1,))
-        req = ClaimRequest(u=req.u, q=req.q, exps=req.exps, caps=req.caps,
-                           M=3.0, eps=req.eps, step_budget=10)
-        with pytest.raises(ResourceLimitError):
-            extend(req, cache.margin)
-        assert witness._least_start.cache_info().currsize == 1
+        # the q-cost budget 2**-1 is not above the margin
+        with pytest.raises(PreconditionError, match="not above the margin 0.5"):
+            extend(req, Margin(0.5))
+        assert witness._least_start.cache_info().currsize == 0
         assert witness._least_end.cache_info().currsize == 0

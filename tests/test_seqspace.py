@@ -645,24 +645,17 @@ class TestExpLadder:
         assert ps[-1] - a < gap * 2 ** -29
 
     def test_exponents_are_memoised(self):
-        first = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0)).exponents(12)
-        lad = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0))
+        first = ExpLadder(0.0, 2.0).exponents(12)
+        lad = ExpLadder(0.0, 2.0)
         assert lad.exponents(12) is first
         assert first == tuple(lad.exponent(i) for i in range(12))
-
-    def test_explicit_prefix(self):
-        lad = ExpLadder(0.0, 2.0, explicit=(1.5, 1.0))
-        assert lad.exponents(2) == (1.5, 1.0)
-        ps = lad.exponents(10)
-        assert all(x > y for x, y in zip(ps, ps[1:]))
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             ExpLadder(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ExpLadder(0.0, 2.0, explicit=(2.5,))
-        with pytest.raises(ValueError):
-            ExpLadder(0.0, 2.0, explicit=(1.0, 1.2))
+        # the ladder is (a, q) alone
+        with pytest.raises(TypeError):
+            ExpLadder(0.0, 2.0, (1.5, 1.0))
 
 
 class TestDifference:
