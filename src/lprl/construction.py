@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .grid import bitstring, depth, level
 from .reports import Check, CheckReport
 from .seqspace import (
@@ -39,7 +39,7 @@ from .seqspace import (
     finseq,
     _power_sum_parts,
 )
-from .witness import ClaimRequest, cap_room, extend
+from .witness import ClaimRequest, cap_room, claim_of, extend
 
 
 def least_natural_above(x, margin=DEFAULT_MARGIN):
@@ -54,9 +54,12 @@ def least_natural_above(x, margin=DEFAULT_MARGIN):
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
-    """State at one string: phi value, cap vector, and the appended block."""
+    """State at one string: phi value, cap vector, and the appended block.
+
+    Immutable by convention: a built or imported node is shared by every
+    cache of its configuration, and nothing sets its fields again."""
 
     sigma: tuple
     phi: FinSeq
@@ -89,6 +92,7 @@ class ConstructionCache:
         self.ladder = ladder
         self.margin = margin
         self._nodes = {(): _ROOT}
+        self._templates = _TEMPLATES.setdefault(ladder, {})
 
     def __len__(self):
         return len(self._nodes)
@@ -149,38 +153,77 @@ def _child(cache, memo, parent, bit):
 _ZERO_BLOCK = finseq((0.0,))
 
 
+@dataclass(slots=True)
+class Template:
+    """What a string's length fixes for a node: ``exps``, p_0..p_d for its
+    depth d, and ``level``, the row l of its last cell, below which a
+    1-node keeps its parent's caps. A 1-node of the length adds its
+    ``claim``, on p_0..p_l with target M = length and q-cost budget
+    eps = 2**-length, and ``more``, p_{l+1}..p_d, at which its new caps are
+    summed besides p_l; a length that no 1-node has reached lacks both, so
+    an all-zero path never makes a budget that underflows to 0."""
+
+    exps: tuple
+    level: int
+    claim: object = None
+    more: tuple = ()
+
+
+# Templates by ladder, then by length: {ladder: {length: Template}}. Each
+# is derived and validated once per process, and every cache of the ladder
+# holds its dict.
+_TEMPLATES = {}
+
+
+def _template(cache, length, one):
+    """cache's template for strings of ``length``, made on first use, with
+    what a 1-node needs too once ``one`` asks for it."""
+    t = cache._templates.get(length)
+    if t is None:
+        probe = (0,) * length  # depth and level depend on the length alone
+        t = Template(cache.ladder.exponents(depth(probe) + 1), level(probe))
+        cache._templates[length] = t
+    if one and t.claim is None:
+        l = t.level
+        t.claim = claim_of(cache.ladder.q, t.exps[:l + 1], float(length), 2.0 ** -length)
+        t.more = t.exps[l + 1:]
+    return t
+
+
 def _extend_node(cache, parent, bit):
     """The child by ``bit``: its parent's first ``keep`` caps, then one new
     cap per row from ``keep`` to its depth, above its power sum there.
 
-    A 1-node's phi is the u~v that ``extend``'s re-check summed, and its new
-    caps come from the sums taken there, so its row is summed once."""
-    sigma = parent.sigma
-    tau = sigma + (bit,)
-    exps = cache.ladder.exponents(depth(tau) + 1)
+    What the child's length fixes comes from its ``Template``, so a node
+    pays only for its own sums, claims and caps. A 0-node sums its phi at
+    the rows its parent has no cap for, if any. A 1-node makes its request
+    on the template's Claim, with the parent's phi and caps; its phi is
+    the u~v that ``extend``'s re-check summed, and its new caps come from
+    the sums taken there, so its row is summed once. A PreconditionError
+    is tagged with the child's string."""
+    tau = parent.sigma + (bit,)
+    t = cache._templates.get(len(tau))
+    if t is None or bit and t.claim is None:
+        t = _template(cache, len(tau), bit)
+    margin = cache.margin
     if bit == 0:
         keep, block = len(parent.M), _ZERO_BLOCK
-        phi = concat(parent.phi, block)
-        sums = [math.fsum(_power_sum_parts(phi, p)) for p in exps[keep:]]
+        phi = FinSeq(block, base=parent.phi)
+        new = t.exps[keep:]
+        if new:
+            new = [least_natural_above(math.fsum(_power_sum_parts(phi, p)), margin)
+                   for p in new]
     else:
-        keep = level(tau)
-        req = ClaimRequest(
-            u=parent.phi,
-            q=cache.ladder.q,
-            exps=exps[:keep + 1],
-            caps=tuple(float(c) for c in parent.M[:keep]),
-            M=float(len(sigma) + 1),
-            eps=2.0 ** -(len(sigma) + 1),
-        )
+        keep = t.level
+        req = ClaimRequest.on(t.claim, parent.phi, tuple(map(float, parent.M[:keep])))
         try:
-            w = extend(req, cache.margin, exps[keep + 1:])
-        except (PreconditionError, ResourceLimitError) as err:
+            w = extend(req, margin, t.more)
+        except PreconditionError as err:
             err.sigma = tau
             raise
-        block, phi = w.v, w.uv
-        sums = [w.sums[p] for p in exps[keep:]]
-    caps = parent.M[:keep] + tuple(least_natural_above(s, cache.margin) for s in sums)
-    return Node(tau, phi, caps, block)
+        block, phi, sums = w.v, w.uv, w.sums
+        new = [least_natural_above(sums[p], margin) for p in t.exps[keep:]]
+    return Node(tau, phi, parent.M[:keep] + tuple(new), block)
 
 
 def build_tree(cache, max_len):

@@ -26,6 +26,14 @@ class Check:
         return body
 
 
+def tally(counts):
+    """``Counter(counts)`` for a dict ``counts``, made by ``dict.update``
+    alone: a Counter keeps no state beyond its items."""
+    out = Counter.__new__(Counter)
+    dict.update(out, counts)
+    return out
+
+
 @dataclass
 class CheckReport:
     """Accumulates check instances per labelled family.

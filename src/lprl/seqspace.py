@@ -355,7 +355,8 @@ class FinSeq:
     have been computed, u once they have been computed through u, or
     computed for u by a caller that will extend it next.
 
-    Immutable by convention. ``length`` is an exact int and may exceed
+    Immutable by convention: nothing sets an attribute after ``__init__``,
+    which sets each slot once. ``length`` is an exact int and may exceed
     anything materializable; entry access and materialization guard against
     that explicitly instead of overflowing.
     """
@@ -363,24 +364,18 @@ class FinSeq:
     __slots__ = ("segments", "length", "base", "block", "_sums")
 
     def __init__(self, segments=(), base=None):
-        block = None
         if base is not None:
-            block = segments
-            segs, length = base.segments + block.segments, base.length + block.length
+            self.segments = base.segments + segments.segments
+            self.length = base.length + segments.length
+            self.block = segments
         else:
             segs = tuple(segments)
             lengths = [s.length for s in segs]
             if 0 in lengths:
                 segs = tuple(s for s, n in zip(segs, lengths) if n)
-            length = sum(lengths)
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "_sums", {})
-
-    def __setattr__(self, *a):
-        raise AttributeError("FinSeq is immutable")
+            self.segments, self.length, self.block = segs, sum(lengths), None
+        self.base = base
+        self._sums = {}
 
     # -- basic access --------------------------------------------------------
 

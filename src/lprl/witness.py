@@ -33,13 +33,12 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf
 
 from .errors import PreconditionError
-from .reports import CheckReport
+from .reports import Check, CheckReport, tally
 from .seqspace import (
     DEFAULT_MARGIN,
     FinSeq,
     as_finseq,
     certified_less,
-    concat,
     window_seq,
     _power_sum_parts,
     _range_power_sum,
@@ -47,52 +46,92 @@ from .seqspace import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
+class Claim:
+    """What a request shares with every request of its shape: q, the
+    exponents p_0 > ... > p_{k+1}, the divergence target M and the q-cost
+    budget eps, with what follows from them alone.
+
+    A tree node's length fixes all of it, so the tree makes one claim per
+    length (``claim_of``) and every node of that length reuses it.
+    """
+
+    q: float
+    exps: tuple
+    M: float
+    eps: float
+    s_tail: float  # the tail exponent ratio of the start search
+    asked: tuple  # (q, *exps): the exponents the block is summed at
+    counts: dict  # the re-check's claim families, each counted once, in report order
+
+
+def claim_of(q, exps, M, eps, caps=None):
+    """The Claim of (q, exps, M, eps), refused with ValueError at the first
+    fault found, as ``ClaimRequest`` refuses it. Caps, when given, are
+    checked too but are not part of the Claim."""
+    exps = tuple(float(p) for p in exps)
+    if not exps:
+        raise ValueError("need at least the divergence exponent")
+    if caps is not None and len(caps) != len(exps) - 1:
+        raise ValueError(
+            f"caps must cover all but the last exponent: {len(caps)} caps for {len(exps)} exponents")
+    prev = q
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be a positive real, got {q!r}")
+    for p in exps:
+        if not (math.isfinite(p) and 0 < p < prev):
+            raise ValueError(f"exponents must decrease strictly below q: {exps}")
+        prev = p
+    checked = [("caps entries", r) for r in caps or ()] + [("M", M), ("eps", eps)]
+    for name, val in checked:
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be positive, got {val!r}")
+    s_tail = (exps[-2] if len(exps) >= 2 else q) / exps[-1]
+    labels = ["non-empty", "q-cost", *(f"cap-p{i}" for i in range(len(exps) - 1)), "divergence"]
+    return Claim(q, exps, M, eps, s_tail, (q, *exps), dict.fromkeys(labels, 1))
+
+
 class ClaimRequest:
-    """Inputs of one extension step.
+    """Inputs of one extension step: the prefix u, its caps and its Claim.
 
     ``exps`` lists p_0 > ... > p_{k+1}; ``caps`` holds r_0..r_k for all but
     the last exponent, so an empty ``caps`` means only the q-budget and the
-    divergence target are active.
+    divergence target are active. Construction checks every input and
+    refuses a bad one with ValueError. ``ClaimRequest.on`` pairs a Claim
+    made by ``claim_of`` with a prefix and caps that are positive and one
+    fewer than its exponents, and checks nothing again: the tree's step
+    makes its caps so. Immutable by convention.
     """
 
-    u: FinSeq
-    q: float
-    exps: tuple
-    caps: tuple
-    M: float
-    eps: float
+    __slots__ = ("u", "caps", "claim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_finseq(self.u))
-        object.__setattr__(self, "exps", tuple(float(p) for p in self.exps))
-        object.__setattr__(self, "caps", tuple(float(r) for r in self.caps))
-        if not self.exps:
-            raise ValueError("need at least the divergence exponent")
-        if len(self.caps) != len(self.exps) - 1:
-            raise ValueError(
-                f"caps must cover all but the last exponent: {len(self.caps)} caps for {len(self.exps)} exponents")
-        prev = self.q
-        if not (math.isfinite(self.q) and self.q > 0):
-            raise ValueError(f"q must be a positive real, got {self.q!r}")
-        for p in self.exps:
-            if not (math.isfinite(p) and 0 < p < prev):
-                raise ValueError(f"exponents must decrease strictly below q: {self.exps}")
-            prev = p
-        checked = [("caps entries", r) for r in self.caps] + [("M", self.M), ("eps", self.eps)]
-        for name, val in checked:
-            if not (math.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be positive, got {val!r}")
+    def __init__(self, u, q, exps, caps, M, eps):
+        u = as_finseq(u)
+        exps = tuple(float(p) for p in exps)
+        caps = tuple(float(r) for r in caps)
+        self.u, self.caps, self.claim = u, caps, claim_of(q, exps, M, eps, caps)
+
+    @classmethod
+    def on(cls, claim, u, caps):
+        req = cls.__new__(cls)
+        req.u, req.caps, req.claim = u, caps, claim
+        return req
+
+    q = property(lambda self: self.claim.q)
+    exps = property(lambda self: self.claim.exps)
+    M = property(lambda self: self.claim.M)
+    eps = property(lambda self: self.claim.eps)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClaimWitness:
     """The appended block v together with its generator index window.
 
     A witness from ``extend`` also holds the sequence u~v that its re-check
     summed, ``uv``, and u~v's power sums by exponent, ``sums``, so that the
     tree takes u~v as a node's phi and its caps from those sums. Neither
-    takes part in equality.
+    takes part in equality. ``extend`` sets both once the re-check has
+    passed; nothing changes a witness after that.
     """
 
     v: FinSeq
@@ -202,12 +241,14 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
     Pure function of (request, margin): identical inputs give the identical
-    window, which is what makes the tree construction well-defined. The two
-    window searches answer repeated arguments from their memo, and a window
-    found before gives the same block object (``_block``), which keeps its
-    power-sum parts; the block is still re-checked by ``verify_witness`` on
-    every call. The prefix u keeps the power-sum parts summed for it here,
-    so that the re-check sums ``u~v`` from them and the block's.
+    window, which is what makes the tree construction well-defined. Per
+    call it sums u at each capped exponent, keeping u's parts, so that the
+    re-check sums ``u~v`` from them and the block's; takes the cap slacks
+    and the threshold; and looks up the two window searches and the block,
+    which answer repeated arguments from their memos: a window found before
+    gives the same block object (``_block``), which keeps its power-sum
+    parts. What the request's Claim fixes is not derived again. The block
+    is still re-checked by ``verify_witness`` on every call.
 
     The block is summed at q, at every exponent of the request and at
     ``more_exps`` in one kernel request: a window the kernel sums with
@@ -215,31 +256,31 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     its parts at each of them sends no request. The witness returned holds
     the re-check's u~v and its power sums, at ``more_exps`` too.
     """
-    pb = req.exps[-1]
-    u_sums = [math.fsum(_power_sum_parts(req.u, p, keep=True)) for p in req.exps[:-1]]
+    claim, u = req.claim, req.u
     slacks = []
-    for i, (us, r) in enumerate(zip(u_sums, req.caps)):
+    for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
+        us = math.fsum(_power_sum_parts(u, p, keep=True))
         if not certified_less(us, r, margin):
             raise PreconditionError(
                 f"prefix already violates cap {i}: sum={us!r} vs cap={r!r}")
         slacks.append(cap_room(us, r))
-    delta = min(slacks, default=math.inf)
-    thr = min(delta, req.eps)
-    s_tail = (req.exps[-2] if len(req.exps) >= 2 else req.q) / pb
-    n0 = _least_start(s_tail, thr, margin)
-    n1 = _least_end(n0, req.M, margin)
+    thr = min(min(slacks, default=math.inf), claim.eps)
+    n0 = _least_start(claim.s_tail, thr, margin)
+    n1 = _least_end(n0, claim.M, margin)
+    pb = claim.exps[-1]
     block = _block(pb, n0, n1)
-    exps = (req.q, *req.exps, *more_exps)
-    if any(p not in block._sums for p in exps):
+    exps = (*claim.asked, *more_exps)
+    if not block._sums.keys() >= set(exps):
         _range_power_sums(tuple(p / pb for p in exps), n0 + 1, n1 + 1)
-    rep = verify_witness(req, ClaimWitness(block, n0, n1), margin)
+    w = ClaimWitness(block, n0, n1)
+    rep = verify_witness(req, w, margin)
     if not rep.ok:
         raise ArithmeticError(
             "constructed witness failed its own re-check:\n" + rep.summary())
-    sums = rep.sums
+    w.uv, w.sums = uv, sums = rep.uv, rep.sums
     for p in more_exps:
-        sums[p] = math.fsum(_power_sum_parts(rep.uv, p))
-    return ClaimWitness(block, n0, n1, rep.uv, sums)
+        sums[p] = math.fsum(_power_sum_parts(uv, p))
+    return w
 
 
 def verify_witness(req, w, margin):
@@ -248,22 +289,25 @@ def verify_witness(req, w, margin):
     Uses only the block's entries (partial sums), never the tail estimates
     that guided the search, so a bookkeeping bug in ``extend`` cannot
     certify itself. u~v is ``concat(req.u, w.v)``, summed once at each of
-    the request's exponents; the report holds it and those sums. It counts
-    every claim and keeps a Check for a violation only.
+    the request's exponents; the report holds it and those sums. Every
+    claim is evaluated; each family of the request's Claim is counted once,
+    and a Check is kept for a violation only.
     """
-    rep = WitnessReport("claim-witness")
-    v = w.v
-    rep.add("non-empty", v.length >= 1, v.length, 1)
+    claim, v = req.claim, w.v
     if v.length == 0:
+        rep = WitnessReport("claim-witness")
+        rep.add("non-empty", False, v.length, 1)
         return rep
-    qcost = math.fsum(_power_sum_parts(v, req.q, keep=True))
-    rep.add("q-cost", certified_less(qcost, req.eps, margin), qcost, req.eps)
-    rep.uv = uv = concat(req.u, v)
-    sums = rep.sums
-    for p in req.exps:
-        sums[p] = math.fsum(_power_sum_parts(uv, p))
-    for i, (p, r) in enumerate(zip(req.exps, req.caps)):
-        rep.add(f"cap-p{i}", certified_less(sums[p], r, margin), sums[p], r)
-    div = sums[req.exps[-1]]
-    rep.add("divergence", certified_less(req.M, div, margin), div, req.M)
-    return rep
+    bad = []
+    qcost = math.fsum(_power_sum_parts(v, claim.q, keep=True))
+    if not certified_less(qcost, claim.eps, margin):
+        bad.append(Check("q-cost", False, qcost, claim.eps))
+    uv = FinSeq(v, base=req.u)
+    sums = {p: math.fsum(_power_sum_parts(uv, p)) for p in claim.exps}
+    for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
+        if not certified_less(sums[p], r, margin):
+            bad.append(Check(f"cap-p{i}", False, sums[p], r))
+    div = sums[claim.exps[-1]]
+    if not certified_less(claim.M, div, margin):
+        bad.append(Check("divergence", False, div, claim.M))
+    return WitnessReport("claim-witness", False, tally(claim.counts), bad, uv, sums)

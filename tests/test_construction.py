@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from lprl.construction import (
     walk_path,
 )
 from lprl.errors import PreconditionError
-from lprl.grid import level
+from lprl.grid import depth, level
 from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3
 from lprl.seqspace import (
     ExpLadder,
@@ -42,7 +43,7 @@ from lprl.seqspace import (
     finseq,
     pnorm_pow,
 )
-from lprl.witness import ClaimRequest, extend
+from lprl.witness import ClaimRequest, cap_room, extend
 
 from oracles import power_sum_plain
 
@@ -991,3 +992,81 @@ class TestSearchMemo:
             extend(req, Margin(0.5))
         assert witness._least_start.cache_info().currsize == 0
         assert witness._least_end.cache_info().currsize == 0
+
+
+class TestTemplates:
+    def test_a_build_derives_and_checks_each_length_once(self, monkeypatch, fresh_nodes):
+        # a length fixes depth, level, exponents, M and eps: a build derives
+        # and validates them per length, not per node
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(construction, "_TEMPLATES", {})
+        for name in ("depth", "level"):
+            monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
+        monkeypatch.setattr(construction, "claim_of", counted("check", construction.claim_of))
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
+        assert len(cache) == 2 ** 9 - 1
+        assert calls == {"depth": 8, "level": 8, "check": 8}
+
+    def test_a_cap_slack_below_eps_gets_its_own_search(self, small_cache, fresh_nodes):
+        # the prefix's p_0 sum 0.9 leaves a slack of about 0.1 under its cap
+        # 1, below the budget eps = 1/4 of the 1-node 01: the tree step must
+        # search with that slack, exactly as extend on an explicit request
+        ladder, margin = small_cache.ladder, small_cache.margin
+        block = finseq((0.9,))
+        parent = Node((0,), concat(small_cache._nodes[()].phi, block), (1,), block)
+        small_cache._nodes[(0,)] = parent
+        node = build_node(small_cache, (0, 1))
+        exps = ladder.exponents(2)
+        req = ClaimRequest(u=parent.phi, q=ladder.q, exps=exps, caps=(1.0,), M=2.0, eps=0.25)
+        w = extend(req, margin)
+        slack = cap_room(0.9, 1.0)
+        assert margin.eta < slack < req.eps
+        assert w.n0 == witness._least_start(exps[0] / exps[1], slack, margin)
+        assert w.n0 != witness._least_start(exps[0] / exps[1], req.eps, margin)
+        window, = node.block.segments
+        assert (window.n_start, window.n_end) == (w.n0, w.n1)
+        assert node.block is w.v and node.phi.base is parent.phi
+        assert node.M == (1, least_natural_above(w.sums[exps[1]], margin))
+
+    def test_every_one_node_is_extended_and_rechecked_once(self, monkeypatch, fresh_nodes):
+        requests, reports = [], []
+        extend_ = construction.extend
+        verify_witness = witness.verify_witness
+
+        def extended(req, margin, more_exps=()):
+            requests.append(req)
+            return extend_(req, margin, more_exps)
+
+        def rechecked(req, w, margin):
+            reports.append(verify_witness(req, w, margin))
+            return reports[-1]
+
+        monkeypatch.setattr(construction, "extend", extended)
+        monkeypatch.setattr(witness, "verify_witness", rechecked)
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), 6)
+        ones = [sigma for sigma in cache._nodes if sigma[-1:] == (1,)]
+        assert len(ones) == len(requests) == len(reports) == 2 ** 6 - 1
+        by_prefix = {id(req.u): (req, rep) for req, rep in zip(requests, reports)}
+        for sigma in ones:
+            req, rep = by_prefix[id(cache._nodes[sigma[:-1]].phi)]
+            caps = [f"cap-p{i}" for i in range(level(sigma))]
+            assert list(rep.counts.items()) == [
+                (label, 1) for label in ("non-empty", "q-cost", *caps, "divergence")]
+            assert isinstance(rep.counts, Counter) and rep.ok
+            assert cache._nodes[sigma].phi is rep.uv
+
+    def test_an_all_zero_path_passes_the_length_where_eps_underflows(self, small_cache):
+        # a 0-node makes no claim, so its budget 2**-length may underflow;
+        # a 1-node there refuses its request as before
+        assert 2.0 ** -1075 == 0.0
+        node = build_node(small_cache, (0,) * 1100)
+        assert len(node.M) == depth(node.sigma) + 1
+        with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
+            build_node(small_cache, node.sigma + (1,))
