@@ -241,8 +241,8 @@ def _adds_zeros(node, parent):
     """Whether node's phi is parent's phi followed by entries exactly 0.0.
 
     Read from the segments, never from a rounded sum: a literal run of
-    zeros or a window of scale 0.0. Each adds a part of exactly 0.0 at
-    every exponent, which leaves a ``math.fsum`` unchanged.
+    zeros or a window of scale 0.0. Each has a part of exactly 0.0 at
+    every exponent, which ``_power_sum_parts`` leaves out.
     """
     phi = node.phi
     if phi.base is not parent.phi:
@@ -253,17 +253,15 @@ def _adds_zeros(node, parent):
     return True
 
 
-def power_row(node, exps, parent=None, parent_row=(), *, keep=False):
+def power_row(node, exps, parent=None, parent_row=()):
     """``pnorm_pow(node.phi, p)`` for each p in exps, as a tuple.
 
     ``parent_row`` holds the parent's power sums at a prefix of exps. When
     node's phi is its parent's followed by exact zeros, those sums are its
     own bit for bit, so they are taken over and only the rest is summed.
-    With ``keep``, node's phi keeps the parts it sums, for children that
-    will be summed from it next.
     """
     head = parent_row[:len(exps)] if parent is not None and _adds_zeros(node, parent) else ()
-    return head + tuple(math.fsum(_power_sum_parts(node.phi, p, keep))
+    return head + tuple(math.fsum(_power_sum_parts(node.phi, p))
                         for p in exps[len(head):])
 
 
@@ -273,12 +271,12 @@ def check_properties(cache, max_len):
     Every power sum is re-summed from the stored sequences, except that a
     node whose phi is its parent's followed by exact zeros takes its
     parent's sums (``power_row``): nothing is trusted from the bookkeeping
-    that produced the caps. Nodes above the last level keep their parts,
-    so a child adds its own block's parts only; the last level keeps none.
-    A block keeps its parts, so each block object is summed once per
-    exponent, by the build or here, as the kernel memo answers both: every
-    0-node's ``_ZERO_BLOCK``, a built tree's one block per window and an
-    imported tree's one block per text.
+    that produced the caps. Every phi and block summed keeps its parts, so
+    a child adds its own block's parts only, a 0-node keeps its parent's
+    tuple, and each block object is summed once per exponent, by the build
+    or here, as the kernel memo answers both: every 0-node's
+    ``_ZERO_BLOCK``, a built tree's one block per window and an imported
+    tree's one block per text.
     Every claim is evaluated at every node, but only violations are
     recorded, each noting the offending string; instances are counted once
     per level. p3 compares a row only against the caps a node has, so a
@@ -296,14 +294,13 @@ def check_properties(cache, max_len):
         tag = "".join(map(str, node.sigma))
         rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
 
-    # the previous level's nodes, and their rows unless it is the last
+    # the previous level's nodes and their rows
     nodes, rows = [root], [()]
     for length in range(1, max_len + 1):
         probe = (0,) * length  # depth and level depend on the length alone
         d, l = depth(probe), level(probe)
         exps = ladder.exponents(d + 1)
         bound = 2.0 ** -length
-        keep = length < max_len
         parents, parent_rows, nodes, rows = nodes, rows, [], []
         for parent, parent_row in zip(parents, parent_rows):
             for bit in (0, 1):
@@ -316,11 +313,11 @@ def check_properties(cache, max_len):
                 if not parent.phi.is_prefix_of(node.phi, proper=True):
                     fail("p1-prefix", None, None, node)
 
-                block_cost = math.fsum(_power_sum_parts(node.block, q, keep=True))
+                block_cost = math.fsum(_power_sum_parts(node.block, q))
                 if not certified_less(block_cost, bound, margin):
                     fail("p2-block-cost", block_cost, bound, node)
 
-                row = power_row(node, exps, parent, parent_row, keep=keep)
+                row = power_row(node, exps, parent, parent_row)
                 for i, (s, cap) in enumerate(zip(row, M)):
                     if not certified_less(s, float(cap), margin):
                         fail("p3-caps", s, cap, node, i)
@@ -334,8 +331,7 @@ def check_properties(cache, max_len):
                     if not certified_less(float(length), row[l], margin):
                         fail("p6-forced-growth", row[l], length, node)
                 nodes.append(node)
-                if keep:
-                    rows.append(row)
+                rows.append(row)
         # A new label enters the report where a node-by-node count would
         # first meet it: the 0-node first (p4), then the 1-node (p5, p6),
         # with p3 at the first node that has caps.

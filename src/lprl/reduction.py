@@ -148,16 +148,15 @@ def path_rows(cache, spec, k, exps):
 
     One walk, as a list of ``(node, {p: sum})`` in exps' order. Each row
     comes from ``power_row``, which takes a 0-node's sums from its parent,
-    so every sum is ``pnorm_pow(node.phi, p)`` bit for bit. Every node but
-    the last keeps the parts it sums there, as the walk builds the next
-    node from it. A node whose row is its parent's row object shares its
-    parent's dict, so a reader may format such a row once. The checks below
-    take such a list, so that the table of ``lprl trace`` and its verdicts,
-    or the three stabilization rows of ``lprl verify``, read one walk.
+    so every sum is ``pnorm_pow(node.phi, p)`` bit for bit. A node whose
+    row is its parent's row object shares its parent's dict, so a reader
+    may format such a row once. The checks below take such a list, so that
+    the table of ``lprl trace`` and its verdicts, or the three
+    stabilization rows of ``lprl verify``, read one walk.
     """
     rows, parent, row, sums = [], None, (), {}
-    for t, node in enumerate(walk_path(cache, path_bits(spec, k))):
-        last, row = row, power_row(node, exps, parent, row, keep=t < k)
+    for node in walk_path(cache, path_bits(spec, k)):
+        last, row = row, power_row(node, exps, parent, row)
         if row is not last:
             sums = dict(zip(exps, row))
         rows.append((node, sums))

@@ -22,13 +22,14 @@ one term longer than one summed before sums little more than its last leaf.
 
 A sequence made by ``concat`` links to the sequence it extends and to the
 block it appends, and its power sums grow along those links: its
-per-segment parts are its base's parts followed by its block's. A block
-keeps its parts per exponent, so a block that many sequences append is
-summed once. A base keeps that tuple once a longer sequence has been
-summed from it, or at once when it is summed by a caller that will extend
-it next (``keep``). A power sum is ``math.fsum`` of the parts, so the
-power sum of a tree node sums one block yet is the ``math.fsum`` over all
-of its segments' parts.
+per-segment parts are its base's parts followed by its block's. Every
+sequence summed keeps that tuple per exponent, as does every base and
+block it was grown through, so a block that many sequences append is
+summed once. A part that is exactly 0.0 is left out: a block of zeros
+adds none, and its sequence keeps its base's tuple object. A power sum is
+``math.fsum`` of the parts, which ignores +0.0, so the power sum of a tree
+node sums one block yet is the ``math.fsum`` over all of its segments'
+parts.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -37,7 +38,6 @@ never silently flip a strictness claim.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -351,9 +351,8 @@ class FinSeq:
     ``FinSeq(v, base=u)`` is u followed by the FinSeq v: it keeps the links
     to u and to v, its ``block``, and ``segments`` is still the full tuple,
     u's segments then v's. ``pnorm_pow`` takes its power-sum parts from
-    u's and v's, which each keeps per exponent in ``_sums``: v once they
-    have been computed, u once they have been computed through u, or
-    computed for u by a caller that will extend it next.
+    u's and v's, which each keeps per exponent in ``_sums`` once they have
+    been computed for it or through it.
 
     Immutable by convention: nothing sets an attribute after ``__init__``,
     which sets each slot once. ``length`` is an exact int and may exceed
@@ -551,10 +550,8 @@ class ExpLadder:
             raise ValueError("ladder index must be >= 0")
         return self.a + (self.q - self.a) * 2.0 ** -(i + 1)
 
-    @functools.cache
     def exponents(self, count):
-        """p_0..p_{count-1}; memoised process-wide by (ladder, count), as
-        every node of one length asks for the same ones."""
+        """p_0..p_{count-1}."""
         return tuple(self.exponent(i) for i in range(count))
 
 
@@ -586,15 +583,15 @@ def _segment_power_sum(seg, p):
     return _window_power_sum(seg, p)
 
 
-def _power_sum_parts(x, p, keep=False):
-    """x's per-segment power-sum parts at p, in segment order.
+def _power_sum_parts(x, p):
+    """x's per-segment power-sum parts at p, in segment order, less every
+    part that is exactly 0.0.
 
     A linked sequence's parts are its base's followed by its block's. They
-    are stored on every block, on the bases they were grown through, and
-    on x itself only with ``keep``, which a caller sets when a longer
-    sequence will be summed from x next (a tree node above the last level,
-    the prefix of a witness search, a block). So the leaves of a tree, half
-    its nodes, store none, and each distinct block is summed once.
+    are stored on x, on every base they were grown through and on every
+    block, so each distinct block is summed once. A block of zeros adds no
+    part, so its sequence stores its base's tuple object. A stored tuple
+    may be empty.
     """
     parts = x._sums.get(p)
     if parts is not None:
@@ -605,12 +602,14 @@ def _power_sum_parts(x, p, keep=False):
         y = y.base
     for y in reversed(chain):
         if y.base is None:  # the chain's start, with no base that kept parts
-            parts = tuple(_segment_power_sum(seg, p) for seg in y.segments)
+            parts = tuple(s for seg in y.segments if (s := _segment_power_sum(seg, p)))
         else:
             own = y.block._sums.get(p)
-            parts += _power_sum_parts(y.block, p, keep=True) if own is None else own
-        if keep or y is not x:
-            y._sums[p] = parts
+            if own is None:
+                own = _power_sum_parts(y.block, p)
+            if own:
+                parts += own
+        y._sums[p] = parts
     return parts
 
 

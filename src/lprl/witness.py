@@ -259,7 +259,7 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     claim, u = req.claim, req.u
     slacks = []
     for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
-        us = math.fsum(_power_sum_parts(u, p, keep=True))
+        us = math.fsum(_power_sum_parts(u, p))
         if not certified_less(us, r, margin):
             raise PreconditionError(
                 f"prefix already violates cap {i}: sum={us!r} vs cap={r!r}")
@@ -299,7 +299,7 @@ def verify_witness(req, w, margin):
         rep.add("non-empty", False, v.length, 1)
         return rep
     bad = []
-    qcost = math.fsum(_power_sum_parts(v, claim.q, keep=True))
+    qcost = math.fsum(_power_sum_parts(v, claim.q))
     if not certified_less(qcost, claim.eps, margin):
         bad.append(Check("q-cost", False, qcost, claim.eps))
     uv = FinSeq(v, base=req.u)

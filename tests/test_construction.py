@@ -629,14 +629,26 @@ class TestPowerRow:
                             x.hex() for x in _power_sum_parts(fresh, p)]
 
     @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
-    def test_only_levels_above_the_last_keep_parts(self, tmp_path, fresh_nodes, imported):
-        depth = 5
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
+    def test_every_level_keeps_parts_and_a_zero_node_its_parents(self, tmp_path, fresh_nodes,
+                                                                  imported):
+        max_len = 5
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
         if imported:
             cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
-        assert check_properties(cache, depth).ok
+        assert check_properties(cache, max_len).ok
+        q, shared = cache.ladder.q, 0
         for sigma, node in cache._nodes.items():
-            assert bool(node.phi._sums) == (len(sigma) < depth), sigma
+            if not sigma:
+                continue
+            assert q in node.block._sums, sigma
+            if sigma[-1] == 1:  # summed at its whole row, the last level's too
+                assert node.phi._sums.keys() >= set(cache.ladder.exponents(depth(sigma) + 1))
+            else:  # its zero adds no part: it holds its parent's tuple object
+                parent = cache._nodes[sigma[:-1]]
+                for p, parts in node.phi._sums.items():
+                    assert parts is parent.phi._sums[p], sigma
+                    shared += 1
+        assert shared
 
     def test_each_window_is_summed_once_per_exponent(self, monkeypatch):
         # built with one window object per 1-node (1-nodes of one window

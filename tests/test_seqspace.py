@@ -542,6 +542,18 @@ concat_steps = st.lists(
     min_size=1, max_size=6)
 
 
+# exact zeros: runs of 0.0 and -0.0, and windows of scale 0.0; 1e-200 ** 2
+# underflows to 0.0 while 1e-200 ** 1 does not
+zero_segments = st.one_of(
+    st.lists(st.sampled_from((0.0, -0.0)), min_size=1, max_size=3).map(
+        lambda vs: Literal(tuple(vs))),
+    window_segments.map(lambda w: PowerWindow(w.p_bottom, w.n_start, w.n_end, 0.0)),
+    st.just(Literal((1e-200,))))
+zero_rule_steps = st.lists(
+    st.lists(st.one_of(zero_segments, literal_segments, window_segments), max_size=3),
+    min_size=1, max_size=6)
+
+
 def _concat_chain(steps):
     chain = [FinSeq(steps[0])]
     for segs in steps[1:]:
@@ -597,20 +609,42 @@ class TestIncrementalPowerSums:
 
     @given(concat_steps, st.floats(min_value=0.25, max_value=2.0))
     @settings(max_examples=100, deadline=None)
-    def test_parts_stored_on_bases_only(self, steps, p):
+    def test_every_sequence_summed_stores_its_parts(self, steps, p):
         x = _concat_chain(steps)[-1]
         try:
             pnorm_pow(x, p)
             overflowed = False
         except OverflowError:
             overflowed = True  # the bases summed before it still store their parts
-        assert p not in x._sums
-        y = x.base
+        y = x  # the summed sequence itself, then each base
         while y is not None:
             assert p in y._sums or overflowed
-            if p in y._sums:
-                assert [v.hex() for v in y._sums[p]] == [v.hex() for v in _parts(y, p)]
+            for z in (y, y.block):
+                if z is not None and p in z._sums:
+                    assert [v.hex() for v in z._sums[p]] == [v.hex() for v in _parts(z, p) if v]
             y = y.base
+
+    @given(zero_rule_steps, st.sampled_from((1.0, 2.0)), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_zero_parts_are_left_out(self, steps, p, rnd):
+        chain = _concat_chain(steps)
+        rnd.shuffle(chain)
+        for x in chain:
+            try:
+                expected = _fsum_of_parts(x, p)  # zeros and all
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    pnorm_pow(x, p)
+            else:
+                assert pnorm_pow(x, p).hex() == expected.hex()
+        for x in chain:
+            if p not in x._sums:
+                continue  # a base of it overflowed
+            assert 0.0 not in x._sums[p]
+            if x.base is not None:
+                assert 0.0 not in x.block._sums[p]
+                if not any(_parts(x.block, p)):  # a zero-only block adds no tuple
+                    assert x._sums[p] is x.base._sums[p]
 
     @given(concat_steps, st.data())
     @settings(max_examples=100, deadline=None)
@@ -643,12 +677,6 @@ class TestExpLadder:
         assert all(p > a for p in ps)
         assert ps[0] < lad.q
         assert ps[-1] - a < gap * 2 ** -29
-
-    def test_exponents_are_memoised(self):
-        first = ExpLadder(0.0, 2.0).exponents(12)
-        lad = ExpLadder(0.0, 2.0)
-        assert lad.exponents(12) is first
-        assert first == tuple(lad.exponent(i) for i in range(12))
 
     def test_invalid(self):
         with pytest.raises(ValueError):
