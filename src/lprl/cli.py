@@ -1,8 +1,8 @@
 """Command-line front end: build caches, run verification suites, trace paths.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error, 3 a materialization or an entrywise comparison past its entry
-limit.
+error or an unusable output directory, 3 a materialization or an
+entrywise comparison past its entry limit.
 """
 
 from __future__ import annotations
@@ -226,14 +226,16 @@ def cmd_trace(cache, spec_text, k, target, out):
         check_divergence_target(target)
     ladder = cache.ladder
     path = path_rows(cache, spec, k, (ladder.q,) + ladder.exponents(4))
-    rows, cells, last = [], None, None
-    for t, (node, sums) in enumerate(path):
-        if sums is not last:  # a 0-node that shares its parent's sums shares their text
-            cells, last = [*map(repr, sums.values())], sums
-        rows.append([t, node.sigma[-1], node.block.length,
-                     repr(pnorm_pow(node.block, ladder.q)), *cells])
     # no field needs quoting: each is an int, a column name or a float repr
-    lines = [",".join(map(str, r)) for r in (TRACE_COLUMNS, *rows)]
+    lines, block, sums = [",".join(TRACE_COLUMNS)], None, None
+    for t, (node, row) in enumerate(path):
+        if node.block is not block:  # every 0-node shares one block object
+            block = node.block
+            block_text = f"{block.length},{pnorm_pow(block, ladder.q)!r}"
+        if row is not sums:  # a 0-node that shares its parent's sums shares their text
+            sums = row
+            cum_text = ",".join(map(repr, sums.values()))
+        lines.append(f"{t},{node.sigma[-1]},{block_text},{cum_text}")
     written = write_output(out / "trace.csv", "\r\n".join(lines) + "\r\n")
     print("\n".join(lines))
     print(f"trace written to {written}")
@@ -325,7 +327,9 @@ def main(argv=None):
         print(f"resource limit: {err}", file=sys.stderr)
         _print_sigma(err)
         return 3
-    except ValueError as err:  # SpecParseError and PreconditionError included
+    # ValueError includes SpecParseError and PreconditionError; OSError is
+    # an output directory that names a file or cannot be made
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _print_sigma(err)
         return 2

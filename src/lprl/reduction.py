@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .construction import power_row, walk_path
 from .errors import PreconditionError
 from .grid import pair, unpair
-from .reports import CheckReport
+from .reports import Check, CheckReport
 from .seqspace import certified_less, pnorm_pow
 
 
@@ -180,12 +180,16 @@ def unit_ball_check(cache, spec, k):
 
     Each block u_t, t <= k, must cost strictly less than 2**-(t+1) in q power,
     so the cumulative cost stays under the geometric partial sum, hence under 1.
+    Only a violated block bound makes a ``Check``; the bound is counted
+    once, before the two cumulative claims.
     """
     rep = CheckReport(f"unit-ball k={k}", keep_passing=False)
     costs = [pnorm_pow(u, cache.ladder.q) for u in f_blocks(cache, spec, k)]
     for t, c in enumerate(costs):
-        rep.add("block-q-bound", certified_less(c, 2.0 ** -(t + 1), cache.margin),
-                c, 2.0 ** -(t + 1), note=f"t={t}")
+        bound = 2.0 ** -(t + 1)
+        if not certified_less(c, bound, cache.margin):
+            rep.checks.append(Check("block-q-bound", False, c, bound, f"t={t}"))
+    rep.count("block-q-bound", len(costs))
     cumulative = math.fsum(costs)
     geometric = 1.0 - 2.0 ** -(k + 1)
     rep.add("cumulative-under-geometric", certified_less(cumulative, geometric, cache.margin),
@@ -290,7 +294,9 @@ def stabilization_check(cache, spec, i, max_k, path=None):
     power sum at p_i must stay certifiably below it. ``path`` is the path
     to max_k as ``path_rows`` gives it, with sums at p_i: a caller that
     checks several rows, or prints the path too, walks it once and passes
-    it. Without it, the path is walked here.
+    it. Without it, the path is walked here. Each claim is tested at every
+    node, but only a violation makes a ``Check``, noting its node's k; each
+    family is counted once, cap-stable first.
     """
     if not in_p3(spec):
         raise ValueError("stabilization applies only to eventually-zero-row specs")
@@ -310,10 +316,12 @@ def stabilization_check(cache, spec, i, max_k, path=None):
         path = path_rows(cache, spec, max_k, (p_i,))
     m_ref = path[n_stable][0].M[i]
     for k, (node, sums) in enumerate(path[n_stable:], n_stable):
-        rep.add("cap-stable", node.M[i] == m_ref, node.M[i], m_ref, note=f"k={k}")
-        s = sums[p_i]
-        rep.add("prefix-bounded", certified_less(s, float(m_ref), cache.margin),
-                s, m_ref, note=f"k={k}")
+        if node.M[i] != m_ref:
+            rep.checks.append(Check("cap-stable", False, node.M[i], m_ref, f"k={k}"))
+        if not certified_less(sums[p_i], float(m_ref), cache.margin):
+            rep.checks.append(Check("prefix-bounded", False, sums[p_i], m_ref, f"k={k}"))
+    for label in ("cap-stable", "prefix-bounded"):
+        rep.count(label, len(path) - n_stable)
     return rep
 
 

@@ -14,7 +14,6 @@ from lprl.construction import ConstructionCache
 from lprl.errors import ResourceLimitError
 from lprl.reduction import (
     AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
-from lprl.reports import CheckReport
 from lprl.seqspace import ExpLadder
 from lprl.cli import (
     DIVERGENCE_TARGET,
@@ -152,6 +151,23 @@ class TestMainExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "error: max_len must be >= 1\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["build", "--max-len", "2"], ["verify", "--max-len", "2"], ["trace", "--spec", "", "--k", "3"],
+    ], ids=["build", "verify", "trace"])
+    @pytest.mark.parametrize("out", ["file", "dangling/sub"])
+    def test_an_unusable_out_is_two(self, tmp_path, capsys, command, out):
+        # a regular file, and a directory that cannot be made because its
+        # parent is a link to nothing
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        rc = main(command + ["--out", str(tmp_path / out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: [Errno ")
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("command,flag", [
         (["build"], ["--seed", "1"]),
@@ -405,27 +421,31 @@ class TestOneWalkPerTrace:
         assert len(steps) == k + 1
 
     def test_stabilization_reads_the_printed_sums(self, tmp_path, monkeypatch):
-        class Keeping(CheckReport):
-            def __init__(self, title, keep_passing=False):
-                super().__init__(title, True)
+        # each row's prefix-bounded lhs, in the order stabilization_check
+        # compares them; a passing claim makes no Check to read them from
+        compared = []
+        check, less = cli.stabilization_check, reduction.certified_less
 
-        monkeypatch.setattr(reduction, "CheckReport", Keeping)
-        reports = []
-        check = cli.stabilization_check
-        monkeypatch.setattr(cli, "stabilization_check",
-                            lambda *args: reports.append(check(*args)) or reports[-1])
+        def recording(lhs, rhs, margin):
+            compared[-1].append(lhs)
+            return less(lhs, rhs, margin)
+
+        def stabilization(*args):
+            compared.append([])
+            return check(*args)
+
+        monkeypatch.setattr(reduction, "certified_less", recording)
+        monkeypatch.setattr(cli, "stabilization_check", stabilization)
         # rows 0..2 go zero from column 2: positions 5, 8 and 12
         assert main(["trace", "--spec", "row=0:finite{0,1}", "--k", "12",
                      "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         table = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
         bounded = []
-        for i, rep in enumerate(reports):
-            for c in rep.checks:
-                if c.label == "prefix-bounded":
-                    t = int(c.note.removeprefix("k="))
-                    assert c.lhs.hex() == float(table[t][f"cum_p{i}_pow"]).hex()
-                    bounded.append((i, t))
+        for i, (first, sums) in enumerate(zip((5, 8, 12), compared)):
+            for t, lhs in enumerate(sums, first):
+                assert lhs.hex() == float(table[t][f"cum_p{i}_pow"]).hex()
+                bounded.append((i, t))
         assert bounded == [(0, t) for t in range(5, 13)] + [(1, t) for t in range(8, 13)] \
             + [(2, 12)]
         assert any(float(table[12][f"cum_p{i}_pow"]) > 0 for i in range(3))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -139,7 +140,13 @@ class TestCacheMargin:
         return ConstructionCache(ExpLadder(0.0, 2.0), Margin(1.0))
 
     def test_unit_ball(self, wide):
-        assert not unit_ball_check(wide, ZERO, 5).ok
+        rep = unit_ball_check(wide, ZERO, 5)
+        assert not rep.ok
+        assert list(rep.counts.items()) == [
+            ("block-q-bound", 6), ("cumulative-under-geometric", 1), ("cumulative-under-one", 1)]
+        assert [(c.label, c.note) for c in rep.violations] == [
+            *(("block-q-bound", f"t={t}") for t in range(6)),
+            ("cumulative-under-geometric", ""), ("cumulative-under-one", "")]
 
     def test_continuity(self, wide):
         rep = continuity_check(wide, ZERO, ZERO, 4, 2)
@@ -267,6 +274,24 @@ class TestStabilization:
     def test_requires_membership(self, cache02):
         with pytest.raises(ValueError):
             stabilization_check(cache02, ROW0_ALWAYS, 0, 8)
+
+    def test_a_hand_made_path_reports_as_before(self, cache02):
+        # from n_stable = pair(1, 1) = 4 on: the cap moves at k=6 and the
+        # sum reaches it at k=7; the literal is the report of a check that
+        # passes every claim through CheckReport.add
+        spec = AlphaSpec.from_rows({1: FiniteOnes(frozenset({0}))})
+        p1 = cache02.ladder.exponent(1)
+        caps = [(9, 3)] * 6 + [(9, 4), (9, 3), (9, 3)]
+        sums = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 2.75]
+        path = [(SimpleNamespace(M=m), {p1: s}) for m, s in zip(caps, sums)]
+        report = stabilization_check(cache02, spec, 1, 8, path).to_dict()
+        assert report == {
+            "title": "stabilization i=1 j0=1", "ok": False,
+            "instances": {"cap-stable": 5, "prefix-bounded": 5},
+            "violations": [
+                {"label": "cap-stable", "lhs": "4", "rhs": "3", "note": "k=6"},
+                {"label": "prefix-bounded", "lhs": "3.0", "rhs": "3", "note": "k=7"}]}
+        assert list(report["instances"]) == ["cap-stable", "prefix-bounded"]
 
     def test_beyond_max_k_reports_nothing_to_check(self, cache02):
         spec = AlphaSpec.from_rows({2: FiniteOnes(frozenset({4}))})
