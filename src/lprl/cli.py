@@ -320,6 +320,8 @@ def main(argv=None):
             return cmd_trace(cache, args.spec, args.k, args.target, out)
         if args.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        # an --out that cannot be a directory fails here, before the tree is built
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "build":
             return cmd_build(cache, args.max_len, out)
         return cmd_verify(cache, args.max_len, args.seed, out)

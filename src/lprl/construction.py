@@ -18,6 +18,8 @@ cap-vector length bookkeeping.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,6 @@ from .seqspace import (
     Margin,
     PowerWindow,
     certified_less,
-    concat,
     finite_literal,
     finseq,
     _power_sum_parts,
@@ -52,6 +53,27 @@ def least_natural_above(x, margin=DEFAULT_MARGIN):
     while not certified_less(0.0, cap_room(x, float(n)), margin):
         n = max(n + 1, int(math.nextafter(float(n), math.inf)))
     return n
+
+
+def _gc_held(walk):
+    """walk, run with the cyclic garbage collector held off, and the caller's
+    GC state restored on return and on raise.
+
+    A whole-tree walk allocates millions of long-lived containers and frees
+    almost none, and none of them in cycles, so each collection it would
+    set off scans the tree built so far and frees nothing. Reference
+    counting still frees what the walk drops.
+    """
+    @functools.wraps(walk)
+    def held(*args, **kwargs):
+        if not gc.isenabled():
+            return walk(*args, **kwargs)
+        gc.disable()
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            gc.enable()
+    return held
 
 
 @dataclass(slots=True)
@@ -226,6 +248,7 @@ def _extend_node(cache, parent, bit):
     return Node(tau, phi, parent.M[:keep] + tuple(new), block)
 
 
+@_gc_held
 def build_tree(cache, max_len):
     """Populate every node with lh(sigma) <= max_len (2**(max_len+1)-1 nodes)."""
     if max_len < 0:
@@ -265,6 +288,7 @@ def power_row(node, exps, parent=None, parent_row=()):
                         for p in exps[len(head):])
 
 
+@_gc_held
 def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
@@ -459,19 +483,11 @@ def write_output(path, text):
 _BIT_OF = {"0": 0, "1": 1}
 
 
-def _parse_bits(text):
-    """A record's bits field as a bit tuple; anything but 0s and 1s gets
-    ``bitstring``'s verdict."""
-    try:
-        return tuple(map(_BIT_OF.__getitem__, text))
-    except KeyError:
-        return bitstring(text)
-
-
 _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
 _ROOT_RECORD = "-|M=|phi="
 
 
+@_gc_held
 def import_cache(path):
     """Rebuild a ConstructionCache from an exported file.
 
@@ -483,7 +499,8 @@ def import_cache(path):
     entries extend the parent's, but no block of whole segments does. Only
     the block is parsed, once per distinct block text: records with equal
     block texts share one block object, as a built tree's 0-nodes share
-    ``_ZERO_BLOCK``. The header's ``explicit`` and ``step_budget`` must read
+    ``_ZERO_BLOCK``, and records with equal ``M=`` texts share one caps
+    tuple. The header's ``explicit`` and ``step_budget`` must read
     as ``export_cache`` writes them (``_FIXED_HEADER``).
     """
     lines = Path(path).read_text().splitlines()
@@ -516,7 +533,11 @@ def import_cache(path):
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
-    texts = {}  # each imported record's phi text
+    # By each imported record's string in 0s and 1s (the root's is ""): its
+    # node, and the start its children's phi texts must have, its own text
+    # and ";" (nothing for an empty text)
+    nodes, starts = {"": cache._nodes[()]}, {}
+    caps_of = {}  # one caps tuple per distinct M= field
     blocks = {}  # one block per distinct block text
     for lineno, line in body:
         try:
@@ -528,32 +549,44 @@ def import_cache(path):
         try:
             if not (m_text.startswith("M=") and phi_text.startswith("phi=")):
                 raise ValueError("fields must read bits|M=...|phi=...")
-            sigma = () if bits_text == "-" else _parse_bits(bits_text)
-            caps = tuple(int(v) for v in m_text[2:].split(",")) if m_text[2:] else ()
-            text, head = phi_text[4:], texts.get(sigma[:-1], "")
+            # most records are an imported record's bits and one bit more;
+            # any other bits field gets ``bitstring``'s verdict
+            bits, parent = bits_text, nodes.get(bits_text[:-1])
+            bit = _BIT_OF.get(bits_text[-1:])
+            if parent is not None and bit is not None:
+                sigma = parent.sigma + (bit,)
+            else:
+                sigma = () if bits_text == "-" else bitstring(bits_text)
+                bits = "".join(map(str, sigma))
+                parent = nodes.get(bits[:-1])
+            caps = caps_of.get(m_text)
+            if caps is None:
+                caps = tuple(map(int, m_text[2:].split(","))) if m_text[2:] else ()
+                caps_of[m_text] = caps
+            text, start = phi_text[4:], starts.get(bits[:-1], "")
             block = None
-            if not head or text.startswith(head + ";"):
-                block_text = text[len(head) + 1:] if head else text
+            if text.startswith(start):
+                block_text = text[len(start):]
                 block = blocks.get(block_text)
                 if block is None:
                     block = blocks[block_text] = FinSeq(_parse_segments(block_text))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
-        if sigma in texts:
+        if bits in starts:
             raise ValueError(f"{path}: line {lineno}: a second record for {bits_text}")
         if sigma == ():  # the root is pre-seeded; its record must match it
             if line != _ROOT_RECORD:
                 raise ValueError(
                     f"{path}: line {lineno}: the root record must read "
                     f"{_ROOT_RECORD!r}, got {line!r}")
-            texts[sigma] = ""
+            starts[bits] = ""
             continue
-        parent = cache._nodes.get(sigma[:-1])
         if parent is None:
             raise ValueError(f"{path}: record for {bits_text} appears before its parent")
         if block is None:
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
-        texts[sigma] = text
-        cache._nodes[sigma] = Node(sigma, concat(parent.phi, block), caps, block)
+        starts[bits] = text + ";" if text else ""
+        nodes[bits] = cache._nodes[sigma] = Node(
+            sigma, FinSeq(block, base=parent.phi), caps, block)
     return cache

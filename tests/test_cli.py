@@ -169,6 +169,23 @@ class TestMainExitCodes:
         assert captured.err.startswith("error: [Errno ")
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command,work", [
+        (["build", "--max-len", "2"], "build_tree"),
+        (["verify", "--max-len", "2"], "run_verification_suites"),
+    ], ids=["build", "verify"])
+    def test_an_unusable_out_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                   command, work):
+        def refused(*args):
+            raise AssertionError(f"{work} ran for an unusable --out")
+
+        monkeypatch.setattr(cli, work, refused)
+        (tmp_path / "file").write_text("kept\n")
+        rc = main(command + ["--out", str(tmp_path / "file")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command,flag", [
         (["build"], ["--seed", "1"]),
         (["trace", "--spec", "row=0:eventually(0)"], ["--seed", "1"]),

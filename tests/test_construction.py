@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -579,7 +580,9 @@ class TestExportImport:
         ("1", lambda record: record),
         ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record)),
         ("-", lambda record: record),
-    ], ids=["identical", "altered-caps", "root"])
+        # bitstring reads any decimal digit, so ARABIC-INDIC DIGIT ONE names 01 too
+        ("01", lambda record: "0\u0661" + record[2:]),
+    ], ids=["identical", "altered-caps", "root", "other-digits"])
     def test_rejects_a_second_record_for_a_string(self, tmp_path, bits, edit):
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
         lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
@@ -588,7 +591,7 @@ class TestExportImport:
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"bad.txt: line {len(lines)}: a second record for {bits}")):
+                f"bad.txt: line {len(lines)}: a second record for {lines[-1].split('|')[0]}")):
             import_cache(bad)
 
 
@@ -1082,3 +1085,59 @@ class TestTemplates:
         assert len(node.M) == depth(node.sigma) + 1
         with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
             build_node(small_cache, node.sigma + (1,))
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_before(request):
+    """The GC state a walk starts from; the test's own state comes back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestWalksHoldTheGC:
+    """Each whole-tree walk runs with the cyclic GC off and leaves it as it
+    found it, on return and on raise."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        return export_cache(cache, tmp_path / "cache.txt")
+
+    def walks(self, stored):
+        return {
+            "build_tree": lambda: build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3),
+            "check_properties": lambda: check_properties(
+                ConstructionCache(ExpLadder(0.0, 2.0)), 3),
+            "import_cache": lambda: import_cache(stored),
+        }
+
+    @pytest.mark.parametrize("walk", ["build_tree", "check_properties", "import_cache"])
+    def test_the_gc_is_off_during_the_walk_and_restored_after(self, monkeypatch, stored,
+                                                              fresh_nodes, gc_before, walk):
+        seen = []
+        child, parse = construction._child, construction._parse_segments
+        monkeypatch.setattr(construction, "_child",
+                            lambda *args: seen.append(gc.isenabled()) or child(*args))
+        monkeypatch.setattr(construction, "_parse_segments",
+                            lambda text: seen.append(gc.isenabled()) or parse(text))
+        self.walks(stored)[walk]()
+        assert seen and not any(seen)
+        assert gc.isenabled() is gc_before
+
+    @pytest.mark.parametrize("walk", ["build_tree", "check_properties"])
+    def test_a_child_that_raises_restores_the_gc(self, monkeypatch, stored, gc_before, walk):
+        def refused(*args):
+            raise PreconditionError("refused")
+
+        monkeypatch.setattr(construction, "_child", refused)
+        with pytest.raises(PreconditionError, match="refused"):
+            self.walks(stored)[walk]()
+        assert gc.isenabled() is gc_before
+
+    def test_a_malformed_cache_file_restores_the_gc(self, stored, gc_before):
+        stored.write_text(stored.read_text() + "00000|M=1|phi=L:0.0\n")
+        with pytest.raises(ValueError, match="appears before its parent"):
+            import_cache(stored)
+        assert gc.isenabled() is gc_before
