@@ -164,16 +164,20 @@ def run_verification_suites(cache, max_len, seed):
     reports = [check_properties(cache, max_len)]
     corpus = standard_corpus()
     depth = min(CORPUS_BLOCK_DEPTH, max(max_len, 1) + 2)
-    for spec in corpus:
-        reports.append(unit_ball_check(cache, spec, depth))
-    for spec in corpus:
+    # each spec's path is walked once, with sums where the stabilization
+    # rows read them; the unit-ball, stabilization and divergence checks
+    # all read that walk
+    stable = cache.ladder.exponents(STABILIZATION_ROWS)
+    paths = [path_rows(cache, spec, depth, stable if in_p3(spec) else ()) for spec in corpus]
+    for spec, path in zip(corpus, paths):
+        reports.append(unit_ball_check(cache, spec, depth, path))
+    for spec, path in zip(corpus, paths):
         if in_p3(spec):
-            path = path_rows(cache, spec, depth, cache.ladder.exponents(STABILIZATION_ROWS))
             for i in range(STABILIZATION_ROWS):
                 reports.append(stabilization_check(cache, spec, i, depth, path))
         else:
             row = bad_row(spec)
-            witness = divergence_witness(cache, spec, row, DIVERGENCE_TARGET)
+            witness = divergence_witness(cache, spec, row, DIVERGENCE_TARGET, path)
             rep = CheckReport(f"divergence row={row}", keep_passing=True)
             rep.add("target-cleared",
                     certified_less(DIVERGENCE_TARGET, witness.norm_value, cache.margin),

@@ -10,19 +10,21 @@ and a vector of natural caps M_0..M_{d(sigma)}, one per grid row reached:
     below that level and a q-cost budget of 2**-(lh(sigma)+1).
 
 ``check_properties`` re-verifies the whole bundle of invariants over the
-populated tree by re-summation (a 0-node's sums are its parent's, which
-exact zeros cannot change): prefix coherence, per-block q-cost, cap
-discipline, cap stability under both extensions, forced growth, and the
-cap-vector length bookkeeping.
+populated tree, one level at a time, by re-summation from the blocks:
+prefix coherence, per-block q-cost, cap discipline, cap stability under
+both extensions, forced growth, and the cap-vector length bookkeeping.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import PreconditionError
 from .grid import bitstring, depth, level
@@ -62,7 +64,13 @@ def _gc_held(walk):
     A whole-tree walk allocates millions of long-lived containers and frees
     almost none, and none of them in cycles, so each collection it would
     set off scans the tree built so far and frees nothing. Reference
-    counting still frees what the walk drops.
+    counting still frees what the walk drops. Where nothing is frozen, the
+    hold ends with ``gc.freeze()`` and ``gc.unfreeze()``, which move every
+    tracked object to the oldest generation and reset the young count, so
+    the first collection after the walk does not scan all that it made;
+    the caller's own young objects are promoted with them. A caller's
+    frozen objects are left frozen: with any, the hold ends with
+    ``gc.enable()`` alone.
     """
     @functools.wraps(walk)
     def held(*args, **kwargs):
@@ -72,6 +80,9 @@ def _gc_held(walk):
         try:
             return walk(*args, **kwargs)
         finally:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
     return held
 
@@ -288,23 +299,113 @@ def power_row(node, exps, parent=None, parent_row=()):
                         for p in exps[len(head):])
 
 
+def _exact_sum(phi, p):
+    """``pnorm_pow(phi, p)``, bit for bit, summed from the parts of phi's
+    blocks along its links and of the segments it starts from, in that
+    order: it reads and stores no part on a phi, only on blocks."""
+    parts = []
+    while phi.base is not None:
+        parts.append(_power_sum_parts(phi.block, p))
+        phi = phi.base
+    parts.append(_power_sum_parts(FinSeq(phi.segments), p))
+    return math.fsum(itertools.chain.from_iterable(reversed(parts)))
+
+
+def _level_rows(parent_rows, blocks, which, exps, exact):
+    """A level's rows at exps, one per node in parent order, 0-child first.
+
+    A node's row is its parent's plus the ``math.fsum`` of its block's
+    parts, ``blocks[which[k]]``, each distinct block summed once; a node
+    whose phi does not link to its parent's (``which[k] == -1``) gets the
+    exact row of its phi, ``exact[k]``.
+    """
+    sums = np.zeros((len(blocks) + 1, len(exps)))  # the last row adds nothing
+    for b, block in enumerate(blocks):
+        sums[b] = [math.fsum(_power_sum_parts(block, p)) for p in exps]
+    rows = parent_rows.repeat(2, axis=0)
+    rows += sums[which]
+    for k, phi in exact.items():
+        rows[k] = [_exact_sum(phi, p) for p in exps]
+    return rows
+
+
+def _slack(rows, length):
+    """The bound on how far each of a level's rows lies from the ``fsum``
+    of its phi's parts (see ``check_properties``), as a new array."""
+    out = rows * ((length + 1) * 2.0 ** -52)
+    out += length * 2.0 ** -1074
+    return out
+
+
+def _surely_below(rows, length, caps, margin):
+    """Where ``certified_less(S, cap, margin)`` holds for every S within
+    the bound of rows: at the float above the bound, as ``lhs + eta``
+    rounds monotonically in lhs. A row of inf passes nowhere."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = _slack(rows, length)
+        hi += rows
+        np.nextafter(hi, np.inf, out=hi)
+        hi += margin.eta
+        return hi < caps
+
+
+def _surely_above(target, rows, length, margin):
+    """Where ``certified_less(target, S, margin)`` holds for every S within
+    the bound of rows: at the float below the bound. A row of inf, whose
+    bound is inf - inf, passes nowhere."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.subtract(rows, _slack(rows, length))
+        np.nextafter(lo, -np.inf, out=lo)
+        return target + margin.eta < lo
+
+
 @_gc_held
 def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
-    Every power sum is re-summed from the stored sequences, except that a
-    node whose phi is its parent's followed by exact zeros takes its
-    parent's sums (``power_row``): nothing is trusted from the bookkeeping
-    that produced the caps. Every phi and block summed keeps its parts, so
-    a child adds its own block's parts only, a 0-node keeps its parent's
-    tuple, and each block object is summed once per exponent, by the build
-    or here, as the kernel memo answers both: every 0-node's
-    ``_ZERO_BLOCK``, a built tree's one block per window and an imported
-    tree's one block per text.
-    Every claim is evaluated at every node, but only violations are
-    recorded, each noting the offending string; instances are counted once
-    per level. p3 compares a row only against the caps a node has, so a
-    short cap vector is a bookkeeping violation.
+    Each level is checked as one batch. Per node, in Python: the ``_child``
+    step, bookkeeping, phi-nonempty, p1-prefix and the p4/p5 cap tuples;
+    p2 is decided once per distinct block. p3 (every row entry under its
+    cap) and p6 (forced growth) are decided on float64 arrays, and only a
+    claim they cannot decide, or a violation, is summed exactly.
+
+    Each node's row R holds, at every exponent p_0..p_dmax of the deepest
+    level, its parent's row plus the ``math.fsum`` of its block's parts at
+    that exponent (``_level_rows``); each distinct block is summed once per
+    level with ``_power_sum_parts``. So the check reads parts stored on
+    blocks only, never the sums a build left on a phi, and stores no part
+    on a phi. R differs from the exact value the claims are about,
+    S = ``math.fsum`` of all of its phi's parts, by
+
+        |R - S| <= (length+1) * 2**-52 * R + length * 2**-1074.
+
+    Proof. Let E be the exact sum of phi's parts and u = 2**-53. Every
+    part is >= 0, so every exact partial sum on the way is at most E, and
+    each rounding errs by at most u times its exact result: the exact row
+    the walk starts from (the root's, or that of a phi that does not link
+    to its parent's), the fsum of each block added since, each of at most
+    ``length`` additions to the running row, and S itself. The start and
+    the blocks' exact sums add up to E, so their roundings cost at most
+    u*E together, the additions at most length*u*E and S at most u*E, each
+    to first order in u. So |R - S| <= (length+2) * u * E * (1 + O(length*u))
+    with E <= R * (1 + O(length*u)), which 2 * (length+1) * u * R exceeds
+    at every length from 1 to 2**40. A sum of floats below the normal
+    range is itself a float, so no rounding there errs; the term
+    ``length * 2**-1074`` charges each block one subnormal step all the
+    same, so that the bound never rests on that fact alone.
+
+    A claim ``S + eta < cap`` (p3) therefore holds where it holds at the
+    float above the rounded ``R + bound`` (``_surely_below``), since a
+    rounded sum is monotone in its operands; p6, ``length + eta < S``,
+    holds where it holds at the float below ``R - bound``
+    (``_surely_above``). Any other claim, and a row that overflowed to
+    inf, is decided by the exact per-node rule: S by ``_exact_sum``,
+    compared with ``certified_less``.
+    Violations, each noting its string, are then merged in node order,
+    and within a node as bookkeeping, phi-nonempty, p1, p2, p3 by row
+    entry, p4/p5, p6; instances are counted once per level. p3 compares a
+    row only against the caps a node has, so a short cap vector is a
+    bookkeeping violation.
     """
     ladder = cache.ladder
     margin = cache.margin
@@ -313,58 +414,94 @@ def check_properties(cache, max_len):
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = cache._nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
+    if max_len < 1:
+        return rep
+    exps = ladder.exponents(depth((0,) * max_len) + 1)
+    found = []  # a level's violations: (node index, order within the node, Check)
 
-    def fail(label, lhs, rhs, node, i=None):
+    def fail(k, order, label, lhs, rhs, node, i=None):
         tag = "".join(map(str, node.sigma))
-        rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
+        found.append((k, order, Check(label, False, lhs, rhs,
+                                      tag if i is None else f"{tag} i={i}")))
 
     # the previous level's nodes and their rows
-    nodes, rows = [root], [()]
+    nodes, rows = [root], np.array([[_exact_sum(root.phi, p) for p in exps]])
     for length in range(1, max_len + 1):
         probe = (0,) * length  # depth and level depend on the length alone
         d, l = depth(probe), level(probe)
-        exps = ladder.exponents(d + 1)
         bound = 2.0 ** -length
-        parents, parent_rows, nodes, rows = nodes, rows, [], []
-        for parent, parent_row in zip(parents, parent_rows):
+        parents, nodes = nodes, []
+        seen = {}  # by distinct block: [q-cost, p2 verdict, index in blocks or None]
+        blocks, which, exact = [], [], {}
+        caps, short = [], 0  # each node's caps padded to d+1 entries; caps it lacks
+        for parent in parents:
+            pphi = parent.phi
             for bit in (0, 1):
                 node = _child(cache, memo, parent, bit)
-                M = node.M
-                if len(M) != d + 1:
-                    fail("bookkeeping", len(M), d + 1, node)
-                if node.phi.length < 1:
-                    fail("phi-nonempty", node.phi.length, 1, node)
-                if not parent.phi.is_prefix_of(node.phi, proper=True):
-                    fail("p1-prefix", None, None, node)
+                k = len(nodes)
+                nodes.append(node)
+                M, phi, block = node.M, node.phi, node.block
+                if len(M) == d + 1:
+                    caps.append(M)
+                else:
+                    fail(k, 0, "bookkeeping", len(M), d + 1, node)
+                    short += max(d + 1 - len(M), 0)
+                    caps.append(M[:d + 1] + (math.inf,) * (d + 1 - len(M)))
+                if phi.length < 1:
+                    fail(k, 0, "phi-nonempty", phi.length, 1, node)
+                if not pphi.is_prefix_of(phi, proper=True):
+                    fail(k, 0, "p1-prefix", None, None, node)
 
-                block_cost = math.fsum(_power_sum_parts(node.block, q))
-                if not certified_less(block_cost, bound, margin):
-                    fail("p2-block-cost", block_cost, bound, node)
-
-                row = power_row(node, exps, parent, parent_row)
-                for i, (s, cap) in enumerate(zip(row, M)):
-                    if not certified_less(s, float(cap), margin):
-                        fail("p3-caps", s, cap, node, i)
+                cost = seen.get(id(block))
+                if cost is None:
+                    s = math.fsum(_power_sum_parts(block, q))
+                    cost = seen[id(block)] = [s, certified_less(s, bound, margin), None]
+                if not cost[1]:
+                    fail(k, 0, "p2-block-cost", cost[0], bound, node)
+                if phi.base is pphi and phi.block is block:
+                    if cost[2] is None:
+                        cost[2] = len(blocks)
+                        blocks.append(block)
+                    which.append(cost[2])
+                else:
+                    which.append(-1)
+                    exact[k] = phi
 
                 if bit == 0:
                     if length >= 2 and M[:len(parent.M)] != parent.M:
-                        fail("p4-zero-stable", M, parent.M, node)
-                else:
-                    if l > 0 and M[:l] != parent.M[:l]:
-                        fail("p5-one-stable", M[:l], parent.M[:l], node)
-                    if not certified_less(float(length), row[l], margin):
-                        fail("p6-forced-growth", row[l], length, node)
-                nodes.append(node)
-                rows.append(row)
+                        fail(k, 2, "p4-zero-stable", M, parent.M, node)
+                elif l > 0 and M[:l] != parent.M[:l]:
+                    fail(k, 2, "p5-one-stable", M[:l], parent.M[:l], node)
+        rows = _level_rows(rows, blocks, which, exps, exact)
+
+        n = len(nodes)
+        caps = np.fromiter(itertools.chain.from_iterable(caps), np.float64, n * (d + 1))
+        open_p3 = ~_surely_below(rows[:, :d + 1], length, caps.reshape(n, d + 1), margin)
+        open_p6 = ~_surely_above(float(length), rows[1::2, l], length, margin)
+        for k, i in np.argwhere(open_p3).tolist():
+            node = nodes[k]
+            if i < len(node.M):  # a padded entry is no claim
+                s = _exact_sum(node.phi, exps[i])
+                if not certified_less(s, float(node.M[i]), margin):
+                    fail(k, 1, "p3-caps", s, node.M[i], node, i)
+        for k in (2 * np.flatnonzero(open_p6) + 1).tolist():
+            node = nodes[k]
+            s = _exact_sum(node.phi, exps[l])
+            if not certified_less(float(length), s, margin):
+                fail(k, 3, "p6-forced-growth", s, length, node)
+        found.sort(key=lambda f: f[:2])
+        rep.checks += [check for _, _, check in found]
+        found.clear()
+
         # A new label enters the report where a node-by-node count would
         # first meet it: the 0-node first (p4), then the 1-node (p5, p6),
         # with p3 at the first node that has caps.
-        n, half = len(nodes), len(parents)
+        half = len(parents)
         first_caps = next((k for k, node in enumerate(nodes) if node.M), 0)
         tallies = [
             (0, "bookkeeping", n), (0, "phi-nonempty", n), (0, "p1-prefix", n),
             (0, "p2-block-cost", n),
-            (first_caps, "p3-caps", sum(min(len(node.M), d + 1) for node in nodes)),
+            (first_caps, "p3-caps", n * (d + 1) - short),
             (0, "p4-zero-stable", half if length >= 2 else 0),
             (1, "p5-one-stable", half if l > 0 else 0),
             (1, "p6-forced-growth", half),

@@ -175,16 +175,21 @@ def f_blocks(cache, spec, k):
     return tuple(node.block for node in walk_path(cache, path_bits(spec, k)))
 
 
-def unit_ball_check(cache, spec, k):
+def unit_ball_check(cache, spec, k, path=None):
     """Certify the per-block q-cost bound and unit-ball containment.
 
     Each block u_t, t <= k, must cost strictly less than 2**-(t+1) in q power,
     so the cumulative cost stays under the geometric partial sum, hence under 1.
     Only a violated block bound makes a ``Check``; the bound is counted
-    once, before the two cumulative claims.
+    once, before the two cumulative claims. ``path`` is the path to at
+    least k as ``path_rows`` gives it, so a caller that checks the path
+    otherwise too walks it once; without it, the blocks come from
+    ``f_blocks``.
     """
     rep = CheckReport(f"unit-ball k={k}", keep_passing=False)
-    costs = [pnorm_pow(u, cache.ladder.q) for u in f_blocks(cache, spec, k)]
+    blocks = (f_blocks(cache, spec, k) if path is None
+              else [node.block for node, _ in path[:k + 1]])
+    costs = [pnorm_pow(u, cache.ladder.q) for u in blocks]
     for t, c in enumerate(costs):
         bound = 2.0 ** -(t + 1)
         if not certified_less(c, bound, cache.margin):

@@ -114,3 +114,84 @@ def power_sum_whole_array(c, a, b):
     m = np.arange(a, b + 1, dtype=np.float64)
     m **= -c  # in place: up to DIRECT_CUTOFF terms
     return float(np.sum(m))
+
+
+def check_properties_per_node(cache, max_len):
+    """``construction.check_properties`` as it was before it checked a level
+    as one batch: every claim of every node decided by its exact sums.
+
+    The reference for the batched check, whose report must equal this one
+    in every byte. It walks, sums and compares node by node, as the library
+    did: each row from ``power_row`` (a 0-node takes its parent's sums),
+    each claim through ``certified_less``, and each violation appended
+    where it is met. It keeps the library's walk (``_child``), its parts
+    and its comparison, so it shares them with the code it checks; what it
+    does not share is the float filter and the merge of violations.
+    """
+    from lprl.construction import _child, _memo_of, power_row
+    from lprl.grid import depth, level
+    from lprl.reports import Check, CheckReport
+    from lprl.seqspace import _power_sum_parts, certified_less
+
+    ladder = cache.ladder
+    margin = cache.margin
+    q = ladder.q
+    memo = _memo_of(cache)
+    rep = CheckReport(f"construction-properties max_len={max_len}")
+    root = cache._nodes[()]
+    rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
+
+    def fail(label, lhs, rhs, node, i=None):
+        tag = "".join(map(str, node.sigma))
+        rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
+
+    nodes, rows = [root], [()]
+    for length in range(1, max_len + 1):
+        probe = (0,) * length
+        d, l = depth(probe), level(probe)
+        exps = ladder.exponents(d + 1)
+        bound = 2.0 ** -length
+        parents, parent_rows, nodes, rows = nodes, rows, [], []
+        for parent, parent_row in zip(parents, parent_rows):
+            for bit in (0, 1):
+                node = _child(cache, memo, parent, bit)
+                M = node.M
+                if len(M) != d + 1:
+                    fail("bookkeeping", len(M), d + 1, node)
+                if node.phi.length < 1:
+                    fail("phi-nonempty", node.phi.length, 1, node)
+                if not parent.phi.is_prefix_of(node.phi, proper=True):
+                    fail("p1-prefix", None, None, node)
+
+                block_cost = math.fsum(_power_sum_parts(node.block, q))
+                if not certified_less(block_cost, bound, margin):
+                    fail("p2-block-cost", block_cost, bound, node)
+
+                row = power_row(node, exps, parent, parent_row)
+                for i, (s, cap) in enumerate(zip(row, M)):
+                    if not certified_less(s, float(cap), margin):
+                        fail("p3-caps", s, cap, node, i)
+
+                if bit == 0:
+                    if length >= 2 and M[:len(parent.M)] != parent.M:
+                        fail("p4-zero-stable", M, parent.M, node)
+                else:
+                    if l > 0 and M[:l] != parent.M[:l]:
+                        fail("p5-one-stable", M[:l], parent.M[:l], node)
+                    if not certified_less(float(length), row[l], margin):
+                        fail("p6-forced-growth", row[l], length, node)
+                nodes.append(node)
+                rows.append(row)
+        n, half = len(nodes), len(parents)
+        first_caps = next((k for k, node in enumerate(nodes) if node.M), 0)
+        tallies = [
+            (0, "bookkeeping", n), (0, "phi-nonempty", n), (0, "p1-prefix", n),
+            (0, "p2-block-cost", n),
+            (first_caps, "p3-caps", sum(min(len(node.M), d + 1) for node in nodes)),
+            (0, "p4-zero-stable", half if length >= 2 else 0),
+            (1, "p5-one-stable", half if l > 0 else 0),
+            (1, "p6-forced-growth", half),
+        ]
+        for _, label, count in sorted(tallies, key=lambda t: t[0]):
+            rep.count(label, count)
+    return rep

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lprl import cli, construction, reduction
 from lprl.construction import ConstructionCache
 from lprl.errors import ResourceLimitError
+from lprl.reports import CheckReport
 from lprl.reduction import (
     AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
 from lprl.seqspace import ExpLadder
@@ -378,6 +379,22 @@ class TestMainExitCodes:
         for n in range(0, len(calls), 3):
             (_, _, path), *rest = calls[n:n + 3]
             assert path is not None and all(other is path for _, _, other in rest)
+
+    def test_verify_walks_each_corpus_path_once(self, monkeypatch):
+        # with the property check and the continuity pairs left out, the
+        # corpus suites step along each of the eight paths once, to position
+        # 12: 104 steps, where the unit-ball walks and then the stabilization
+        # and divergence walks made 104 + 52 + 32
+        steps = []
+        child = construction._child
+        monkeypatch.setattr(construction, "_child",
+                            lambda *args: steps.append(args[2].sigma + (args[3],)) or child(*args))
+        monkeypatch.setattr(cli, "check_properties", lambda cache, max_len: CheckReport("stub"))
+        monkeypatch.setattr(cli, "_seeded_continuity_pairs", lambda rng, count: [])
+        reports = cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 10, 0)
+        assert len(reports) == 1 + 8 + 4 * 3 + 4 and all(r.ok for r in reports)
+        assert len(steps) == 8 * 13
+        assert sorted(len(sigma) for sigma in steps) == sorted(list(range(1, 14)) * 8)
 
     def test_build_then_trace_cli(self, tmp_path):
         assert main(["build", "--max-len", "4", "--out", str(tmp_path)]) == 0

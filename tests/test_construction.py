@@ -9,10 +9,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lprl import construction, reduction, seqspace, witness
@@ -36,6 +38,7 @@ from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3
 from lprl.seqspace import (
     ExpLadder,
     FinSeq,
+    Literal,
     Margin,
     PowerWindow,
     _power_sum_parts,
@@ -46,7 +49,7 @@ from lprl.seqspace import (
 )
 from lprl.witness import ClaimRequest, cap_room, extend
 
-from oracles import power_sum_plain
+from oracles import check_properties_per_node, power_sum_plain
 
 
 @pytest.fixture
@@ -557,7 +560,7 @@ class TestExportImport:
         lines[lineno] = lines[lineno].replace("|M=2,3|", "|M=2|")
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
-        rep = check_properties(import_cache(bad), 3)
+        rep = _same_report(import_cache(bad), 3)
         assert [(c.label, c.lhs, c.rhs, c.note) for c in rep.violations] == [
             ("bookkeeping", 1, 2, "100"),
             ("p4-zero-stable", (2,), (2, 3), "100"),
@@ -595,49 +598,12 @@ class TestExportImport:
             import_cache(bad)
 
 
-def _rows_used(monkeypatch, cache, depth):
-    """check_properties' report, and every (node, exps, row) it read."""
-    rows = []
-
-    def recorded(node, exps, *args, **kwargs):
-        row = power_row(node, exps, *args, **kwargs)
-        rows.append((node, exps, row))
-        return row
-
-    monkeypatch.setattr(construction, "power_row", recorded)
-    return check_properties(cache, depth), rows
-
-
 class TestPowerRow:
-    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_rows_equal_a_full_resummation(self, tmp_path_factory, ladder, eta, depth):
-        cache = build_tree(ConstructionCache(ladder, Margin(eta)), depth)
-        loaded = import_cache(export_cache(cache, tmp_path_factory.mktemp("rows") / "cache.txt"))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            for c in (cache, loaded):
-                # the second check reads the parts the first one kept
-                for _ in range(2):
-                    rep, rows = _rows_used(monkeypatch, c, depth)
-                    assert rep.ok, rep.summary()
-                    assert len(rows) == len(c) - 1  # one row per non-root node
-                    for node, exps, row in rows:
-                        # summed from scratch: no stored parts, no inheritance
-                        fresh = FinSeq(node.phi.segments)
-                        assert [s.hex() for s in row] == [pnorm_pow(fresh, p).hex() for p in exps]
-                for node in c._nodes.values():
-                    fresh = FinSeq(node.phi.segments)
-                    for p, parts in node.phi._sums.items():
-                        assert [x.hex() for x in parts] == [
-                            x.hex() for x in _power_sum_parts(fresh, p)]
-
-    @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
-    def test_every_level_keeps_parts_and_a_zero_node_its_parents(self, tmp_path, fresh_nodes,
-                                                                  imported):
+    def test_every_level_keeps_parts_and_a_zero_node_its_parents(self, fresh_nodes):
+        # the parts the build stores; an imported tree's phis hold none, and
+        # the check stores none on them (``TestLevelRows``)
         max_len = 5
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
-        if imported:
-            cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
         assert check_properties(cache, max_len).ok
         q, shared = cache.ladder.q, 0
         for sigma, node in cache._nodes.items():
@@ -715,9 +681,188 @@ class TestPowerRow:
         lines[lineno] = re.sub(r"\|M=[^|]*\|", f"|M={caps}|", lines[lineno])
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
-        rep = check_properties(import_cache(bad), 3)
+        rep = _same_report(import_cache(bad), 3)
         assert [(c.label, c.lhs, c.rhs, c.note) for c in rep.violations if c.label == "p3-caps"] \
             == [("p3-caps", s, 1, "100 i=0")]
+
+
+def _level_rows_used(monkeypatch, cache, max_len):
+    """check_properties' report, and each level's rows as ``_level_rows``
+    returned them."""
+    levels = []
+    level_rows = construction._level_rows
+
+    def recorded(*args):
+        levels.append(level_rows(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(construction, "_level_rows", recorded)
+    return check_properties(cache, max_len), levels
+
+
+def _within_the_bound(row, exact, length):
+    """|R - S| <= (length+1) * 2**-52 * R + length * 2**-1074, in exact rationals."""
+    r, s = Fraction(row), Fraction(exact)
+    return abs(r - s) <= (length + 1) * Fraction(2) ** -52 * r + length * Fraction(2) ** -1074
+
+
+def _same_report(cache, max_len):
+    """check_properties' report, after asserting that it is the per-node
+    reference's in every byte of its dict, key order included."""
+    rep = check_properties(cache, max_len)
+    reference = check_properties_per_node(cache, max_len)
+    assert json.dumps(rep.to_dict()) == json.dumps(reference.to_dict())
+    return rep
+
+
+def _ulps(x, n):
+    """The float n steps above x (below it for n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+# non-negative parts, exact zeros, subnormals and parts near 1e308 (two of
+# which overflow) included
+_PARTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=2.0 ** -1022),
+    st.floats(min_value=1e300, max_value=1e308),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@st.composite
+def _blocks(draw):
+    """Up to 24 parts, cut into blocks of any size, empty ones included."""
+    parts = draw(st.lists(_PARTS, max_size=24))
+    cuts = sorted(draw(st.lists(st.integers(0, len(parts)), max_size=8)))
+    bounds = [0, *cuts, len(parts)]
+    return [parts[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def _drifting_blocks(draw):
+    """A part, then up to 23 blocks of one part each that is a quarter-ulp
+    multiple of it: each addition to the row rounds by up to half an ulp,
+    often the same way, so the row drifts from S by several ulps."""
+    first = draw(st.floats(min_value=2.0 ** -1000, max_value=1e300))
+    tick = math.ulp(first) / 4
+    return [[first]] + [[tick * draw(st.integers(1, 7))]
+                        for _ in range(draw(st.integers(1, 23)))]
+
+
+class TestLevelRows:
+    """Each level is one batch: a node's row is its parent's plus its
+    block's sums, claims are decided on it under a certified bound, and
+    the report is the per-node check's."""
+
+    @given(small_ladders(), st.floats(min_value=0.0, max_value=2.0 ** -20), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_lie_within_the_bound_of_a_fresh_sum(self, tmp_path_factory, ladder, eta,
+                                                      max_len):
+        cache = build_tree(ConstructionCache(ladder, Margin(eta)), max_len)
+        loaded = import_cache(export_cache(cache, tmp_path_factory.mktemp("rows") / "cache.txt"))
+        exps = ladder.exponents(depth((0,) * max_len) + 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for c in (cache, loaded):
+                # the second check sums the blocks the first one summed
+                for _ in range(2):
+                    rep, levels = _level_rows_used(monkeypatch, c, max_len)
+                    assert rep.ok, rep.summary()
+                    assert len(levels) == max_len
+                    for length, rows in enumerate(levels, 1):
+                        assert rows.shape == (2 ** length, len(exps))
+                        # a level's nodes in parent order, 0-child first
+                        for k, row in enumerate(rows.tolist()):
+                            sigma = tuple(map(int, format(k, f"0{length}b")))
+                            # summed from scratch: no stored parts, no links
+                            fresh = FinSeq(c._nodes[sigma].phi.segments)
+                            for p, r in zip(exps, row):
+                                assert _within_the_bound(r, pnorm_pow(fresh, p), length), (
+                                    sigma, p)
+                assert _same_report(c, max_len).ok
+
+    def test_the_check_stores_parts_on_blocks_only(self, tmp_path, fresh_nodes):
+        max_len = 5
+        built = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
+        cache = import_cache(export_cache(built, tmp_path / "cache.txt"))
+        assert check_properties(cache, max_len).ok
+        ladder = cache.ladder
+        exps = set(ladder.exponents(depth((0,) * max_len) + 1))
+        zeros = 0
+        for sigma, node in cache._nodes.items():
+            if not sigma:  # the root's phi is the process-wide EMPTY
+                continue
+            assert node.phi._sums == {}, sigma
+            block = node.block
+            # its q-cost, and its sums at every exponent of the deepest level
+            assert block._sums.keys() == {ladder.q} | exps, sigma
+            fresh = FinSeq(block.segments)
+            for p, parts in block._sums.items():
+                assert [x.hex() for x in parts] == [x.hex() for x in _power_sum_parts(fresh, p)]
+            zeros += sigma[-1] == 0 and all(parts == () for parts in block._sums.values())
+        assert zeros == 2 ** max_len - 1
+
+    @pytest.mark.parametrize("a,q", [(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)],
+                             ids=["a0-q2", "a0-q0.5", "a1-q3"])
+    def test_reports_equal_the_per_node_check(self, tmp_path, a, q):
+        cache = build_tree(ConstructionCache(ExpLadder(a, q)), 8)
+        loaded = import_cache(export_cache(cache, tmp_path / "cache.txt"))
+        for max_len in range(0, 9):
+            for c in (cache, loaded):
+                assert _same_report(c, max_len).ok
+
+    @pytest.mark.parametrize("extra", [(), (0.5,)], ids=["same-entries", "one-more-entry"])
+    def test_a_phi_that_does_not_link_to_its_parents_is_summed_whole(self, extra):
+        # a row grows from the parent's only along phi's link to it; a node
+        # whose phi is a sequence of its own gets the exact sums of that phi
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
+        node = cache._nodes[(1, 0, 1)]
+        phi = FinSeq(node.phi.segments + ((Literal(extra),) if extra else ()))
+        cache._nodes[node.sigma] = Node(node.sigma, phi, node.M, node.block)
+        rep = _same_report(cache, 4)
+        assert rep.ok == (extra == ())
+        assert any(c.note.startswith("101") for c in rep.violations) == (extra != ())
+
+    @given(st.one_of(_blocks(), _drifting_blocks()),
+           st.sampled_from([0.0, 2.0 ** -1074, 2.0 ** -20, 0.75, 3.0]),
+           st.integers(-3, 3), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300)
+    @example([[1.0]] + [[2.0 ** -53]] * 23, 0.0, -3, 0)  # the row stays 1.0, 12 ulps low
+    @example([[1.0]] + [[2.0 ** -53]] * 23, 2.0 ** -20, 0, 1)
+    @example([[1.0]] + [[0.75 * 2.0 ** -52]] * 23, 0.0, 3, 0)  # 6 ulps high
+    @example([[1.0 - 2.0 ** -53]] + [[2.0 ** -54 + 2.0 ** -106]] * 20, 0.0, 3, 0)
+    @example([[1e308], [1e308]], 0.0, 0, 0)  # the row overflows to inf, S raises
+    @example([[2.0 ** -1074] * 3, [], [2.0 ** -1074]], 2.0 ** -1074, 1, -1)
+    def test_the_filter_decides_only_as_the_exact_sum(self, blocks, eta, ulps, side):
+        # R as a level makes it: the root's 0.0 plus each block's fsum in turn
+        try:
+            sums = [math.fsum(block) for block in blocks]
+        except OverflowError:  # a block's own sum raises, here as in the per-node check
+            return
+        margin, length, r = Margin(eta), len(blocks), 0.0
+        for s in sums:
+            r += s
+        try:
+            exact = math.fsum(x for block in blocks for x in block)
+        except OverflowError:  # S raises, so the filter must decide nothing
+            exact = None
+        rows = np.array([r])
+        base = exact if exact is not None else 1.0
+        for value in (_ulps(base + side * eta, ulps), _ulps(base, ulps)):
+            caps = np.array([value])
+            if construction._surely_below(rows, length, caps, margin)[0]:
+                assert exact is not None and certified_less(exact, value, margin)
+            if construction._surely_above(value, rows, length, margin)[0]:
+                assert exact is not None and certified_less(value, exact, margin)
+        if exact is not None and exact < 1e300:
+            # far from S, the filter decides: it is not a check that always defers
+            far = exact * (1 + 2.0 ** -30) + 2 * eta + 2.0 ** -1000
+            assert construction._surely_below(rows, length, np.array([far]), margin)[0]
+            near = exact * (1 - 2.0 ** -30) - 2 * eta - 2.0 ** -1000
+            assert construction._surely_above(near, rows, length, margin)[0]
 
 
 # SHA-256 of the depth-10 exports; any change to a witness window shows here
@@ -815,7 +960,7 @@ def test_corrupted_depth4_report_is_pinned(tmp_path, name):
     lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(records.get(line.split("|")[0], line) for line in lines) + "\n")
-    report = check_properties(import_cache(bad), 4).to_dict()
+    report = _same_report(import_cache(bad), 4).to_dict()
     assert (report["title"], report["ok"]) == ("construction-properties max_len=4", False)
     assert list(report["instances"].items()) == instances
     assert [(v["label"], v["lhs"], v["rhs"], v["note"]) for v in report["violations"]] \
@@ -1141,3 +1286,51 @@ class TestWalksHoldTheGC:
         with pytest.raises(ValueError, match="appears before its parent"):
             import_cache(stored)
         assert gc.isenabled() is gc_before
+
+    @pytest.mark.parametrize("walk", ["build_tree", "check_properties", "import_cache"])
+    def test_no_collection_scans_what_the_walk_made(self, tmp_path, fresh_nodes, walk):
+        # a depth-8 walk makes thousands of containers with the GC held off;
+        # they go to the oldest generation, so the first allocations after
+        # it set off no young collection that would scan them all
+        stored = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8),
+                              tmp_path / "deep.txt")
+        construction._NODE_MEMO.clear()
+        walks = {
+            "build_tree": lambda: build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8),
+            "check_properties": lambda: check_properties(
+                ConstructionCache(ExpLadder(0.0, 2.0)), 8),
+            "import_cache": lambda: import_cache(stored),
+        }
+        collections = []
+
+        def seen(phase, info):
+            collections.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            walks[walk]()
+            assert gc.isenabled() and gc.get_count()[0] < 100
+            gc.callbacks.append(seen)
+            try:
+                made = [[] for _ in range(200)]
+            finally:
+                gc.callbacks.remove(seen)
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(made) == 200 and collections == []
+
+    @pytest.mark.parametrize("walk", ["build_tree", "check_properties", "import_cache"])
+    def test_a_callers_frozen_objects_stay_frozen(self, stored, gc_before, walk):
+        marker = []
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            self.walks(stored)[walk]()
+            # none unfrozen (a few may have been freed), none frozen anew
+            assert 0 < gc.get_freeze_count() <= frozen
+            assert all(obj is not marker for obj in gc.get_objects())
+            assert gc.isenabled() is gc_before
+        finally:
+            gc.unfreeze()
+        assert any(obj is marker for obj in gc.get_objects())
