@@ -169,12 +169,11 @@ def run_verification_suites(cache, max_len, seed):
     # all read that walk
     stable = cache.ladder.exponents(STABILIZATION_ROWS)
     paths = [path_rows(cache, spec, depth, stable if in_p3(spec) else ()) for spec in corpus]
-    for spec, path in zip(corpus, paths):
-        reports.append(unit_ball_check(cache, spec, depth, path))
+    reports += [unit_ball_check(cache, path) for path in paths]
     for spec, path in zip(corpus, paths):
         if in_p3(spec):
             for i in range(STABILIZATION_ROWS):
-                reports.append(stabilization_check(cache, spec, i, depth, path))
+                reports.append(stabilization_check(cache, spec, i, path))
         else:
             row = bad_row(spec)
             witness = divergence_witness(cache, spec, row, DIVERGENCE_TARGET, path)
@@ -245,7 +244,7 @@ def cmd_trace(cache, spec_text, k, target, out):
     print(f"trace written to {written}")
     if member:
         for i in range(STABILIZATION_ROWS):
-            rep = stabilization_check(cache, spec, i, k, path)
+            rep = stabilization_check(cache, spec, i, path)
             print(rep.summary())
     else:
         row_i = bad_row(spec)

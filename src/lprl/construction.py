@@ -271,34 +271,6 @@ def build_tree(cache, max_len):
     return cache
 
 
-def _adds_zeros(node, parent):
-    """Whether node's phi is parent's phi followed by entries exactly 0.0.
-
-    Read from the segments, never from a rounded sum: a literal run of
-    zeros or a window of scale 0.0. Each has a part of exactly 0.0 at
-    every exponent, which ``_power_sum_parts`` leaves out.
-    """
-    phi = node.phi
-    if phi.base is not parent.phi:
-        return False
-    for seg in phi.segments[len(parent.phi.segments):]:
-        if seg.scale != 0.0 if isinstance(seg, PowerWindow) else any(seg.values):
-            return False
-    return True
-
-
-def power_row(node, exps, parent=None, parent_row=()):
-    """``pnorm_pow(node.phi, p)`` for each p in exps, as a tuple.
-
-    ``parent_row`` holds the parent's power sums at a prefix of exps. When
-    node's phi is its parent's followed by exact zeros, those sums are its
-    own bit for bit, so they are taken over and only the rest is summed.
-    """
-    head = parent_row[:len(exps)] if parent is not None and _adds_zeros(node, parent) else ()
-    return head + tuple(math.fsum(_power_sum_parts(node.phi, p))
-                        for p in exps[len(head):])
-
-
 def _exact_sum(phi, p):
     """``pnorm_pow(phi, p)``, bit for bit, summed from the parts of phi's
     blocks along its links and of the segments it starts from, in that

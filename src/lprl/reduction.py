@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .construction import power_row, walk_path
+from .construction import walk_path
 from .errors import PreconditionError
 from .grid import pair, unpair
 from .reports import Check, CheckReport
-from .seqspace import certified_less, pnorm_pow
+from .seqspace import _power_sum_parts, certified_less, pnorm_pow
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +146,20 @@ def path_bits(spec, k):
 def path_rows(cache, spec, k, exps):
     """The nodes u_0..u_k of spec's path, each with its power sums at exps.
 
-    One walk, as a list of ``(node, {p: sum})`` in exps' order. Each row
-    comes from ``power_row``, which takes a 0-node's sums from its parent,
-    so every sum is ``pnorm_pow(node.phi, p)`` bit for bit. A node whose
-    row is its parent's row object shares its parent's dict, so a reader
-    may format such a row once. The checks below take such a list, so that
-    the table of ``lprl trace`` and its verdicts, or the three
-    stabilization rows of ``lprl verify``, read one walk.
+    One walk, as a list of ``(node, {p: sum})`` in exps' order. Each sum is
+    ``math.fsum`` of the node's stored power-sum parts, so it is
+    ``pnorm_pow(node.phi, p)`` bit for bit. A node whose parts equal the
+    previous node's shares its dict: a 0-node's zeros add no part, so it
+    shares its parent's sums, and a reader may format such a row once.
+    The checks below take such a list, so that ``lprl trace`` and
+    ``lprl verify`` walk each path once.
     """
-    rows, parent, row, sums = [], None, (), {}
+    rows, last, sums = [], None, None
     for node in walk_path(cache, path_bits(spec, k)):
-        last, row = row, power_row(node, exps, parent, row)
-        if row is not last:
-            sums = dict(zip(exps, row))
+        parts = [_power_sum_parts(node.phi, p) for p in exps]
+        if parts != last:
+            last, sums = parts, dict(zip(exps, map(math.fsum, parts)))
         rows.append((node, sums))
-        parent = node
     return rows
 
 
@@ -175,21 +174,18 @@ def f_blocks(cache, spec, k):
     return tuple(node.block for node in walk_path(cache, path_bits(spec, k)))
 
 
-def unit_ball_check(cache, spec, k, path=None):
+def unit_ball_check(cache, path):
     """Certify the per-block q-cost bound and unit-ball containment.
 
-    Each block u_t, t <= k, must cost strictly less than 2**-(t+1) in q power,
-    so the cumulative cost stays under the geometric partial sum, hence under 1.
-    Only a violated block bound makes a ``Check``; the bound is counted
-    once, before the two cumulative claims. ``path`` is the path to at
-    least k as ``path_rows`` gives it, so a caller that checks the path
-    otherwise too walks it once; without it, the blocks come from
-    ``f_blocks``.
+    ``path`` is u_0..u_k as ``path_rows`` gives it; only its nodes are read.
+    Each block u_t must cost strictly less than 2**-(t+1) in q power, so
+    the cumulative cost stays under the geometric partial sum, hence
+    under 1. Only a violated block bound makes a ``Check``; the bound is
+    counted once, before the two cumulative claims.
     """
+    k = len(path) - 1
     rep = CheckReport(f"unit-ball k={k}", keep_passing=False)
-    blocks = (f_blocks(cache, spec, k) if path is None
-              else [node.block for node, _ in path[:k + 1]])
-    costs = [pnorm_pow(u, cache.ladder.q) for u in blocks]
+    costs = [pnorm_pow(node.block, cache.ladder.q) for node, _ in path]
     for t, c in enumerate(costs):
         bound = 2.0 ** -(t + 1)
         if not certified_less(c, bound, cache.margin):
@@ -250,7 +246,7 @@ def check_divergence_target(target):
         raise ValueError(f"divergence target must be finite and >= 0, got {target!r}")
 
 
-def divergence_witness(cache, spec, row, target, path=()):
+def divergence_witness(cache, spec, row, target, path):
     """Walk the ones of a bad row until the row-exponent power sum beats target.
 
     Each one-bit at grid cell (row, j) forces the power sum at that row's
@@ -261,9 +257,9 @@ def divergence_witness(cache, spec, row, target, path=()):
     underflows to 0.0 is refused before the walk reaches it. Targets are
     checked by ``check_divergence_target``.
 
-    ``path`` is a prefix of the path already walked, as ``path_rows``
-    gives it: its nodes are read as they are, and its sums where they
-    include the row's exponent. The walk goes on from its last node.
+    ``path`` is u_0..u_k, the path walked so far, as ``path_rows`` gives
+    it: its nodes are read as they are, and its sums where they include
+    the row's exponent. The walk goes on from u_k.
     """
     check_divergence_target(target)
     pat = spec.row_pattern(row)
@@ -271,7 +267,7 @@ def divergence_witness(cache, spec, row, target, path=()):
         raise ValueError(f"row {row} does not carry infinitely many ones")
     p = cache.ladder.exponent(row)
     later = walk_path(cache, (alpha_bit(spec, n) for n in itertools.count(len(path))),
-                      path[-1][0] if path else None)
+                      path[-1][0])
     steps = enumerate(itertools.chain(path, ((node, ()) for node in later)))
     value = None
     for j in pat.ones():
@@ -291,17 +287,17 @@ def divergence_witness(cache, spec, row, target, path=()):
             return DivergenceWitness(node.phi.length, value)
 
 
-def stabilization_check(cache, spec, i, max_k, path=None):
+def stabilization_check(cache, spec, i, path):
     """Certify that the cap at row i freezes along a good point's path.
 
-    From the first position where rows 0..i have gone permanently zero,
-    every longer prefix must keep the identical cap M_i, and every prefix
-    power sum at p_i must stay certifiably below it. ``path`` is the path
-    to max_k as ``path_rows`` gives it, with sums at p_i: a caller that
-    checks several rows, or prints the path too, walks it once and passes
-    it. Without it, the path is walked here. Each claim is tested at every
-    node, but only a violation makes a ``Check``, noting its node's k; each
-    family is counted once, cap-stable first.
+    ``path`` is u_0..u_k as ``path_rows`` gives it, with sums at p_i, so a
+    caller that checks several rows, or prints the path too, walks it
+    once. From the first position where rows 0..i have gone permanently
+    zero, every longer prefix to k must keep the identical cap M_i, and
+    every prefix power sum at p_i must stay certifiably below it. Each
+    claim is tested at every node, but only a violation makes a
+    ``Check``, noting its node's k; each family is counted once,
+    cap-stable first.
     """
     if not in_p3(spec):
         raise ValueError("stabilization applies only to eventually-zero-row specs")
@@ -312,13 +308,12 @@ def stabilization_check(cache, spec, i, max_k, path=None):
             j0 = max(j0, pat.zero_from())
     n_stable = pair(i, j0)
     rep = CheckReport(f"stabilization i={i} j0={j0}", keep_passing=False)
+    max_k = len(path) - 1
     if n_stable > max_k:
         rep.add("in-range", True, n_stable, max_k,
                 note="stabilization index beyond max_k; nothing to check")
         return rep
     p_i = cache.ladder.exponent(i)
-    if path is None:
-        path = path_rows(cache, spec, max_k, (p_i,))
     m_ref = path[n_stable][0].M[i]
     for k, (node, sums) in enumerate(path[n_stable:], n_stable):
         if node.M[i] != m_ref:

@@ -544,6 +544,7 @@ class ExpLadder:
             raise ValueError("a and q must be finite")
         if not (0.0 <= self.a < self.q):
             raise ValueError(f"need 0 <= a < q, got a={self.a}, q={self.q}")
+        self.exponents(1)  # p_0 must round strictly between a and q
 
     def exponent(self, i):
         if i < 0:
@@ -551,8 +552,18 @@ class ExpLadder:
         return self.a + (self.q - self.a) * 2.0 ** -(i + 1)
 
     def exponents(self, count):
-        """p_0..p_{count-1}."""
-        return tuple(self.exponent(i) for i in range(count))
+        """p_0..p_{count-1}, each strictly between the one before it (q for
+        p_0) and a; ValueError names the first that is not."""
+        exps, above, name = [], self.q, "q"
+        for i in range(count):
+            p = self.exponent(i)
+            if not self.a < p < above:
+                raise ValueError(
+                    f"the ladder of a={self.a!r}, q={self.q!r} stops decreasing at "
+                    f"p_{i} = {p!r}: not strictly between {name} = {above!r} and a")
+            exps.append(p)
+            above, name = p, f"p_{i}"
+        return tuple(exps)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def _least_true(pred, guess, floor):
     return hi
 
 
+# The most bits an estimated start index may have. CI's (1, 1.01) tree has
+# a start of 28,261 bits by depth 8, and that ladder's estimates reach
+# about 72,500 bits by depth 12. Both searches at a start of this size took
+# 140 s and peaked at 34 MB on a 2-CPU x86-64 VM; a ratio much nearer 1
+# asks for an index whose digits alone do not fit in memory.
+START_BIT_LIMIT = 1 << 17
+
+
 @functools.cache
 def _least_start(s, thr, margin):
     """Least n0 >= 1 with the generator tail sum_{n>=n0} (n+1)**-s under thr.
@@ -184,7 +192,9 @@ def _least_start(s, thr, margin):
     Where the integral estimate n0 > ((s-1)*thr)**(-1/(s-1)) is at most a
     million, the search returns the least n0 whose kernel-summed tail is
     certified. Beyond that the estimate, doubled until certified, is used
-    (any certified n0 is sound; minimality only matters at desk scale).
+    (any certified n0 is sound; minimality only matters at desk scale); an
+    estimate of more than ``START_BIT_LIMIT`` bits is refused before it
+    is made.
     """
     if not s > 1:
         raise PreconditionError(f"tail exponent ratio must exceed 1, got {s}")
@@ -199,6 +209,11 @@ def _least_start(s, thr, margin):
         return _least_true(
             lambda n0: certified_less(_range_power_sum(s, n0 + 1), thr, margin), guess, 1)
     # astronomical start: certify the estimate analytically
+    bits = log_est / math.log(2.0)
+    if bits > START_BIT_LIMIT:
+        raise PreconditionError(
+            f"tail exponent ratio {s!r} and threshold {thr!r} need a start index of "
+            f"about {bits:.4g} bits, past the limit of {START_BIT_LIMIT}")
     with mp.workdps(40):
         n0 = int(mp.exp(mpf(log_est))) + 1
     while not certified_less(_range_power_sum(s, n0 + 1), thr, margin):

@@ -122,13 +122,13 @@ def check_properties_per_node(cache, max_len):
 
     The reference for the batched check, whose report must equal this one
     in every byte. It walks, sums and compares node by node, as the library
-    did: each row from ``power_row`` (a 0-node takes its parent's sums),
-    each claim through ``certified_less``, and each violation appended
-    where it is met. It keeps the library's walk (``_child``), its parts
+    did: each row the ``math.fsum`` of the node's power-sum parts at each
+    exponent, each claim through ``certified_less``, and each violation
+    appended where it is met. It keeps the library's walk (``_child``), its parts
     and its comparison, so it shares them with the code it checks; what it
     does not share is the float filter and the merge of violations.
     """
-    from lprl.construction import _child, _memo_of, power_row
+    from lprl.construction import _child, _memo_of
     from lprl.grid import depth, level
     from lprl.reports import Check, CheckReport
     from lprl.seqspace import _power_sum_parts, certified_less
@@ -145,14 +145,14 @@ def check_properties_per_node(cache, max_len):
         tag = "".join(map(str, node.sigma))
         rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
 
-    nodes, rows = [root], [()]
+    nodes = [root]
     for length in range(1, max_len + 1):
         probe = (0,) * length
         d, l = depth(probe), level(probe)
         exps = ladder.exponents(d + 1)
         bound = 2.0 ** -length
-        parents, parent_rows, nodes, rows = nodes, rows, [], []
-        for parent, parent_row in zip(parents, parent_rows):
+        parents, nodes = nodes, []
+        for parent in parents:
             for bit in (0, 1):
                 node = _child(cache, memo, parent, bit)
                 M = node.M
@@ -167,7 +167,7 @@ def check_properties_per_node(cache, max_len):
                 if not certified_less(block_cost, bound, margin):
                     fail("p2-block-cost", block_cost, bound, node)
 
-                row = power_row(node, exps, parent, parent_row)
+                row = [math.fsum(_power_sum_parts(node.phi, p)) for p in exps]
                 for i, (s, cap) in enumerate(zip(row, M)):
                     if not certified_less(s, float(cap), margin):
                         fail("p3-caps", s, cap, node, i)
@@ -181,7 +181,6 @@ def check_properties_per_node(cache, max_len):
                     if not certified_less(float(length), row[l], margin):
                         fail("p6-forced-growth", row[l], length, node)
                 nodes.append(node)
-                rows.append(row)
         n, half = len(nodes), len(parents)
         first_caps = next((k for k, node in enumerate(nodes) if node.M), 0)
         tallies = [

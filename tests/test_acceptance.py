@@ -28,6 +28,7 @@ from lprl.reduction import (
     continuity_check,
     divergence_witness,
     in_p3,
+    path_rows,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
@@ -130,7 +131,7 @@ def test_criterion_5_block_bound_and_unit_ball(cache02):
     ok = len(corpus) == 8
     ok = ok and sum(in_p3(s) for s in corpus) == 4
     for spec in corpus:
-        rep = unit_ball_check(cache02, spec, 12)
+        rep = unit_ball_check(cache02, path_rows(cache02, spec, 12, ()))
         ok = ok and rep.ok
     report(5, "block bound and unit ball", ok)
 
@@ -139,12 +140,13 @@ def test_criterion_6_dichotomy(cache02):
     ok = True
     for spec in standard_corpus():
         if in_p3(spec):
+            path = path_rows(cache02, spec, 12, cache02.ladder.exponents(3))
             for i in range(3):
-                rep = stabilization_check(cache02, spec, i, 12)
+                rep = stabilization_check(cache02, spec, i, path)
                 ok = ok and rep.ok and rep.counts.get("cap-stable", 0) > 0
         else:
             row = bad_row(spec)
-            w = divergence_witness(cache02, spec, row, 3.0)
+            w = divergence_witness(cache02, spec, row, 3.0, path_rows(cache02, spec, 0, ()))
             ok = ok and w.norm_value > 3.0
     report(6, "membership dichotomy", ok)
 

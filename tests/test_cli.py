@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lprl import cli, construction, reduction
+from lprl import cli, construction, reduction, witness
 from lprl.construction import ConstructionCache
 from lprl.errors import ResourceLimitError
 from lprl.reports import CheckReport
@@ -238,6 +238,28 @@ class TestMainExitCodes:
         assert rc == 2
         assert "error: margin eta must be finite and >= 0, got -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--a", "0", "--q", "5e-324", "--spec", "", "--k", "3"],
+        ["trace", "--a", "0.9999999999999999", "--q", "1", "--spec", "", "--k", "3"],
+        ["trace", "--a", "1", "--q", "3", "--spec", "", "--k", "2000"],
+        ["trace", "--a", "1", "--q", "1.0000000001", "--spec", "row=0:finite{0}", "--k", "2"],
+        ["verify", "--a", "1", "--q", "1.0000000000000004", "--max-len", "3"],
+        ["build", "--a", "1", "--q", "1.0000000000000004", "--max-len", "1"],
+    ], ids=["p0-rounds-to-a", "p0-rounds-to-q", "p53-rounds-to-a", "start-past-limit",
+            "verify-near-one", "build-near-one"])
+    def test_a_ratio_too_near_one_is_two(self, tmp_path, capsys, monkeypatch, argv):
+        # a ladder that stops decreasing, or a start index past its bit
+        # limit, is refused before anything exponentiates it
+        def unmade(*args):
+            raise AssertionError("a start index past the limit was made")
+
+        monkeypatch.setattr(witness.mp, "exp", unmade)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.splitlines()[0]]
+        assert "stops decreasing at p_" in err or "past the limit of 131072" in err
+
     def test_malformed_spec_is_two(self, tmp_path, capsys):
         rc = main(["trace", "--spec", "row=0:finite{1};nope", "--k", "3",
                    "--out", str(tmp_path)])
@@ -367,9 +389,9 @@ class TestMainExitCodes:
         calls = []
         check = cli.stabilization_check
 
-        def recorded(cache, spec, i, max_k, path=None):
+        def recorded(cache, spec, i, path):
             calls.append((spec, i, path))
-            return check(cache, spec, i, max_k, path)
+            return check(cache, spec, i, path)
 
         monkeypatch.setattr(cli, "stabilization_check", recorded)
         cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 4, 0)

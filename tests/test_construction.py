@@ -29,12 +29,11 @@ from lprl.construction import (
     export_cache,
     import_cache,
     least_natural_above,
-    power_row,
     walk_path,
 )
 from lprl.errors import PreconditionError
 from lprl.grid import depth, level
-from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3
+from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3, path_rows
 from lprl.seqspace import (
     ExpLadder,
     FinSeq,
@@ -187,7 +186,7 @@ class TestWalkPath:
         alpha_bit = reduction.alpha_bit
         monkeypatch.setattr(reduction, "alpha_bit",
                             lambda spec, n: calls.append(n) or alpha_bit(spec, n))
-        found = divergence_witness(small_cache, spec, 1, 3.0)
+        found = divergence_witness(small_cache, spec, 1, 3.0, path_rows(small_cache, spec, 0, ()))
         assert calls == list(range(9))  # the one at 8 clears the target
         last = build_node(small_cache, (0, 1, 0, 0, 0, 0, 0, 0, 1))
         assert found.prefix_len == last.phi.length and len(small_cache) == 10
@@ -641,34 +640,6 @@ class TestPowerRow:
         monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
         assert check_properties(cache, depth).ok
         assert summed and len(summed) == len(set(summed))
-
-    def test_a_zero_block_inherits_the_parents_row(self, small_cache):
-        build_tree(small_cache, 3)
-        parent, node = small_cache._nodes[(1, 0)], small_cache._nodes[(1, 0, 0)]
-        exps = small_cache.ladder.exponents(3)
-        given_row = (-1.0, -2.0)  # not sums at all: only inheritance returns them
-        row = power_row(node, exps, parent, given_row)
-        assert row[:2] == given_row
-        assert row[2] == pnorm_pow(node.phi, exps[2])
-        # a parent that node's phi does not extend gives nothing to inherit
-        other = small_cache._nodes[(1, 1)]
-        assert power_row(node, exps, other, given_row) == tuple(
-            pnorm_pow(node.phi, p) for p in exps)
-
-    @pytest.mark.parametrize("block", [finseq((0.0, -0.0)), FinSeq((PowerWindow(1.0, 3, 9, 0.0),))])
-    def test_exact_zeros_are_inherited(self, small_cache, block):
-        root = small_cache._nodes[()]
-        node = Node((0,), concat(root.phi, block), (1,), block)
-        assert power_row(node, (1.0,), root, (-1.0,)) == (-1.0,)
-
-    def test_a_block_whose_cost_underflows_is_summed(self, small_cache):
-        block = finseq((1e-200,))
-        assert pnorm_pow(block, small_cache.ladder.q) == 0.0  # (1e-200)**2 underflows
-        root = small_cache._nodes[()]
-        node = Node((0,), concat(root.phi, block), (1,), block)
-        exps = small_cache.ladder.exponents(1)
-        assert exps == (1.0,)
-        assert power_row(node, exps, root, (0.0,)) == (1e-200,)
 
     def test_a_zero_node_cap_below_its_sum_is_a_violation(self, tmp_path):
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)

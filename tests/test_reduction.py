@@ -4,10 +4,13 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lprl import reduction
 from lprl.construction import (
     ConstructionCache,
+    Node,
     build_node,
     build_tree,
     export_cache,
@@ -28,17 +31,32 @@ from lprl.reduction import (
     f_blocks,
     in_p3,
     path_bits,
+    path_rows,
     stabilization_check,
     standard_corpus,
     unit_ball_check,
 )
-from lprl.seqspace import ExpLadder, Margin, pnorm_pow, scale
+from lprl.seqspace import (
+    ExpLadder,
+    FinSeq,
+    Margin,
+    PowerWindow,
+    concat,
+    finseq,
+    pnorm_pow,
+    scale,
+)
 
 from lprl.cli import _seeded_continuity_pairs
 from oracles import distance_plain, power_sum_plain
 
 ZERO = AlphaSpec.from_rows({})
 ROW0_ALWAYS = AlphaSpec.from_rows({0: EventuallyOne(0)})
+
+
+def rows_at(cache, spec, i, k):
+    """spec's path to u_k with its sums at p_i, as stabilization reads it."""
+    return path_rows(cache, spec, k, (cache.ladder.exponent(i),))
 
 
 class TestAlphaBit:
@@ -112,13 +130,67 @@ class TestBlocks:
         assert blocks8[:6] == blocks5
 
 
+_SPECS = st.dictionaries(
+    st.integers(0, 4),
+    st.one_of(
+        st.builds(FiniteOnes, st.frozensets(st.integers(0, 4), max_size=3)),
+        st.builds(EventuallyOne, st.integers(0, 4)),
+        st.integers(1, 3).flatmap(lambda m: st.builds(
+            PeriodicOnes, st.integers(0, m - 1), st.just(m), st.integers(0, 2)))),
+    max_size=3).map(AlphaSpec.from_rows)
+
+
+class TestPathRows:
+    def test_a_zero_node_shares_its_parents_sums(self, cache02):
+        spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({0, 1}))})  # ones at 0 and 2
+        exps = cache02.ladder.exponents(3)
+        path = path_rows(cache02, spec, 4, exps)
+        assert path[-1][0].sigma == (1, 0, 1, 0, 0)
+        for t, (node, sums) in enumerate(path):
+            assert sums == {p: pnorm_pow(node.phi, p) for p in exps}
+            assert list(sums) == list(exps)
+            if t:  # the same dict object after a 0, a dict of its own after a 1
+                assert (sums is path[t - 1][1]) == (node.sigma[-1] == 0)
+
+    @pytest.mark.parametrize("block", [finseq((0.0, -0.0)), FinSeq((PowerWindow(1.0, 3, 9, 0.0),))])
+    def test_exact_zeros_share_the_parents_sums(self, block):
+        # a hand-made node after u_0 = (1,), whose phi adds exact zeros alone
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        parent = build_node(cache, (1,))
+        cache._nodes[(1, 0)] = Node((1, 0), concat(parent.phi, block), parent.M, block)
+        spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({0}))})
+        (_, first), (node, second) = path_rows(cache, spec, 1, (1.0,))
+        assert node.block is block
+        assert second is first and first[1.0] > 1.0
+
+    def test_a_block_whose_cost_underflows_is_summed(self):
+        cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        block = finseq((1e-200,))
+        assert pnorm_pow(block, cache.ladder.q) == 0.0  # (1e-200)**2 underflows
+        parent = build_node(cache, (0,))
+        cache._nodes[(0, 0)] = Node((0, 0), concat(parent.phi, block), parent.M, block)
+        assert cache.ladder.exponents(1) == (1.0,)
+        (_, first), (_, second) = path_rows(cache, ZERO, 1, (1.0,))
+        assert first == {1.0: 0.0} and second == {1.0: 1e-200}
+
+    @given(_SPECS, st.integers(0, 12), st.sampled_from([(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_sum_is_a_fresh_resummation(self, spec, k, config):
+        # each sum against its phi's segments summed anew, with no stored parts
+        ladder = ExpLadder(*config)
+        exps = (ladder.q, *ladder.exponents(4))
+        for node, sums in path_rows(ConstructionCache(ladder), spec, k, exps):
+            fresh = FinSeq(node.phi.segments)
+            assert [sums[p].hex() for p in exps] == [pnorm_pow(fresh, p).hex() for p in exps]
+
+
 class TestUnitBall:
     def test_zero_path(self, cache02):
-        rep = unit_ball_check(cache02, ZERO, 8)
+        rep = unit_ball_check(cache02, path_rows(cache02, ZERO, 8, ()))
         assert rep.ok
 
     def test_cumulative_under_geometric(self, cache02):
-        rep = unit_ball_check(cache02, ROW0_ALWAYS, 10)
+        rep = unit_ball_check(cache02, path_rows(cache02, ROW0_ALWAYS, 10, ()))
         assert rep.ok
         total = math.fsum(pnorm_pow(u, 2.0) for u in f_blocks(cache02, ROW0_ALWAYS, 10))
         assert total <= 1 - 2.0 ** -11
@@ -140,7 +212,7 @@ class TestCacheMargin:
         return ConstructionCache(ExpLadder(0.0, 2.0), Margin(1.0))
 
     def test_unit_ball(self, wide):
-        rep = unit_ball_check(wide, ZERO, 5)
+        rep = unit_ball_check(wide, path_rows(wide, ZERO, 5, ()))
         assert not rep.ok
         assert list(rep.counts.items()) == [
             ("block-q-bound", 6), ("cumulative-under-geometric", 1), ("cumulative-under-one", 1)]
@@ -205,7 +277,7 @@ class TestContinuity:
 
 class TestDivergence:
     def test_walks_past_target(self, cache02):
-        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 3.0)
+        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 3.0, path_rows(cache02, ROW0_ALWAYS, 0, ()))
         assert w.norm_value > 3.0
         # independent re-summation of the winning prefix
         bits = None
@@ -218,28 +290,30 @@ class TestDivergence:
         assert abs(power_sum_plain(prefix, 1.0) - w.norm_value) < 1e-9
 
     def test_target_zero_stops_first(self, cache02):
-        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 0.0)
+        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 0.0, path_rows(cache02, ROW0_ALWAYS, 0, ()))
         first = build_node(cache02, (1,))
         assert w.prefix_len == first.phi.length
         assert w.norm_value > 1.0
 
     def test_monotone_in_target(self, cache02):
-        lengths = [divergence_witness(cache02, ROW0_ALWAYS, 0, t).prefix_len
+        lengths = [divergence_witness(cache02, ROW0_ALWAYS, 0, t,
+                                      path_rows(cache02, ROW0_ALWAYS, 0, ())).prefix_len
                    for t in (0.0, 1.5, 3.0)]
         assert lengths == sorted(lengths)
 
     def test_finite_row_rejected(self, cache02):
         spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({1}))})
         with pytest.raises(ValueError):
-            divergence_witness(cache02, spec, 0, 1.0)
+            divergence_witness(cache02, spec, 0, 1.0, path_rows(cache02, spec, 0, ()))
 
     def test_a_first_one_whose_budget_underflows_is_refused_unwalked(self):
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
         spec = AlphaSpec.from_rows({46: EventuallyOne(0)})
         assert pair(46, 0) == 1081  # its budget 2**-1082 is 0.0
+        path = path_rows(cache, spec, 0, ())
         with pytest.raises(PreconditionError, match="row 46's first one is at position 1081"):
-            divergence_witness(cache, spec, 46, 3.0)
-        assert len(cache) == 1
+            divergence_witness(cache, spec, 46, 3.0, path)
+        assert len(cache) == 2  # the root and u_0, the path given
 
     def test_a_later_one_whose_budget_underflows_is_refused_unwalked(self, monkeypatch):
         # a walk past the last positive budget (position 1073) fails the test, not hangs it
@@ -249,7 +323,7 @@ class TestDivergence:
         spec = AlphaSpec.from_rows({0: PeriodicOnes(0, 10 ** 12, 0)})
         second = pair(0, 10 ** 12)  # about 5e23, past every positive budget
         with pytest.raises(PreconditionError) as err:
-            divergence_witness(cache, spec, 0, 3.0)
+            divergence_witness(cache, spec, 0, 3.0, path_rows(cache, spec, 0, ()))
         assert len(cache) == 2  # the root and the first one's node alone
         reached = pnorm_pow(cache._nodes[(1,)].phi, cache.ladder.exponent(0))
         assert 1.0 < reached < 3.0
@@ -260,7 +334,7 @@ class TestDivergence:
 
 class TestStabilization:
     def test_all_zero_keeps_unit_cap(self, cache02):
-        rep = stabilization_check(cache02, ZERO, 0, 12)
+        rep = stabilization_check(cache02, ZERO, 0, rows_at(cache02, ZERO, 0, 12))
         assert rep.ok
         for k in range(13):
             node = build_node(cache02, path_bits(ZERO, k))
@@ -268,12 +342,12 @@ class TestStabilization:
 
     def test_late_row_does_not_move_early_cap(self, cache02):
         spec = AlphaSpec.from_rows({3: FiniteOnes(frozenset({0, 1}))})
-        rep = stabilization_check(cache02, spec, 0, 12)
+        rep = stabilization_check(cache02, spec, 0, rows_at(cache02, spec, 0, 12))
         assert rep.ok
 
     def test_requires_membership(self, cache02):
         with pytest.raises(ValueError):
-            stabilization_check(cache02, ROW0_ALWAYS, 0, 8)
+            stabilization_check(cache02, ROW0_ALWAYS, 0, rows_at(cache02, ROW0_ALWAYS, 0, 8))
 
     def test_a_hand_made_path_reports_as_before(self, cache02):
         # from n_stable = pair(1, 1) = 4 on: the cap moves at k=6 and the
@@ -284,7 +358,7 @@ class TestStabilization:
         caps = [(9, 3)] * 6 + [(9, 4), (9, 3), (9, 3)]
         sums = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 2.75]
         path = [(SimpleNamespace(M=m), {p1: s}) for m, s in zip(caps, sums)]
-        report = stabilization_check(cache02, spec, 1, 8, path).to_dict()
+        report = stabilization_check(cache02, spec, 1, path).to_dict()
         assert report == {
             "title": "stabilization i=1 j0=1", "ok": False,
             "instances": {"cap-stable": 5, "prefix-bounded": 5},
@@ -295,7 +369,7 @@ class TestStabilization:
 
     def test_beyond_max_k_reports_nothing_to_check(self, cache02):
         spec = AlphaSpec.from_rows({2: FiniteOnes(frozenset({4}))})
-        rep = stabilization_check(cache02, spec, 2, 5)
+        rep = stabilization_check(cache02, spec, 2, rows_at(cache02, spec, 2, 5))
         assert rep.ok
         assert rep.counts["cap-stable"] == 0
 
@@ -304,7 +378,7 @@ class TestScalePrefix:
     def test_divergence_survives_scaling(self, cache02):
         # scaling by delta rescales every p-power sum by delta**p, so the
         # witness argument goes through at the scaled target
-        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 3.0)
+        w = divergence_witness(cache02, ROW0_ALWAYS, 0, 3.0, path_rows(cache02, ROW0_ALWAYS, 0, ()))
         delta = 0.5
         node = None
         for k in (0, 2, 5, 9, 14):

@@ -678,6 +678,20 @@ class TestExpLadder:
         assert ps[0] < lad.q
         assert ps[-1] - a < gap * 2 ** -29
 
+    @pytest.mark.parametrize("a,q,p0", [(0.0, 5e-324, 0.0), (0.9999999999999999, 1.0, 1.0)])
+    def test_a_first_exponent_that_rounds_to_a_or_q_is_refused(self, a, q, p0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"stops decreasing at p_0 = {p0!r}: not strictly between q = {q!r} and a")):
+            ExpLadder(a, q)
+
+    def test_exponents_past_the_last_strict_step_are_refused(self):
+        lad = ExpLadder(1.0, 3.0)
+        assert lad.exponents(53)[-1] == 1.0000000000000002
+        with pytest.raises(ValueError, match=re.escape(
+                "stops decreasing at p_53 = 1.0: not strictly between "
+                "p_52 = 1.0000000000000002 and a")):
+            lad.exponents(54)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             ExpLadder(2.0, 1.0)

@@ -310,6 +310,17 @@ class TestLeastStart:
         assert n0 > 2 ** 1024
         assert under(n0) and not under(n0 - 1)
 
+    def test_a_start_past_the_bit_limit_is_refused_unmade(self, monkeypatch):
+        # a ratio one ulp above 1 asks for a start of about 2**57 bits; the
+        # estimate is refused before anything exponentiates it
+        def unmade(*args):
+            raise AssertionError("a start index past the limit was made")
+
+        monkeypatch.setattr(witness.mp, "exp", unmade)
+        assert witness.START_BIT_LIMIT == 1 << 17
+        with pytest.raises(PreconditionError, match="bits, past the limit of 131072"):
+            _least_start(math.nextafter(1.0, 2.0), 0.5, Margin())
+
     @given(st.floats(min_value=1.2, max_value=8.0), st.floats(min_value=1e-6, max_value=4.0),
            st.sampled_from([0.0, 2 ** -30, 2 ** -20, None]))
     @settings(max_examples=80, deadline=None)
