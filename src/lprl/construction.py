@@ -192,14 +192,12 @@ class Template:
     depth d, and ``level``, the row l of its last cell, below which a
     1-node keeps its parent's caps. A 1-node of the length adds its
     ``claim``, on p_0..p_l with target M = length and q-cost budget
-    eps = 2**-length, and ``more``, p_{l+1}..p_d, at which its new caps are
-    summed besides p_l; a length that no 1-node has reached lacks both, so
-    an all-zero path never makes a budget that underflows to 0."""
+    eps = 2**-length; a length that no 1-node has reached lacks it, so an
+    all-zero path never makes a budget that underflows to 0."""
 
     exps: tuple
     level: int
     claim: object = None
-    more: tuple = ()
 
 
 # Templates by ladder, then by length: {ladder: {length: Template}}. Each
@@ -219,7 +217,6 @@ def _template(cache, length, one):
     if one and t.claim is None:
         l = t.level
         t.claim = claim_of(cache.ladder.q, t.exps[:l + 1], float(length), 2.0 ** -length)
-        t.more = t.exps[l + 1:]
     return t
 
 
@@ -228,12 +225,12 @@ def _extend_node(cache, parent, bit):
     cap per row from ``keep`` to its depth, above its power sum there.
 
     What the child's length fixes comes from its ``Template``, so a node
-    pays only for its own sums, claims and caps. A 0-node sums its phi at
-    the rows its parent has no cap for, if any. A 1-node makes its request
-    on the template's Claim, with the parent's phi and caps; its phi is
-    the u~v that ``extend``'s re-check summed, and its new caps come from
-    the sums taken there, so its row is summed once. A PreconditionError
-    is tagged with the child's string."""
+    pays only for its own sums, claims and caps. A 0-node's phi links its
+    parent's to a zero; a 1-node makes its request on the template's
+    Claim, with the parent's phi and caps, and its phi is the u~v that
+    ``extend``'s re-check summed, which keeps the parts summed there. Both
+    sum their phi from those parts at the rows from ``keep`` on, if any. A
+    PreconditionError is tagged with the child's string."""
     tau = parent.sigma + (bit,)
     t = cache._templates.get(len(tau))
     if t is None or bit and t.claim is None:
@@ -242,21 +239,18 @@ def _extend_node(cache, parent, bit):
     if bit == 0:
         keep, block = len(parent.M), _ZERO_BLOCK
         phi = FinSeq(block, base=parent.phi)
-        new = t.exps[keep:]
-        if new:
-            new = [least_natural_above(math.fsum(_power_sum_parts(phi, p)), margin)
-                   for p in new]
     else:
         keep = t.level
         req = ClaimRequest.on(t.claim, parent.phi, tuple(map(float, parent.M[:keep])))
         try:
-            w = extend(req, margin, t.more)
+            w = extend(req, margin)
         except PreconditionError as err:
             err.sigma = tau
             raise
-        block, phi, sums = w.v, w.uv, w.sums
-        new = [least_natural_above(sums[p], margin) for p in t.exps[keep:]]
-    return Node(tau, phi, parent.M[:keep] + tuple(new), block)
+        block, phi = w.v, w.uv
+    new = tuple(least_natural_above(math.fsum(_power_sum_parts(phi, p)), margin)
+                for p in t.exps[keep:])
+    return Node(tau, phi, parent.M[:keep] + new, block)
 
 
 @_gc_held

@@ -12,13 +12,12 @@ exponent 1, otherwise Euler-Maclaurin summation in mpmath, stopped at the
 first correction below 2**-(prec+8) of the sum (every even derivative of
 x**-c is positive, so that correction bounds the remainder), at a working
 precision that grows with the endpoints' digits. All of this is one
-kernel, ``_range_power_sum(c, a, b)``, memoized process-wide by those
-arguments; it sums its numpy regime in leaves split as ``np.sum`` splits,
-so millions of terms give ``np.sum``'s value in 0.5 MB of arrays.
-``_range_power_sums(cs, a, b)`` asks it for several exponents at once: the
-numpy regime then makes each leaf's indices once for all of them, and it
-keeps the sums of the halves on the right edge of its splits, so a window
-one term longer than one summed before sums little more than its last leaf.
+kernel, ``_range_power_sum(c, a, b)``, one exponent per request,
+memoized process-wide by those arguments. Its numpy regime sums in leaves
+split as ``np.sum`` splits, so millions of terms give ``np.sum``'s value in
+one 0.25 MB leaf, and it keeps the sums of the halves on the right edge of
+its splits, so a window one term longer than one summed before sums little
+more than its last leaf.
 
 A sequence made by ``concat`` links to the sequence it extends and to the
 block it appends, and its power sums grow along those links: its
@@ -171,93 +170,63 @@ def _range_power_sum(c, a, b=None):
     their re-check all go through it, and it memoizes its results by
     ``(c, a, b)`` (a call that raises stores nothing). Windows of at most
     ``DIRECT_CUTOFF`` terms are summed directly (fsum up to ``FSUM_CUTOFF``
-    terms, numpy above); longer windows and tails are evaluated
-    analytically.
+    terms, ``_pairwise_sum`` above); longer windows and tails are
+    evaluated analytically.
     """
     out = _WINDOW_SUM_CACHE.get((c, a, b))
     if out is None:
-        out, = _range_power_sums((c,), a, b)
+        if b is None or b - a >= DIRECT_CUTOFF or b >= MAX_EXACT_INDEX:
+            out = _analytic_range_sum(c, a, b)
+        elif b - a < FSUM_CUTOFF:
+            out = math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1))
+        else:
+            fresh = {}
+            out = _pairwise_sum(c, a, b - a + 1, fresh)
+            _HALF_SUM_CACHE.update(fresh)
+        _WINDOW_SUM_CACHE[(c, a, b)] = out
     return out
 
 
-def _range_power_sums(cs, a, b=None):
-    """``_range_power_sum(c, a, b)`` for each c in cs, as a tuple.
-
-    Exponents the memo lacks are summed in one request and stored only
-    once all of them are: the numpy regime walks the window's leaves once
-    for all of them, the other regimes take them one by one.
-    """
-    memo = _WINDOW_SUM_CACHE
-    todo = [c for c in dict.fromkeys(cs) if (c, a, b) not in memo]
-    if todo:
-        if b is None or b - a >= DIRECT_CUTOFF or b >= MAX_EXACT_INDEX:
-            fresh = [_analytic_range_sum(c, a, b) for c in todo]
-        elif b - a < FSUM_CUTOFF:
-            fresh = [math.fsum((m + 0.0) ** (-c) for m in range(a, b + 1)) for c in todo]
-        else:
-            fresh = _numpy_power_sums(todo, a, b - a + 1)
-        memo.update(((c, a, b), s) for c, s in zip(todo, fresh))
-    return tuple(memo[(c, a, b)] for c in cs)
-
-
-# Terms per leaf in ``_numpy_power_sums``: a leaf's 0.25 MB of float64
-# indices, and as much again for its powers when it serves several
-# exponents, keep a walk's arrays within 0.5 MB.
+# Terms per leaf in ``_pairwise_sum``, and its leaves' offsets 0..2**15-1:
+# a leaf is ``_IOTA[:n] + a``, exact below 2**52, in 0.25 MB.
 _LEAF_TERMS = 1 << 15
+_IOTA = np.arange(_LEAF_TERMS, dtype=np.float64)
 
-# The left halves' sums along the right edge of the numpy regime's
-# pairwise splits, by (c, a, n): at most one per level for each window and
-# exponent, and the sums the next longer window of the same start reuses.
+# The left halves' sums along the right edge of ``_pairwise_sum``'s
+# splits, by (c, a, n): at most one per level for each window, and the
+# sums the next longer window of the same start reuses.
 _HALF_SUM_CACHE = {}
 
 
-def _numpy_power_sums(cs, a, n):
-    """sum_{m=a}^{a+n-1} m**(-c) for each c in cs, as ``np.sum`` over all n
-    terms gives it.
+def _pairwise_sum(c, a, n, fresh=None):
+    """sum_{m=a}^{a+n-1} m**(-c) as ``np.sum`` over all n terms gives it.
 
     ``np.sum`` adds pairwise: a block of more than 128 terms is split
     after ``half = n // 2`` rounded down to a multiple of 8, and the
     halves' sums are added. Splitting the same way down to leaves of at
     most ``_LEAF_TERMS`` terms, each summed by ``np.sum``, is therefore the
-    same sum bit for bit, in bounded memory: a leaf's indices are made
-    once and powered for each exponent, so a walk holds at most two
-    leaf-sized arrays, 0.5 MB.
+    same sum bit for bit, in one leaf of memory.
 
-    Each left half on the right edge of the split tree is looked up in
-    ``_HALF_SUM_CACHE``, and a missing one is stored once the whole call
-    has succeeded, so the memo grows by at most one entry per level
-    (O(log n)) for each window and exponent. A window one term longer
-    splits the same way unless a length on that edge is 15 mod 16, and
-    then sums only its last leaf (two, where that leaf was full).
+    Where ``fresh`` is given (on the right edge of the split tree), each
+    left half is looked up in ``_HALF_SUM_CACHE``, and a missing one is put
+    in ``fresh``, which the kernel stores once the whole sum has succeeded:
+    the memo grows by at most one entry per level (O(log n)) for each
+    window. A window one term longer splits the same way unless a length on
+    that edge is 15 mod 16, and then sums only its last leaf (two, where
+    that leaf was full).
     """
-    fresh = {}
-    out = _pairwise_sums(cs, a, n, np.empty(_LEAF_TERMS) if len(cs) > 1 else None, fresh)
-    _HALF_SUM_CACHE.update(fresh)
-    return out
-
-
-def _pairwise_sums(cs, a, n, buf, fresh=None):
-    """The walk of ``_numpy_power_sums``, its left halves read from the
-    memo and new ones put in ``fresh`` where that is given (on the right
-    edge). A leaf's indices are powered into ``buf`` for each exponent but
-    the last, which powers them in place."""
     if n <= _LEAF_TERMS:
-        m = np.arange(a, a + n, dtype=np.float64)
-        out = [float(np.sum(np.power(m, -c, out=buf[:n]))) for c in cs[:-1]]
-        return out + [float(np.sum(np.power(m, -cs[-1], out=m)))]
+        m = _IOTA[:n] + a
+        return float(np.sum(np.power(m, -c, out=m)))
     half = n // 2
     half -= half % 8
     if fresh is None:
-        left = _pairwise_sums(cs, a, half, buf)
+        left = _pairwise_sum(c, a, half)
     else:
-        sums = {c: _HALF_SUM_CACHE.get((c, a, half)) for c in cs}
-        todo = [c for c, s in sums.items() if s is None]
-        if todo:
-            sums.update(zip(todo, _pairwise_sums(todo, a, half, buf)))
-            fresh.update(((c, a, half), sums[c]) for c in todo)
-        left = sums.values()
-    right = _pairwise_sums(cs, a + half, n - half, buf, fresh)
-    return [x + y for x, y in zip(left, right)]
+        left = _HALF_SUM_CACHE.get((c, a, half))
+        if left is None:
+            left = fresh[(c, a, half)] = _pairwise_sum(c, a, half)
+    return left + _pairwise_sum(c, a + half, n - half, fresh)
 
 
 def _analytic_range_sum(c, a, b=None):
@@ -431,7 +400,10 @@ class FinSeq:
 
     def __repr__(self):
         if self.length <= 8:
-            return f"FinSeq({self.materialize()!r})"
+            try:
+                return f"FinSeq({self.materialize()!r})"
+            except ResourceLimitError:  # a window past 2**52 exists only as a descriptor
+                pass
         return f"FinSeq(<{self.length} entries, {len(self.segments)} segments>)"
 
 

@@ -42,7 +42,6 @@ from .seqspace import (
     window_seq,
     _power_sum_parts,
     _range_power_sum,
-    _range_power_sums,
 )
 
 
@@ -61,7 +60,6 @@ class Claim:
     M: float
     eps: float
     s_tail: float  # the tail exponent ratio of the start search
-    asked: tuple  # (q, *exps): the exponents the block is summed at
     counts: dict  # the re-check's claim families, each counted once, in report order
 
 
@@ -88,7 +86,7 @@ def claim_of(q, exps, M, eps, caps=None):
             raise ValueError(f"{name} must be positive, got {val!r}")
     s_tail = (exps[-2] if len(exps) >= 2 else q) / exps[-1]
     labels = ["non-empty", "q-cost", *(f"cap-p{i}" for i in range(len(exps) - 1)), "divergence"]
-    return Claim(q, exps, M, eps, s_tail, (q, *exps), dict.fromkeys(labels, 1))
+    return Claim(q, exps, M, eps, s_tail, dict.fromkeys(labels, 1))
 
 
 class ClaimRequest:
@@ -128,26 +126,23 @@ class ClaimWitness:
     """The appended block v together with its generator index window.
 
     A witness from ``extend`` also holds the sequence u~v that its re-check
-    summed, ``uv``, and u~v's power sums by exponent, ``sums``, so that the
-    tree takes u~v as a node's phi and its caps from those sums. Neither
-    takes part in equality. ``extend`` sets both once the re-check has
-    passed; nothing changes a witness after that.
+    summed, ``uv``, which keeps its power-sum parts, so that the tree takes
+    u~v as a node's phi. It takes no part in equality. ``extend`` sets it
+    once the re-check has passed; nothing changes a witness after that.
     """
 
     v: FinSeq
     n0: int
     n1: int
     uv: FinSeq = field(default=None, compare=False, repr=False)
-    sums: dict = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class WitnessReport(CheckReport):
     """``verify_witness``'s report, with the sequence u~v it summed (None
-    for an empty block) and u~v's power sums by exponent."""
+    for an empty block)."""
 
     uv: FinSeq = None
-    sums: dict = field(default_factory=dict)
 
 
 def _least_true(pred, guess, floor):
@@ -252,7 +247,7 @@ def cap_room(total, cap):
     return cap - total - 2.0 * math.ulp(cap)
 
 
-def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
+def extend(req, margin=DEFAULT_MARGIN):
     """Produce a ClaimWitness for the request, following the tail-bound proof.
 
     Pure function of (request, margin): identical inputs give the identical
@@ -263,13 +258,10 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     which answer repeated arguments from their memos: a window found before
     gives the same block object (``_block``), which keeps its power-sum
     parts. What the request's Claim fixes is not derived again. The block
-    is still re-checked by ``verify_witness`` on every call.
-
-    The block is summed at q, at every exponent of the request and at
-    ``more_exps`` in one kernel request: a window the kernel sums with
-    numpy is walked once for all of them. A shared block that already holds
-    its parts at each of them sends no request. The witness returned holds
-    the re-check's u~v and its power sums, at ``more_exps`` too.
+    is still re-checked by ``verify_witness`` on every call, which sums it
+    at q and at every exponent of the request, one kernel request per
+    exponent that the block does not hold yet. The witness returned holds
+    the re-check's u~v, with its parts at those exponents.
     """
     claim, u = req.claim, req.u
     slacks = []
@@ -283,18 +275,12 @@ def extend(req, margin=DEFAULT_MARGIN, more_exps=()):
     n0 = _least_start(claim.s_tail, thr, margin)
     n1 = _least_end(n0, claim.M, margin)
     pb = claim.exps[-1]
-    block = _block(pb, n0, n1)
-    exps = (*claim.asked, *more_exps)
-    if not block._sums.keys() >= set(exps):
-        _range_power_sums(tuple(p / pb for p in exps), n0 + 1, n1 + 1)
-    w = ClaimWitness(block, n0, n1)
+    w = ClaimWitness(_block(pb, n0, n1), n0, n1)
     rep = verify_witness(req, w, margin)
     if not rep.ok:
         raise ArithmeticError(
             "constructed witness failed its own re-check:\n" + rep.summary())
-    w.uv, w.sums = uv, sums = rep.uv, rep.sums
-    for p in more_exps:
-        sums[p] = math.fsum(_power_sum_parts(uv, p))
+    w.uv = rep.uv
     return w
 
 
@@ -304,9 +290,9 @@ def verify_witness(req, w, margin):
     Uses only the block's entries (partial sums), never the tail estimates
     that guided the search, so a bookkeeping bug in ``extend`` cannot
     certify itself. u~v is ``concat(req.u, w.v)``, summed once at each of
-    the request's exponents; the report holds it and those sums. Every
-    claim is evaluated; each family of the request's Claim is counted once,
-    and a Check is kept for a violation only.
+    the request's exponents, and the report holds it. Every claim is
+    evaluated; each family of the request's Claim is counted once, and a
+    Check is kept for a violation only.
     """
     claim, v = req.claim, w.v
     if v.length == 0:
@@ -318,11 +304,11 @@ def verify_witness(req, w, margin):
     if not certified_less(qcost, claim.eps, margin):
         bad.append(Check("q-cost", False, qcost, claim.eps))
     uv = FinSeq(v, base=req.u)
-    sums = {p: math.fsum(_power_sum_parts(uv, p)) for p in claim.exps}
     for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
-        if not certified_less(sums[p], r, margin):
-            bad.append(Check(f"cap-p{i}", False, sums[p], r))
-    div = sums[claim.exps[-1]]
+        s = math.fsum(_power_sum_parts(uv, p))
+        if not certified_less(s, r, margin):
+            bad.append(Check(f"cap-p{i}", False, s, r))
+    div = math.fsum(_power_sum_parts(uv, claim.exps[-1]))
     if not certified_less(claim.M, div, margin):
         bad.append(Check("divergence", False, div, claim.M))
-    return WitnessReport("claim-witness", False, tally(claim.counts), bad, uv, sums)
+    return WitnessReport("claim-witness", False, tally(claim.counts), bad, uv)

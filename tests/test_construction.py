@@ -983,13 +983,15 @@ class TestOneRowPerNode:
     def test_a_warm_rebuild_sends_no_kernel_request_from_extend(self, monkeypatch,
                                                                  fresh_nodes):
         # the 1-nodes of one length share one block, which holds its parts
-        # at every exponent asked once the first build has summed it
+        # at every exponent asked once the first build has summed it, and
+        # the searches answer from their memos
         build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)
         construction._NODE_MEMO.clear()
         requests = []
-        range_power_sums = witness._range_power_sums
-        monkeypatch.setattr(witness, "_range_power_sums",
-                            lambda *args: requests.append(args) or range_power_sums(*args))
+        for module, name in ((seqspace, "_window_power_sum"), (witness, "_range_power_sum")):
+            inner = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
+                                requests.append(name) or inner(*args))
         assert len(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)) == 2 ** 13 - 1
         assert requests == []
 
@@ -1009,22 +1011,30 @@ class TestOneRowPerNode:
             assert node.phi is rep.uv
             assert node.phi.block is node.block
 
+    def test_new_caps_lie_above_a_fresh_sum_of_phi(self, fresh_nodes):
+        # one rule for both children: a node keeps its parent's caps below
+        # ``keep`` and takes a new cap above its phi's power sum at each row
+        # from there to its depth
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), 6)
+        new_caps = 0
+        for sigma, node in cache._nodes.items():
+            if not sigma:
+                continue
+            parent = cache._nodes[sigma[:-1]]
+            keep = level(sigma) if sigma[-1] else len(parent.M)
+            exps = cache.ladder.exponents(depth(sigma) + 1)
+            assert node.M[:keep] == parent.M[:keep] and len(node.M) == len(exps)
+            fresh = FinSeq(node.phi.segments)  # no links, no stored parts
+            for p, cap in zip(exps[keep:], node.M[keep:]):
+                assert cap == least_natural_above(pnorm_pow(fresh, p), cache.margin)
+                new_caps += 1
+        assert new_caps > 2 ** 6
+
     @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
-    def test_rows_and_kept_parts_equal_a_full_resummation(self, tmp_path, monkeypatch,
-                                                          fresh_nodes, imported):
+    def test_rows_and_kept_parts_equal_a_full_resummation(self, tmp_path, fresh_nodes,
+                                                          imported):
         depth = 6
-        witnesses = []
-
-        def recorded(req, margin, more_exps=()):
-            witnesses.append(extend(req, margin, more_exps))
-            return witnesses[-1]
-
-        monkeypatch.setattr(construction, "extend", recorded)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), depth)
-        for w in witnesses:  # the sums the new caps were taken from
-            fresh = FinSeq(w.uv.segments)
-            assert {p: s.hex() for p, s in w.sums.items()} == {
-                p: pnorm_pow(fresh, p).hex() for p in w.sums}
         if imported:
             cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
         assert check_properties(cache, depth).ok
@@ -1164,16 +1174,16 @@ class TestTemplates:
         window, = node.block.segments
         assert (window.n_start, window.n_end) == (w.n0, w.n1)
         assert node.block is w.v and node.phi.base is parent.phi
-        assert node.M == (1, least_natural_above(w.sums[exps[1]], margin))
+        assert node.M == (1, least_natural_above(pnorm_pow(w.uv, exps[1]), margin))
 
     def test_every_one_node_is_extended_and_rechecked_once(self, monkeypatch, fresh_nodes):
         requests, reports = [], []
         extend_ = construction.extend
         verify_witness = witness.verify_witness
 
-        def extended(req, margin, more_exps=()):
+        def extended(req, margin):
             requests.append(req)
-            return extend_(req, margin, more_exps)
+            return extend_(req, margin)
 
         def rechecked(req, w, margin):
             reports.append(verify_witness(req, w, margin))

@@ -32,7 +32,6 @@ from lprl.seqspace import (
     _WINDOW_SUM_CACHE,
     _prefix_walk,
     _range_power_sum,
-    _range_power_sums,
     _window_power_sum,
 )
 
@@ -270,6 +269,11 @@ class TestNumpyLeaves:
                      st.floats(min_value=0.02, max_value=16.0)),
            st.integers(1, 2 ** 40), numpy_lengths)
     @settings(max_examples=100, deadline=None)
+    @example(c=1.0, a=1, n=1 << 15)  # one full leaf
+    @example(c=0.5, a=7, n=(1 << 15) + 1)  # two leaves, the last of one term
+    @example(c=2.0, a=123_456, n=(1 << 16) + 8)
+    @example(c=1.0, a=2 ** 52 - 2 ** 16, n=1 << 16)  # ends at 2**52 - 1
+    @example(c=0.0625, a=2 ** 52 - 2 ** 16, n=(1 << 15) + 1)
     def test_leaves_equal_the_whole_array_sum(self, c, a, n):
         b = a + n - 1
         _WINDOW_SUM_CACHE.pop((c, a, b), None)
@@ -326,49 +330,61 @@ kernel_exponents = st.one_of(st.sampled_from([1.0, 0.5, 2.0, 0.0625]),
                              st.floats(min_value=0.02, max_value=16.0))
 
 
-class TestMultiExponentWalk:
-    """One walk of a window's leaves gives every exponent's fresh sum."""
+class TestPairwiseWalk:
+    """The numpy regime's walk gives the fresh sum, and a window one term
+    longer than one summed before sums its last leaf again."""
 
-    @given(st.lists(kernel_exponents, min_size=1, max_size=5), st.integers(1, 2 ** 40),
-           small_lengths, st.booleans())
+    @given(kernel_exponents, st.integers(1, 2 ** 40), small_lengths,
+           st.one_of(st.none(), small_lengths))
     @settings(max_examples=60, deadline=None)
-    def test_one_walk_equals_fresh_sums_per_exponent(self, cs, a, n, one_first):
+    def test_lengths_n_then_n_plus_one_equal_fresh_sums(self, c, a, n, probe):
         with small_kernel():
-            if one_first:  # a probe has summed the window at its first exponent
-                _range_power_sum(cs[0], a, a + n - 1)
+            if probe is not None:  # an earlier probe from the same start
+                _range_power_sum(c, a, a + probe - 1)
             for b in (a + n - 1, a + n):  # lengths n, then n + 1
-                got = _range_power_sums(tuple(cs), a, b)
-                assert [s.hex() for s in got] == [fresh_sum(c, a, b).hex() for c in cs]
+                assert _range_power_sum(c, a, b).hex() == fresh_sum(c, a, b).hex()
 
-    @given(st.lists(kernel_exponents, min_size=1, max_size=4, unique=True),
-           st.integers(1, 2 ** 40),
+    @given(kernel_exponents, st.integers(1, 2 ** 40),
            st.integers(FSUM_CUTOFF + 1, SMALL_DIRECT - 1).filter(lambda n: n % 16 != 15))
     @settings(max_examples=40, deadline=None)
-    @example(cs=[1.0, 0.5], a=129, n=5000)  # right edge 5000, 2504, 1256, 632, 320, 160
-    def test_a_window_one_longer_sums_one_leaf(self, cs, a, n):
+    @example(c=1.0, a=129, n=5000)  # right edge 5000, 2504, 1256, 632, 320, 160
+    def test_a_window_one_longer_powers_one_leaf(self, c, a, n):
         # every split but the last leaf's stays put when no length on the
         # right edge is 15 mod 16, and the last leaf does not outgrow a leaf
-        made = []
-        arange = seqspace.np.arange
+        powered = []
+        power = seqspace.np.power
 
-        def counted(*args, **kwargs):
-            out = arange(*args, **kwargs)
-            made.append(out.size)
-            return out
+        def counted(m, *args, **kwargs):
+            powered.append(m.size)
+            return power(m, *args, **kwargs)
 
         with small_kernel(), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(seqspace.np, "arange", counted)
+            patch.setattr(seqspace.np, "power", counted)
             edge = right_edge(n)
-            _range_power_sums(tuple(cs), a, a + n - 1)
-            assert max(made) <= SMALL_LEAF
-            assert len(seqspace._HALF_SUM_CACHE) == len(cs) * (len(edge) - 1)
+            _range_power_sum(c, a, a + n - 1)
+            assert sum(powered) == n and max(powered) <= SMALL_LEAF
             if any(length % 16 == 15 for length in edge[:-1]) or edge[-1] == SMALL_LEAF:
                 return
-            made.clear()
+            powered.clear()
             halves = dict(seqspace._HALF_SUM_CACHE)
-            _range_power_sums(tuple(cs), a, a + n)
-            assert made == [edge[-1] + 1]
+            _range_power_sum(c, a, a + n)
+            assert powered == [edge[-1] + 1]
             assert seqspace._HALF_SUM_CACHE == halves
+
+    @given(kernel_exponents, st.integers(1, 2 ** 40),
+           st.integers(FSUM_CUTOFF + 1, SMALL_DIRECT - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_the_half_memo_grows_by_one_entry_per_level(self, c, a, n):
+        with small_kernel():
+            edge = right_edge(n)
+            _range_power_sum(c, a, a + n - 1)
+            # the left half of each split on the right edge, from a to a + n - 1
+            starts = [a + n - whole for whole in edge]
+            assert seqspace._HALF_SUM_CACHE.keys() == {
+                (c, start, whole - rest)
+                for start, whole, rest in zip(starts, edge, edge[1:])}
+            for (_, start, half), s in seqspace._HALF_SUM_CACHE.items():
+                assert s.hex() == power_sum_whole_array(c, start, start + half - 1).hex()
 
 
 class TestKernelMemo:
@@ -390,11 +406,6 @@ class TestKernelMemo:
                 _range_power_sum(1.0, 5)
         assert len(_WINDOW_SUM_CACHE) == before
         assert (1.0, 5, None) not in _WINDOW_SUM_CACHE
-        # a request whose second exponent raises keeps neither sum
-        _WINDOW_SUM_CACHE.pop((2.5, 5, None), None)
-        with pytest.raises(ValueError):
-            _range_power_sums((2.5, 1.0), 5)
-        assert (2.5, 5, None) not in _WINDOW_SUM_CACHE
 
 
 @st.composite
@@ -446,6 +457,15 @@ class TestAnalyticKernel:
 
 
 class TestFinSeqStructure:
+    def test_repr_of_a_window_past_exact_floats_names_its_size(self):
+        # eight entries or fewer are printed, unless they exist only as a
+        # descriptor
+        assert repr(window_seq(1.0, 0, 1)) == f"FinSeq({(1.0, 0.5)!r})"
+        x = window_seq(1.0, 2 ** 60, 2 ** 60 + 3)
+        with pytest.raises(ResourceLimitError):
+            x.materialize()
+        assert repr(x) == "FinSeq(<4 entries, 1 segments>)"
+
     def test_prefix_across_segments(self):
         u = concat(finseq((0.0,)), window_seq(1.0, 5, 100))
         v = concat(u, finseq((0.25,)))

@@ -140,8 +140,8 @@ class TestExtendProperties:
                                          for p in req.exps})
 
     def test_extend_makes_no_passing_check(self, monkeypatch):
-        # extend reads the re-check's verdict, u~v and sums; the re-check
-        # counts its passing claims and makes no Check for them
+        # extend reads the re-check's verdict and u~v; the re-check counts
+        # its passing claims and makes no Check for them
         made = []
         check = reports.Check
 
@@ -152,7 +152,7 @@ class TestExtendProperties:
         monkeypatch.setattr(reports, "Check", recorded)
         req = ClaimRequest(u=finseq((0.5,)), q=2.0, exps=(1.5, 1.0, 0.5), caps=(10.0, 10.0),
                            M=1.0, eps=0.5)
-        w = extend(req, MARGIN, (0.25,))
+        w = extend(req, MARGIN)
         assert made == []
         rep = verify_witness(req, w, MARGIN)
         assert rep.ok and made == [] and rep.checks == []
@@ -161,13 +161,14 @@ class TestExtendProperties:
     def test_witness_holds_the_rechecked_uv_and_its_sums(self):
         u = concat(window_seq(1.0, 0, 3, 0.5), finseq((0.25,)))
         req = ClaimRequest(u=u, q=2.0, exps=(1.5, 1.2, 1.0), caps=(10.0, 10.0), M=2.0, eps=0.1)
-        w = extend(req, MARGIN, (0.75, 0.5))
+        w = extend(req, MARGIN)
         assert w.uv.base is u and w.uv.block is w.v
-        assert sorted(w.sums) == [0.5, 0.75, 1.0, 1.2, 1.5]
+        # u~v keeps its parts at the request's exponents, as summed afresh
+        assert sorted(w.uv._sums) == [1.0, 1.2, 1.5]
         fresh = FinSeq(w.uv.segments)  # no links, no stored parts
-        assert {p: s.hex() for p, s in w.sums.items()} == {
-            p: pnorm_pow(fresh, p).hex() for p in w.sums}
-        # neither takes part in equality
+        assert {p: pnorm_pow(w.uv, p).hex() for p in w.uv._sums} == {
+            p: pnorm_pow(fresh, p).hex() for p in w.uv._sums}
+        # u~v takes no part in equality
         assert w == ClaimWitness(w.v, w.n0, w.n1)
 
     def test_cap_violation_rejected(self):
@@ -216,23 +217,23 @@ class TestVerifyWitness:
 
     def test_recheck_reuses_the_searched_window_sum(self, monkeypatch):
         # _least_end has summed the block at the divergence exponent (the
-        # kernel's c = 1), and extend sums it at q and at the cap exponents
-        # in one request before the re-check, which so adds no entry
+        # kernel's c = 1), so the re-check adds entries at q and at the cap
+        # exponents only
         added = []
 
         def recording(req, w, margin):
+            window = (w.n0 + 1, w.n1 + 1)
+            assert (1.0, *window) in _WINDOW_SUM_CACHE
             before = set(_WINDOW_SUM_CACHE)
-            for p in (req.q, *req.exps):
-                assert (p / req.exps[-1], w.n0 + 1, w.n1 + 1) in before
             rep = verify_witness(req, w, margin)
             added.extend(set(_WINDOW_SUM_CACHE) - before)
+            assert set(added) <= {(p / req.exps[-1], *window) for p in (req.q, *req.exps[:-1])}
             return rep
 
         monkeypatch.setattr(witness, "verify_witness", recording)
         req = ClaimRequest(u=EMPTY, q=2.0, exps=(1.0, 0.5), caps=(10.0,),
                            M=1.6180339887, eps=0.03125)
         extend(req, MARGIN)
-        assert added == []
 
 
 def _random_request(rng, q_low, q_high):
