@@ -21,6 +21,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -329,10 +330,11 @@ def _surely_above(target, rows, length, margin):
 def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
-    Each level is checked as one batch. Per node, in Python: the ``_child``
-    step, bookkeeping, phi-nonempty, p1-prefix and the p4/p5 cap tuples;
-    p2 is decided once per distinct block. p3 (every row entry under its
-    cap) and p6 (forced growth) are decided on float64 arrays, and only a
+    Each level is checked as one batch. Per node, in Python: a dict hit
+    (``_child`` on a miss), bookkeeping, phi-nonempty, p1-prefix (at once
+    where phi links its parent's to a nonempty block) and the p4/p5 cap
+    tuples; p2 is decided once per distinct block. p3 (every row entry under
+    its cap) and p6 (forced growth) are decided on float64 arrays, and only a
     claim they cannot decide, or a violation, is summed exactly.
 
     Each node's row R holds, at every exponent p_0..p_dmax of the deepest
@@ -376,7 +378,7 @@ def check_properties(cache, max_len):
     ladder = cache.ladder
     margin = cache.margin
     q = ladder.q
-    memo = _memo_of(cache)
+    memo, stored = _memo_of(cache), cache._nodes.get
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = cache._nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
@@ -401,9 +403,9 @@ def check_properties(cache, max_len):
         blocks, which, exact = [], [], {}
         caps, short = [], 0  # each node's caps padded to d+1 entries; caps it lacks
         for parent in parents:
-            pphi = parent.phi
+            pphi, psigma = parent.phi, parent.sigma
             for bit in (0, 1):
-                node = _child(cache, memo, parent, bit)
+                node = stored(psigma + (bit,)) or _child(cache, memo, parent, bit)
                 k = len(nodes)
                 nodes.append(node)
                 M, phi, block = node.M, node.phi, node.block
@@ -415,7 +417,8 @@ def check_properties(cache, max_len):
                     caps.append(M[:d + 1] + (math.inf,) * (d + 1 - len(M)))
                 if phi.length < 1:
                     fail(k, 0, "phi-nonempty", phi.length, 1, node)
-                if not pphi.is_prefix_of(phi, proper=True):
+                linked = phi.base is pphi and phi.block is block
+                if not (linked and block.length or pphi.is_prefix_of(phi, proper=True)):
                     fail(k, 0, "p1-prefix", None, None, node)
 
                 cost = seen.get(id(block))
@@ -424,7 +427,7 @@ def check_properties(cache, max_len):
                     cost = seen[id(block)] = [s, certified_less(s, bound, margin), None]
                 if not cost[1]:
                     fail(k, 0, "p2-block-cost", cost[0], bound, node)
-                if phi.base is pphi and phi.block is block:
+                if linked:
                     if cost[2] is None:
                         cost[2] = len(blocks)
                         blocks.append(block)
@@ -588,33 +591,32 @@ _BIT_OF = {"0": 0, "1": 1}
 
 _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")
 _ROOT_RECORD = "-|M=|phi="
+# an M= field as export_cache writes it: ASCII naturals, no sign or leading 0
+_CAPS_FIELD = re.compile(r"M=(?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?")
 
 
 @_gc_held
 def import_cache(path):
-    """Rebuild a ConstructionCache from an exported file.
+    """Rebuild a ConstructionCache from an exported file, in one pass.
 
-    Each node's phi is its parent's phi followed by its block, linked to the
-    parent's as in a built tree, so its power sums grow from its parent's.
-    A record's phi text must be its parent's followed by ``;`` and the
-    block, as ``export_cache`` writes it. Any other record is refused,
-    among them one that merges the parent's last run with new entries: its
-    entries extend the parent's, but no block of whole segments does. Only
-    the block is parsed, once per distinct block text: records with equal
-    block texts share one block object, as a built tree's 0-nodes share
-    ``_ZERO_BLOCK``, and records with equal ``M=`` texts share one caps
-    tuple. The header's ``explicit`` and ``step_budget`` must read
-    as ``export_cache`` writes them (``_FIXED_HEADER``).
+    Each node's phi links its parent's phi to its block, as in a built tree.
+    A record's phi field must be its parent's followed by ``;`` and the
+    block, as ``export_cache`` writes it, and is compared with the parent's
+    in place. Any other record is refused, among them one that merges the
+    parent's last run with new entries: its entries extend the parent's, but
+    no block of whole segments does. Only the block is parsed, once per
+    distinct block text, and records with equal block texts share one block
+    object, as a built tree's 0-nodes share ``_ZERO_BLOCK``. Each distinct
+    ``M=`` field is parsed once, and must read as ``export_cache`` writes its
+    caps (``_CAPS_FIELD``), as the header's ``explicit`` and ``step_budget``
+    must (``_FIXED_HEADER``). Every refusal names the file, and its line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
         raise ValueError(f"{path}: not a cache file")
-    meta = {}
-    body = []
+    meta, first = {}, len(lines) + 1  # first: the first record's line number
     for lineno, line in enumerate(lines[1:], 2):
         if line.startswith("# "):
-            if body:
-                raise ValueError(f"{path}: line {lineno}: a header line after the first record")
             for tok in line[2:].split():
                 key, _, val = tok.partition("=")
                 if key not in _HEADER_KEYS:
@@ -623,7 +625,8 @@ def import_cache(path):
                     raise ValueError(f"{path}: line {lineno}: header key {key!r} given twice")
                 meta[key] = val
         elif line:
-            body.append((lineno, line))
+            first = lineno
+            break
     for key in _HEADER_KEYS:
         if key not in meta:
             raise ValueError(f"{path}: header is missing the key {key!r}")
@@ -636,60 +639,66 @@ def import_cache(path):
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
-    # By each imported record's string in 0s and 1s (the root's is ""): its
-    # node, and the start its children's phi texts must have, its own text
-    # and ";" (nothing for an empty text)
-    nodes, starts = {"": cache._nodes[()]}, {}
+    # By each record's bits text (the root's is "", and "-" once read): its
+    # node, and the start of its children's phi fields (its own, and ";")
+    records = {"": (cache._nodes[()], "phi=")}
     caps_of = {}  # one caps tuple per distinct M= field
     blocks = {}  # one block per distinct block text
-    for lineno, line in body:
+    for lineno, line in enumerate(lines[first - 1:], first):
         try:
             bits_text, m_text, phi_text = line.split("|")
         except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: a record needs exactly three '|' fields, "
-                f"got {line!r}") from None
+            if not line:
+                continue
+            what = ("a header line after the first record" if line.startswith("# ")
+                    else f"a record needs exactly three '|' fields, got {line!r}")
+            raise ValueError(f"{path}: line {lineno}: {what}") from None
         try:
-            if not (m_text.startswith("M=") and phi_text.startswith("phi=")):
+            if not phi_text.startswith("phi="):  # M= is checked by _CAPS_FIELD
                 raise ValueError("fields must read bits|M=...|phi=...")
-            # most records are an imported record's bits and one bit more;
-            # any other bits field gets ``bitstring``'s verdict
-            bits, parent = bits_text, nodes.get(bits_text[:-1])
-            bit = _BIT_OF.get(bits_text[-1:])
+            if not bits_text:
+                raise ValueError("the bits field is empty; the root's reads '-'")
+            # most records are a record's bits and one bit more; any other
+            # bits field gets ``bitstring``'s verdict
+            bits, parent = bits_text, records.get(bits_text[:-1])
+            bit = _BIT_OF.get(bits_text[-1])
             if parent is not None and bit is not None:
-                sigma = parent.sigma + (bit,)
+                sigma = parent[0].sigma + (bit,)
             else:
                 sigma = () if bits_text == "-" else bitstring(bits_text)
                 bits = "".join(map(str, sigma))
-                parent = nodes.get(bits[:-1])
+                parent = records.get(bits[:-1])
             caps = caps_of.get(m_text)
             if caps is None:
-                caps = tuple(map(int, m_text[2:].split(","))) if m_text[2:] else ()
-                caps_of[m_text] = caps
-            text, start = phi_text[4:], starts.get(bits[:-1], "")
+                if _CAPS_FIELD.fullmatch(m_text) is None:
+                    raise ValueError(f"caps must read as export_cache writes them, got {m_text!r}")
+                text = m_text[2:]
+                caps = caps_of[m_text] = tuple(map(int, text.split(","))) if text else ()
+            start = "phi=" if parent is None else parent[1]
             block = None
-            if text.startswith(start):
-                block_text = text[len(start):]
+            if phi_text.startswith(start):
+                block_text = phi_text[len(start):]
                 block = blocks.get(block_text)
                 if block is None:
                     block = blocks[block_text] = FinSeq(_parse_segments(block_text))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
-        if bits in starts:
+        if (bits or "-") in records:
             raise ValueError(f"{path}: line {lineno}: a second record for {bits_text}")
-        if sigma == ():  # the root is pre-seeded; its record must match it
+        if not sigma:  # the root is pre-seeded; its record must match it
             if line != _ROOT_RECORD:
                 raise ValueError(
                     f"{path}: line {lineno}: the root record must read "
                     f"{_ROOT_RECORD!r}, got {line!r}")
-            starts[bits] = ""
+            records["-"] = records[""]
             continue
         if parent is None:
-            raise ValueError(f"{path}: record for {bits_text} appears before its parent")
+            raise ValueError(
+                f"{path}: line {lineno}: record for {bits_text} appears before its parent")
         if block is None:
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
-        starts[bits] = text + ";" if text else ""
-        nodes[bits] = cache._nodes[sigma] = Node(
-            sigma, FinSeq(block, base=parent.phi), caps, block)
+        # FinSeq(block, base=...) by position, which calls faster than by keyword
+        node = cache._nodes[sigma] = Node(sigma, FinSeq(block, parent[0].phi), caps, block)
+        records[bits] = (node, phi_text + ";" if phi_text != "phi=" else phi_text)
     return cache

@@ -2,7 +2,7 @@
 
 Sequences are finite lists of reals, identified with their zero-padded
 infinite extensions whenever two sequences of different length meet in a
-binary operation. A sequence is stored as a tuple of segments: explicit
+binary operation. A sequence is a tuple of segments: explicit
 float runs, or descriptor windows of the canonical generator
 ``x_n = scale * (n+1)**(-1/p_bottom)``. Window descriptors let the tree
 construction carry blocks whose entry counts are far beyond anything that
@@ -20,9 +20,9 @@ its splits, so a window one term longer than one summed before sums little
 more than its last leaf.
 
 A sequence made by ``concat`` links to the sequence it extends and to the
-block it appends, and its power sums grow along those links: its
-per-segment parts are its base's parts followed by its block's. Every
-sequence summed keeps that tuple per exponent, as does every base and
+block it appends, with no segment tuple, and its power sums grow along
+those links: its per-segment parts are its base's followed by its block's.
+Every sequence summed keeps them per exponent, as does every base and
 block it was grown through, so a block that many sequences append is
 summed once. A part that is exactly 0.0 is left out: a block of zeros
 adds none, and its sequence keeps its base's tuple object. A power sum is
@@ -315,13 +315,13 @@ def _euler_maclaurin(c, a, b):
 # ---------------------------------------------------------------------------
 
 class FinSeq:
-    """A finite sequence of reals, stored as a tuple of segments.
+    """A finite sequence of reals: a tuple of segments, or a link.
 
     ``FinSeq(v, base=u)`` is u followed by the FinSeq v: it keeps the links
-    to u and to v, its ``block``, and ``segments`` is still the full tuple,
-    u's segments then v's. ``pnorm_pow`` takes its power-sum parts from
-    u's and v's, which each keeps per exponent in ``_sums`` once they have
-    been computed for it or through it.
+    to u and to v, its ``block``, and no segment tuple, so its ``segments``,
+    u's then v's, are derived where they are read. ``pnorm_pow`` takes its
+    power-sum parts from u's and v's, which each keeps per exponent in
+    ``_sums`` once they have been computed for it or through it.
 
     Immutable by convention: nothing sets an attribute after ``__init__``,
     which sets each slot once. ``length`` is an exact int and may exceed
@@ -329,11 +329,11 @@ class FinSeq:
     that explicitly instead of overflowing.
     """
 
-    __slots__ = ("segments", "length", "base", "block", "_sums")
+    __slots__ = ("_segs", "length", "base", "block", "_sums")
 
     def __init__(self, segments=(), base=None):
         if base is not None:
-            self.segments = base.segments + segments.segments
+            self._segs = None
             self.length = base.length + segments.length
             self.block = segments
         else:
@@ -341,9 +341,24 @@ class FinSeq:
             lengths = [s.length for s in segs]
             if 0 in lengths:
                 segs = tuple(s for s, n in zip(segs, lengths) if n)
-            self.segments, self.length, self.block = segs, sum(lengths), None
+            self._segs, self.length, self.block = segs, sum(lengths), None
         self.base = base
         self._sums = {}
+
+    @property
+    def segments(self):
+        """Its own tuple, or a linked sequence's built anew from its pieces."""
+        if self.base is None:
+            return self._segs
+        return tuple(itertools.chain.from_iterable(x.segments for x in self._pieces()))
+
+    def _pieces(self):
+        """The unlinked sequence the links start from, then each block since."""
+        blocks, x = [], self
+        while x.base is not None:
+            blocks.append(x.block)
+            x = x.base
+        return [x, *reversed(blocks)]
 
     # -- basic access --------------------------------------------------------
 
@@ -373,21 +388,21 @@ class FinSeq:
     # -- structural comparison -----------------------------------------------
 
     def is_prefix_of(self, other, proper=False):
-        """Entrywise initial-segment test, done on segment structure.
+        """Entrywise initial-segment test, done on links and segments.
 
-        If other's leading segments equal all of self's, self is a prefix:
-        equal segments have equal entries, and tuple equality compares
-        identical segments first, so this decides a tree node against its
-        parent at once. Otherwise ``_prefix_walk`` compares the entries.
+        If self is the first of other's chain of bases no longer than it,
+        it is a prefix, so a tree node is decided against its parent by
+        identity, with no segment tuple built. Otherwise ``_prefix_walk``
+        compares the two segment tuples, piece by piece.
         """
         if self.length > other.length:
             return False
         if proper and self.length == other.length:
             return False
-        mine = self.segments
-        if other.segments[:len(mine)] == mine:
-            return True
-        return _prefix_walk(mine, other.segments, self.length)
+        y = other
+        while y.base is not None and y.length > self.length:
+            y = y.base
+        return y is self or _prefix_walk(self.segments, other.segments, self.length)
 
     def __eq__(self, other):
         if not isinstance(other, FinSeq):
@@ -404,7 +419,8 @@ class FinSeq:
                 return f"FinSeq({self.materialize()!r})"
             except ResourceLimitError:  # a window past 2**52 exists only as a descriptor
                 pass
-        return f"FinSeq(<{self.length} entries, {len(self.segments)} segments>)"
+        count = sum(len(x.segments) for x in self._pieces())
+        return f"FinSeq(<{self.length} entries, {count} segments>)"
 
 
 def _prefix_walk(mine, theirs, need):
@@ -585,7 +601,7 @@ def _power_sum_parts(x, p):
         y = y.base
     for y in reversed(chain):
         if y.base is None:  # the chain's start, with no base that kept parts
-            parts = tuple(s for seg in y.segments if (s := _segment_power_sum(seg, p)))
+            parts = tuple(s for seg in y._segs if (s := _segment_power_sum(seg, p)))
         else:
             own = y.block._sums.get(p)
             if own is None:
@@ -599,9 +615,9 @@ def _power_sum_parts(x, p):
 def concat(u, v):
     """u followed by v, as ``FinSeq(v, base=u)``.
 
-    The result links to u and v, so its power sums add v's stored parts to
-    u's stored ones, and its prefix test against u compares u's own segment
-    objects.
+    The result links to u and v and stores no segment tuple, so it costs
+    the same at any length; its power sums add v's stored parts to u's
+    stored ones, and its prefix test against u finds u among its bases.
     """
     u = as_finseq(u)
     return FinSeq(as_finseq(v), base=u)

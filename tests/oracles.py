@@ -126,12 +126,15 @@ def check_properties_per_node(cache, max_len):
     exponent, each claim through ``certified_less``, and each violation
     appended where it is met. It keeps the library's walk (``_child``), its parts
     and its comparison, so it shares them with the code it checks; what it
-    does not share is the float filter and the merge of violations.
+    does not share is the float filter and the merge of violations, nor the
+    links: p1 is decided from the two phis' segment tuples, by length and
+    ``_prefix_walk``, and never by ``is_prefix_of``, whose walk along a
+    phi's bases is the shortcut under test.
     """
     from lprl.construction import _child, _memo_of
     from lprl.grid import depth, level
     from lprl.reports import Check, CheckReport
-    from lprl.seqspace import _power_sum_parts, certified_less
+    from lprl.seqspace import _power_sum_parts, _prefix_walk, certified_less
 
     ladder = cache.ladder
     margin = cache.margin
@@ -160,7 +163,9 @@ def check_properties_per_node(cache, max_len):
                     fail("bookkeeping", len(M), d + 1, node)
                 if node.phi.length < 1:
                     fail("phi-nonempty", node.phi.length, 1, node)
-                if not parent.phi.is_prefix_of(node.phi, proper=True):
+                mine, theirs = parent.phi, node.phi
+                if not (mine.length < theirs.length
+                        and _prefix_walk(mine.segments, theirs.segments, mine.length)):
                     fail("p1-prefix", None, None, node)
 
                 block_cost = math.fsum(_power_sum_parts(node.block, q))

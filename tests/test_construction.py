@@ -27,6 +27,7 @@ from lprl.construction import (
     cache_stats,
     check_properties,
     export_cache,
+    _ROOT_RECORD,
     import_cache,
     least_natural_above,
     walk_path,
@@ -578,6 +579,72 @@ class TestExportImport:
                 f"bad.txt: line {lineno}: the root record must read '-|M=|phi='")):
             import_cache(bad)
 
+    def test_rejects_an_empty_bits_field(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = lines.index(_ROOT_RECORD) + 2  # right after the root record
+        lines.insert(lineno - 1, "|M=1|phi=L:0.0")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {lineno}: bad record '|M=1|phi=L:0.0': "
+                "the bits field is empty; the root's reads '-'")):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("caps", [
+        " 1", "1 ", "+1", "1_0", "01", "00", "-1", "-0", "\u0661", "1,,2", "1,", ",1", "0x1",
+        "1.0", "1e3", "\uff11",
+    ])
+    def test_rejects_caps_that_export_would_write_differently(self, tmp_path, caps):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("1|"))
+        assert lines[lineno - 1].startswith("1|M=2|")
+        lines[lineno - 1] = lines[lineno - 1].replace("|M=2|", f"|M={caps}|")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {lineno}: bad record {lines[lineno - 1]!r}: "
+                f"caps must read as export_cache writes them, got {'M=' + caps!r}")):
+            import_cache(bad)
+
+    def test_a_zero_cap_reads_back(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        path = export_cache(cache, tmp_path / "cache.txt")
+        text = path.read_text().replace("\n1|M=2|", "\n1|M=0|")
+        path.write_text(text)
+        loaded = import_cache(path)
+        assert loaded._nodes[(1,)].M == (0,)
+        assert export_cache(loaded, tmp_path / "again.txt").read_text() == text
+
+    def test_caps_are_read_once_per_distinct_field(self, tmp_path, monkeypatch):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
+        path = export_cache(cache, tmp_path / "cache.txt")
+        fields = [line.split("|")[1] for line in path.read_text().splitlines()[3:]]
+        checked = []
+        pattern = construction._CAPS_FIELD
+
+        class Counted:
+            def fullmatch(self, text):
+                checked.append(text)
+                return pattern.fullmatch(text)
+
+        monkeypatch.setattr(construction, "_CAPS_FIELD", Counted())
+        loaded = import_cache(path)
+        assert len(fields) == 511 and sorted(checked) == sorted(set(fields))
+        assert all(loaded._nodes[sigma].M == node.M for sigma, node in cache._nodes.items())
+
+    def test_no_linked_phi_holds_a_segment_tuple(self, tmp_path):
+        built = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
+        loaded = import_cache(export_cache(built, tmp_path / "cache.txt"))
+        for cache in (built, loaded):
+            assert len(cache) == 511
+            for sigma, node in cache._nodes.items():
+                if sigma:
+                    assert node.phi.base is cache._nodes[sigma[:-1]].phi, sigma
+                    refs = gc.get_referents(node.phi)
+                    assert not any(isinstance(ref, tuple) for ref in refs), sigma
+
     @pytest.mark.parametrize("bits,edit", [
         ("1", lambda record: record),
         ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record)),
@@ -784,6 +851,27 @@ class TestLevelRows:
         for max_len in range(0, 9):
             for c in (cache, loaded):
                 assert _same_report(c, max_len).ok
+
+    def test_p1_on_phis_that_do_not_link_their_parents(self):
+        # p1 is decided by identity only where phi links its parent's to a
+        # nonempty block; every other phi is compared entry by entry
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        nodes = cache._nodes
+
+        def replace(sigma, phi):
+            node = nodes[sigma]
+            nodes[sigma] = Node(sigma, phi, node.M, node.block)
+
+        # the same entries, unlinked: p1 holds
+        replace((1, 0), FinSeq(nodes[(1, 0)].phi.segments))
+        # linked to its parent's by an empty block: no proper extension
+        replace((1, 1), concat(nodes[(1,)].phi, FinSeq(())))
+        # linked to a sequence of its parent's length with another entry, so
+        # its children, which link to the phi it replaced, fail p1 too
+        replace((0, 1), concat(finseq((5.0,)), nodes[(0, 1)].block))
+        rep = _same_report(cache, 3)
+        assert [c.note for c in rep.violations if c.label == "p1-prefix"] == [
+            "01", "11", "010", "011"]
 
     @pytest.mark.parametrize("extra", [(), (0.5,)], ids=["same-entries", "one-more-entry"])
     def test_a_phi_that_does_not_link_to_its_parents_is_summed_whole(self, extra):

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import math
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -681,6 +683,53 @@ class TestIncrementalPowerSums:
             for y in chain:
                 walk = x.length <= y.length and _prefix_walk(x.segments, y.segments, x.length)
                 assert x.is_prefix_of(y) == walk
+
+
+# a block: a run of literal, window and zero-scale window segments (none
+# for an empty block), or a block that is itself linked
+block_segments = st.lists(
+    st.one_of(literal_segments, window_segments, zero_segments), max_size=3)
+link_blocks = st.one_of(
+    block_segments.map(FinSeq),
+    st.tuples(block_segments, block_segments).map(
+        lambda runs: concat(FinSeq(runs[0]), FinSeq(runs[1]))))
+
+
+class TestLinks:
+    @given(st.lists(link_blocks, min_size=1, max_size=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_links_give_segments_length_and_prefix_order(self, blocks, data):
+        chain = blocks[:1]
+        for block in blocks[1:]:
+            chain.append(concat(chain[-1], block))
+        for x in chain[1:]:
+            expected = x.base.segments + x.block.segments
+            assert len(x.segments) == len(expected)
+            assert all(mine is theirs for mine, theirs in zip(x.segments, expected))
+            assert x.length == x.base.length + x.block.length
+        drawn = data.draw(st.sampled_from(chain))
+        # the same entries stored differently, every window as a literal run
+        as_literals = FinSeq(tuple(
+            Literal(tuple(seg.values().tolist())) if isinstance(seg, PowerWindow) else seg
+            for seg in drawn.segments))
+        # on no chain: a drawn sequence's leading segments, then a drawn last one
+        off_chain = FinSeq(drawn.segments[:-1] + (
+            data.draw(st.one_of(literal_segments, window_segments)),))
+        seqs = chain + [as_literals, off_chain]
+        arrays = [x.to_array() for x in seqs]
+        for x, ax in zip(seqs, arrays):
+            for y, ay in zip(seqs, arrays):
+                prefix = len(ax) <= len(ay) and np.array_equal(ax, ay[:len(ax)])
+                assert x.is_prefix_of(y) == prefix
+                assert x.is_prefix_of(y, proper=True) == (prefix and len(ax) < len(ay))
+                assert (x == y) == (prefix and len(ax) == len(ay))
+
+    def test_a_linked_sequence_holds_no_segment_tuple(self):
+        x = concat(concat(finseq((1.0, 2.0)), window_seq(2.0, 0, 9)), finseq((0.0,)))
+        assert x.base is not None and x.block is not None
+        assert not any(isinstance(ref, tuple) for ref in gc.get_referents(x))
+        assert len(x.segments) == 3 and x.entry(2) == 1.0 and x.entry(12) == 0.0
+        assert repr(x) == "FinSeq(<13 entries, 3 segments>)"
 
 
 class TestExpLadder:
