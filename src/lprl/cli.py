@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .construction import (
     ConstructionCache,
@@ -258,14 +259,46 @@ def cmd_trace(cache, spec_text, k, target, out):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
-    """The flags every command reads."""
-    parser.add_argument("--a", type=float, default=0.0, help="lower exponent limit (>= 0)")
-    parser.add_argument("--q", type=float, default=2.0, help="ambient exponent (> a)")
-    parser.add_argument("--eta", type=float, default=DEFAULT_ETA,
-                        help="strictness margin for certified comparisons")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory (default $LPRL_OUT or ./out)")
+class _Flag(NamedTuple):
+    name: str
+    type: type
+    default: object
+    help: str
+    required: bool = False
+
+    @property
+    def dest(self):
+        """argparse's name for the flag's value."""
+        return self.name[2:].replace("-", "_")
+
+
+_COMMON = (
+    _Flag("--a", float, 0.0, "lower exponent limit (>= 0)"),
+    _Flag("--q", float, 2.0, "ambient exponent (> a)"),
+    _Flag("--eta", float, DEFAULT_ETA, "strictness margin for certified comparisons"),
+    _Flag("--out", str, None, "output directory (default $LPRL_OUT or ./out)"),
+)
+_MAX_LEN = _Flag("--max-len", int, 10, "tree depth to build/check")
+
+# Each command's help and flags, in the order its usage lists them: the one
+# table that both argparse and ``_read_flags`` read.
+_COMMANDS = {
+    "build": ("build the tree and export the cache", _COMMON + (_MAX_LEN,)),
+    "verify": ("run all verification suites",
+               _COMMON + (_MAX_LEN, _Flag("--seed", int, 0, "seed for randomized sweeps"))),
+    "trace": ("emit the block table of one path", _COMMON + (
+        _Flag("--spec", str, None,
+              "point spec, e.g. 'row=0:finite{1,2};row=2:eventually(0)'", required=True),
+        _Flag("--k", int, CORPUS_BLOCK_DEPTH, "number of blocks to trace"),
+        _Flag("--target", float, DIVERGENCE_TARGET, "divergence target for non-member specs"))),
+}
+
+
+# by command: each flag's name -> (dest, type), and the defaults of the
+# flags it need not be given
+_READERS = {command: ({f.name: (f.dest, f.type) for f in flags},
+                      {f.dest: f.default for f in flags if not f.required})
+            for command, (_, flags) in _COMMANDS.items()}
 
 
 def _print_sigma(err):
@@ -284,50 +317,73 @@ def _parser():
         description="Certified finite-scale checks for the sequence-space construction. "
                     "Trace CSV columns: " + ", ".join(TRACE_COLUMNS) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_build = sub.add_parser("build", help="build the tree and export the cache")
-    p_verify = sub.add_parser("verify", help="run all verification suites")
-    for p in (p_build, p_verify):
-        _add_common(p)
-        p.add_argument("--max-len", type=int, default=10, help="tree depth to build/check")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    p_trace = sub.add_parser("trace", help="emit the block table of one path")
-    _add_common(p_trace)
-    p_trace.add_argument("--spec", type=str, required=True,
-                         help="point spec, e.g. 'row=0:finite{1,2};row=2:eventually(0)'")
-    p_trace.add_argument("--k", type=int, default=CORPUS_BLOCK_DEPTH,
-                         help="number of blocks to trace")
-    p_trace.add_argument("--target", type=float, default=DIVERGENCE_TARGET,
-                         help="divergence target for non-member specs")
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for f in flags:
+            p.add_argument(f.name, type=f.type, default=f.default, help=f.help,
+                           required=f.required)
     return parser, sub.choices
+
+
+def _read_flags(command, argv):
+    """The command's arguments from argv, or None where argparse must read it.
+
+    Only an argv of the command's own exact flags, each followed by a value
+    that does not start with ``-`` and that the flag's type reads, is read
+    here, and argparse reads such an argv the same way: a repeated flag
+    keeps its last value. Every other argv gets argparse's verdict, with its
+    usage, help and error text: help, an abbreviated flag, ``--flag=value``,
+    a dash-led value such as ``--target -1``, an unknown flag, a value the
+    type refuses, a missing value or a missing required flag.
+    """
+    flags, defaults = _READERS[command]
+    if len(argv) % 2:
+        return None
+    args = dict(defaults)
+    for flag, value in zip(argv[::2], argv[1::2]):
+        reader = flags.get(flag)
+        if reader is None or value.startswith("-"):
+            return None
+        dest, kind = reader
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            return None
+    return args if len(args) == len(flags) else None
 
 
 def main(argv=None):
     """Run one command; return its exit code.
 
-    argv is parsed once, by the named command's own parser, so a usage
-    error names the command. The top-level parser reads only an argv that
-    does not start with a command, such as ``--help``, no command or an
-    unknown one.
+    An argv made of a command and its own exact flags, each with a plain
+    value, is read by ``_read_flags`` from the flag table. argparse, built
+    from the same table, reads every other one, and gives every usage, help
+    and error text: the command's own parser, so that a usage error names
+    the command, or the top-level one for an argv that does not start with
+    a command, such as ``--help``, no command or an unknown one.
     """
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parser()
     try:
-        if argv and argv[0] in commands:
-            args = commands[argv[0]].parse_args(argv[1:])
-            args.command = argv[0]
-        else:
-            args = parser.parse_args(argv)
-        cache = ConstructionCache(ExpLadder(args.a, args.q), Margin(args.eta))
-        out = Path(args.out or os.environ.get("LPRL_OUT", "out"))
-        if args.command == "trace":
-            return cmd_trace(cache, args.spec, args.k, args.target, out)
-        if args.max_len < 1:
+        command = argv[0] if argv else None
+        args = _read_flags(command, argv[1:]) if command in _READERS else None
+        if args is None:
+            parser, commands = _parser()
+            if command in commands:
+                args = vars(commands[command].parse_args(argv[1:]))
+            else:
+                args = vars(parser.parse_args(argv))
+                command = args.pop("command")
+        cache = ConstructionCache(ExpLadder(args["a"], args["q"]), Margin(args["eta"]))
+        out = Path(args["out"] or os.environ.get("LPRL_OUT", "out"))
+        if command == "trace":
+            return cmd_trace(cache, args["spec"], args["k"], args["target"], out)
+        if args["max_len"] < 1:
             raise ValueError("max_len must be >= 1")
         # an --out that cannot be a directory fails here, before the tree is built
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "build":
-            return cmd_build(cache, args.max_len, out)
-        return cmd_verify(cache, args.max_len, args.seed, out)
+        if command == "build":
+            return cmd_build(cache, args["max_len"], out)
+        return cmd_verify(cache, args["max_len"], args["seed"], out)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         _print_sigma(err)

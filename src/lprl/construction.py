@@ -21,6 +21,7 @@ import functools
 import gc
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,7 +157,11 @@ def walk_path(cache, bits, start=None):
 
 def _memo_of(cache):
     """The built nodes of cache's configuration, by string."""
-    return _NODE_MEMO.setdefault((cache.ladder, cache.margin), {(): _ROOT})
+    key = (cache.ladder, cache.margin)
+    memo = _NODE_MEMO.get(key)
+    if memo is None:
+        memo = _NODE_MEMO[key] = {(): _ROOT}
+    return memo
 
 
 def _child(cache, memo, parent, bit):
@@ -568,21 +573,35 @@ def export_cache(cache, path):
     return write_output(path, "\n".join(lines) + "\n")
 
 
+# the flags of open(path, "wb"), as os.open takes them, with its mode 0o666
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
 def write_output(path, text):
     """Write ``text`` to ``path`` as a new file, untranslated; return the path.
 
     An old file is unlinked, not truncated, which costs far less on ext4.
     So a link at ``path`` is replaced and its target kept, and a crash can
     leave a partial file but never an earlier, longer file's tail. The
-    parent directory is made only when the write finds it missing.
+    parent directory is made only when the write finds it missing. The
+    bytes go through ``os.write``, called again after a short write until
+    all have landed.
     """
-    path, data = Path(path), text.encode()
-    path.unlink(missing_ok=True)
+    path, data = Path(path), memoryview(text.encode())
     try:
-        path.write_bytes(data)
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    try:
+        fd = os.open(path, _NEW_FILE, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        fd = os.open(path, _NEW_FILE, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     return path
 
 

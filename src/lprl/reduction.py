@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,16 +139,44 @@ def in_p3(spec):
     return all(not pat.infinite for _, pat in spec.rows)
 
 
+def diagonal_bits(spec, start=0):
+    """The point's bits from position ``start`` on, lazily and without end.
+
+    The n-th bit yielded is ``alpha_bit(spec, start + n)``. The grid is read
+    one diagonal d = i + j at a time, from row d down to row 0 as ``pair``
+    orders it, so only ``start`` is unpaired, and each position costs one
+    dict lookup of its row's pattern.
+    """
+    bit_of = {i: pat.bit for i, pat in spec.rows}
+    i, j = unpair(start)
+    d = i + j
+    while True:
+        for j in range(j, d + 1):
+            bit = bit_of.get(d - j)
+            yield 0 if bit is None else bit(j)
+        d, j = d + 1, 0
+
+
+def _bits_to(spec, k):
+    """Positions 0..k of the point's bits, lazily; none for k < 0. The
+    count is clamped at ``sys.maxsize``, which no walk reaches."""
+    return itertools.islice(diagonal_bits(spec), max(0, min(k + 1, sys.maxsize)))
+
+
 def path_bits(spec, k):
-    """The first k+1 bits of the point described by spec."""
-    return tuple(alpha_bit(spec, n) for n in range(k + 1))
+    """The first k+1 bits of the point described by spec, as a tuple; the
+    walks below read the same bits lazily, as they build each node."""
+    return tuple(_bits_to(spec, k))
 
 
 def path_rows(cache, spec, k, exps):
     """The nodes u_0..u_k of spec's path, each with its power sums at exps.
 
-    One walk, as a list of ``(node, {p: sum})`` in exps' order. Each sum is
-    ``math.fsum`` of the node's stored power-sum parts, so it is
+    One walk, as a list of ``(node, {p: sum})`` in exps' order. The bits
+    are read lazily (``diagonal_bits``), so a walk refused at some node has
+    read no bit past it. Each sum is ``math.fsum`` of the node's stored
+    power-sum parts, read with one ``_sums`` lookup and summed by
+    ``_power_sum_parts`` only where none is stored, so it is
     ``pnorm_pow(node.phi, p)`` bit for bit. A node whose parts equal the
     previous node's shares its dict: a 0-node's zeros add no part, so it
     shares its parent's sums, and a reader may format such a row once.
@@ -155,8 +184,11 @@ def path_rows(cache, spec, k, exps):
     ``lprl verify`` walk each path once.
     """
     rows, last, sums = [], None, None
-    for node in walk_path(cache, path_bits(spec, k)):
-        parts = [_power_sum_parts(node.phi, p) for p in exps]
+    for node in walk_path(cache, _bits_to(spec, k)):
+        phi = node.phi
+        stored = phi._sums
+        parts = [got if (got := stored.get(p)) is not None else _power_sum_parts(phi, p)
+                 for p in exps]
         if parts != last:
             last, sums = parts, dict(zip(exps, map(math.fsum, parts)))
         rows.append((node, sums))
@@ -171,7 +203,7 @@ def f_blocks(cache, spec, k):
     """Blocks u_0..u_k of the reduced point; they concatenate to the path's phi."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return tuple(node.block for node in walk_path(cache, path_bits(spec, k)))
+    return tuple(node.block for node in walk_path(cache, _bits_to(spec, k)))
 
 
 def unit_ball_check(cache, path):
@@ -266,8 +298,7 @@ def divergence_witness(cache, spec, row, target, path):
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
     p = cache.ladder.exponent(row)
-    later = walk_path(cache, (alpha_bit(spec, n) for n in itertools.count(len(path))),
-                      path[-1][0])
+    later = walk_path(cache, diagonal_bits(spec, len(path)), path[-1][0])
     steps = enumerate(itertools.chain(path, ((node, ()) for node in later)))
     value = None
     for j in pat.ones():

@@ -1,12 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lprl import cli, construction, reduction, witness
@@ -260,6 +263,31 @@ class TestMainExitCodes:
             err.splitlines()[0]]
         assert "stops decreasing at p_" in err or "past the limit of 131072" in err
 
+    def test_a_refused_walk_reads_no_bit_past_its_refusal(self, tmp_path, capsys, monkeypatch):
+        # (1, 3)'s ladder stops decreasing at p_53, which the all-zero path
+        # reaches at length 1432, so --k 2000 and --k 10**6 are refused at
+        # the same node, with the same message, after the same 1432 bits
+        read = []
+        bits = reduction.diagonal_bits
+
+        def counted(spec, start=0):
+            for bit in bits(spec, start):
+                read.append(bit)
+                yield bit
+
+        monkeypatch.setattr(reduction, "diagonal_bits", counted)
+        runs = []
+        for k in ("2000", "1000000"):
+            read.clear()
+            assert main(["trace", "--a", "1", "--q", "3", "--spec", "", "--k", k,
+                         "--out", str(tmp_path)]) == 2
+            runs.append((len(read), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        count, captured = runs[1]
+        assert count == 1432 and captured.out == ""
+        assert captured.err.startswith("error: the ladder of a=1.0, q=3.0 stops decreasing at p_53")
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_malformed_spec_is_two(self, tmp_path, capsys):
         rc = main(["trace", "--spec", "row=0:finite{1};nope", "--k", "3",
                    "--out", str(tmp_path)])
@@ -424,6 +452,105 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)]) == 0
 
 
+_ALL_FLAGS = sorted({flag.name for _, flags in cli._COMMANDS.values() for flag in flags})
+_VALUES = ["0", "3", "12", "2.5", "1e3", "-1", "-0.5", "nan", "inf", "1_0", "08", "", " 4",
+           "x", "-x", "--k", "-", "row=0:finite{1}", "row=1:eventually(2)", "a b"]
+# values every flag's type reads
+_PLAIN = st.sampled_from(["0", "3", "1_0", "08"])
+_VALUE = st.one_of(st.sampled_from(_VALUES), _PLAIN)
+# an item is a flag with its value, a flag with none, a --flag=value, an
+# abbreviated, unknown or help flag with a value, or a stray value
+_ITEM = st.one_of(
+    st.tuples(st.sampled_from(_ALL_FLAGS), _VALUE), st.tuples(st.sampled_from(_ALL_FLAGS)),
+    st.builds(lambda flag, value: (f"{flag}={value}",), st.sampled_from(_ALL_FLAGS), _VALUE),
+    st.tuples(st.sampled_from(["--tar", "--ta", "--s", "--sp", "--se", "--max", "--e", "--o"]),
+              _VALUE),
+    st.tuples(st.sampled_from(["--bogus", "--step-budget", "--ladder", "-k", "--", "-h", "--help"]),
+              _VALUE),
+    st.tuples(_VALUE))
+
+
+def _answer(argv):
+    """main's exit code, stdout and stderr on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = ("exit", exit_.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _typed(args):
+    # repr tells nan from nan, and -0.0 from 0.0
+    return {dest: (type(value), repr(value)) for dest, value in args.items()}
+
+
+def _stub(name):
+    """A command that prints what it was given."""
+    def run(cache, *args):
+        print(name, cache.ladder, cache.margin, *map(repr, args))
+        return 0
+    return run
+
+
+class TestArgvReader:
+    """main reads an argv of a command's own exact flags, each with a plain
+    value, from the flag table; argparse reads every other one. Each answer
+    must be argparse's: the same arguments where the table reads them, and
+    the same exit code, stdout and stderr from main everywhere."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _in_a_fresh_cwd(self, tmp_path_factory):
+        # build and verify make their --out directory before the work
+        cwd = os.getcwd()
+        os.chdir(tmp_path_factory.mktemp("argv"))
+        yield
+        os.chdir(cwd)
+
+    @staticmethod
+    def _check(command, argv):
+        stubs = {name: _stub(name) for name in ("cmd_build", "cmd_verify", "cmd_trace")}
+        with mock.patch.multiple(cli, **stubs):
+            read = cli._read_flags(command, argv)
+            if read is not None:
+                # only an argv of exact own flags, each with a plain value
+                names = {flag.name for flag in cli._COMMANDS[command][1]}
+                assert len(argv) % 2 == 0
+                assert all(flag in names and not value.startswith("-")
+                           for flag, value in zip(argv[::2], argv[1::2]))
+                parsed = vars(cli._parser()[1][command].parse_args(argv))
+                assert _typed(read) == _typed(parsed)
+            got = _answer([command] + argv)
+            # main as it was, with argparse reading every argv
+            with mock.patch.object(cli, "_read_flags", lambda command, argv: None):
+                assert got == _answer([command] + argv)
+        return read
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_reader_answers_as_argparse(self, command, data):
+        own = st.tuples(st.sampled_from([flag.name for flag in cli._COMMANDS[command][1]]),
+                        _VALUE)
+        items = data.draw(st.one_of(st.lists(own, max_size=6),
+                                    st.lists(st.one_of(own, _ITEM), max_size=6)))
+        self._check(command, [token for item in items for token in item])
+
+    @pytest.mark.parametrize("argv,read", [
+        (["--spec", "-x"], False),  # a dash-led value is argparse's
+        (["--out", "--k", "--spec", ""], False),
+        (["--target", "-1", "--spec", "x"], False),
+        (["--tar", "5", "--spec", "x"], False),  # so is an abbreviation
+        (["--spec", "x", "--k=4"], False),
+        (["--k", "4"], False),  # and a missing --spec
+        (["--spec", "x", "--k", "4", "--k", "1_0", "--target", "nan", "--out", ""], True),
+        (["--spec", "row=0:finite{1}", "--a", "08", "--q", " 4", "--eta", "inf"], True),
+    ])
+    def test_marked_trace_argvs(self, argv, read):
+        assert (self._check("trace", argv) is not None) == read
+
+
 MEMBER, NON_MEMBER = "row=0:finite{1,3};row=2:finite{0,2}", "row=1:eventually(2)"
 
 # SHA-256 of trace.csv and of stdout (the out directory written as <out>)
@@ -552,6 +679,30 @@ class TestOutputsAreNewFiles:
         assert not written.is_symlink() and written.is_file()
         assert written.read_bytes() == (tmp_path / "fresh" / "trace.csv").read_bytes()
         assert target.read_bytes() == self.STALE
+
+    def test_a_hard_link_is_replaced_and_its_other_names_kept(self, tmp_path, capsys):
+        other = tmp_path / "other.csv"
+        other.write_bytes(self.STALE)
+        (tmp_path / "out").mkdir()
+        os.link(other, tmp_path / "out" / "trace.csv")
+        argv = ["trace", "--spec", "row=0:finite{1}", "--k", "4"]
+        self._run(argv, tmp_path / "out", capsys)
+        self._run(argv, tmp_path / "fresh", capsys)
+        written = tmp_path / "out" / "trace.csv"
+        assert written.read_bytes() == (tmp_path / "fresh" / "trace.csv").read_bytes()
+        assert not os.path.samefile(written, other)
+        assert other.read_bytes() == self.STALE and other.stat().st_nlink == 1
+
+    def test_a_short_write_is_written_on(self, tmp_path, monkeypatch):
+        # os.write may write fewer bytes than it was given
+        calls = []
+        write = os.write
+        text = "".join(f"{n},{n * n}\r\n" for n in range(40))
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "write", lambda fd, data: calls.append(fd) or write(fd, data[:7]))
+            construction.write_output(tmp_path / "short.csv", text)
+        assert (tmp_path / "short.csv").read_bytes() == text.encode()
+        assert len(calls) == -(-len(text) // 7)
 
     def test_write_output_makes_a_missing_parent_and_keeps_line_ends(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.csv"

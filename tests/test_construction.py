@@ -184,9 +184,15 @@ class TestWalkPath:
     def test_divergence_reads_each_position_once(self, small_cache, monkeypatch, fresh_nodes):
         spec = AlphaSpec.from_rows({1: PeriodicOnes(0, 2, 0)})  # ones at 1, 8, 19, ...
         calls = []
-        alpha_bit = reduction.alpha_bit
-        monkeypatch.setattr(reduction, "alpha_bit",
-                            lambda spec, n: calls.append(n) or alpha_bit(spec, n))
+        diagonal_bits = reduction.diagonal_bits
+
+        def recorded(spec, start=0):
+            # the position of each bit the walks read
+            for n, bit in enumerate(diagonal_bits(spec, start), start):
+                calls.append(n)
+                yield bit
+
+        monkeypatch.setattr(reduction, "diagonal_bits", recorded)
         found = divergence_witness(small_cache, spec, 1, 3.0, path_rows(small_cache, spec, 0, ()))
         assert calls == list(range(9))  # the one at 8 clears the target
         last = build_node(small_cache, (0, 1, 0, 0, 0, 0, 0, 0, 1))

@@ -27,6 +27,7 @@ from lprl.reduction import (
     alpha_bit,
     bad_row,
     continuity_check,
+    diagonal_bits,
     divergence_witness,
     f_blocks,
     in_p3,
@@ -78,6 +79,33 @@ class TestAlphaBit:
         assert alpha_bit(spec, pair(0, 1)) == 1
         assert alpha_bit(spec, pair(0, 2)) == 0
         assert alpha_bit(spec, pair(0, 3)) == 1
+
+
+_ROW_SPECS = st.dictionaries(
+    st.integers(0, 4),
+    st.one_of(
+        st.builds(FiniteOnes, st.frozensets(st.integers(0, 12), max_size=4)),
+        st.builds(EventuallyOne, st.integers(0, 12)),
+        st.integers(1, 5).flatmap(lambda m: st.builds(
+            PeriodicOnes, st.integers(0, m - 1), st.just(m), st.integers(0, 8)))),
+    max_size=5).map(AlphaSpec.from_rows)
+
+
+class TestDiagonalBits:
+    @given(_ROW_SPECS, st.integers(0, 60), st.data())
+    @settings(max_examples=100)
+    def test_each_bit_is_alpha_bit(self, spec, k, data):
+        start = data.draw(st.integers(0, k), label="start")
+        expected = [alpha_bit(spec, n) for n in range(k + 1)]
+        assert list(path_bits(spec, k)) == expected
+        later = diagonal_bits(spec, start)
+        assert [next(later) for _ in range(start, k + 1)] == expected[start:]
+
+    def test_a_start_past_any_walk(self):
+        # the start is unpaired, and no position before it is read
+        bits = diagonal_bits(ROW0_ALWAYS, 10 ** 30)
+        assert [next(bits) for _ in range(3)] == [alpha_bit(ROW0_ALWAYS, 10 ** 30 + n)
+                                                 for n in range(3)]
 
 
 class TestMembership:
