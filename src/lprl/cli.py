@@ -162,6 +162,7 @@ def _seeded_continuity_pairs(rng, count):
 
 def run_verification_suites(cache, max_len, seed):
     """All finite-scale suites over the standard corpus; list of reports."""
+    build_tree(cache, max_len)  # its walk carries the parts; the check builds nothing
     reports = [check_properties(cache, max_len)]
     corpus = standard_corpus()
     depth = min(CORPUS_BLOCK_DEPTH, max(max_len, 1) + 2)

@@ -42,6 +42,7 @@ from .seqspace import (
     certified_less,
     finite_literal,
     finseq,
+    pnorm_pow,
     _power_sum_parts,
 )
 from .witness import ClaimRequest, cap_room, claim_of, extend
@@ -136,23 +137,26 @@ class ConstructionCache:
 def build_node(cache, sigma):
     """Return the node at sigma, building its missing prefixes first."""
     node = cache._nodes[()]
-    for node in walk_path(cache, bitstring(sigma)):
+    for node, _ in walk_path(cache, bitstring(sigma)):
         pass
     return node
 
 
-def walk_path(cache, bits, start=None):
-    """Yield the node at each prefix of bits, from length 1 on, below start
-    (the root by default).
+def walk_path(cache, bits, start=None, sums=None):
+    """Yield ``(node, sums)`` at each prefix of bits, from length 1 on, below
+    start (the root by default), sums being the node's power-sum parts
+    ``{p: parts}`` (``_carry``), from start's (an empty dict by default).
 
     Each step is one ``_child``, so bits may be any iterable, an endless
     one included: a node is built only when the walk reaches it.
     """
     memo = _memo_of(cache)
     node = cache._nodes[()] if start is None else start
+    sums = {} if sums is None else sums
     for bit in bits:
-        node = _child(cache, memo, node, bit)
-        yield node
+        node = _child(cache, memo, node, bit, sums)
+        sums = _carry(sums, node.block)
+        yield node, sums
 
 
 def _memo_of(cache):
@@ -164,14 +168,15 @@ def _memo_of(cache):
     return memo
 
 
-def _child(cache, memo, parent, bit):
+def _child(cache, memo, parent, bit, sums):
     """The child of parent by bit, stored in cache.
 
     A child already in cache is returned as it is. Otherwise, a parent that
     is memo's own node (the root is) gets its child from memo, built and
     stored there on a miss. Any other parent was read from a file, or built
-    from one: its child is built from it and stored in cache alone. A build
-    that raises stores nothing.
+    from one: its child is built from it and stored in cache alone, from
+    the parent's power-sum parts ``sums``. A build that raises stores
+    nothing.
     """
     tau = parent.sigma + (bit,)
     node = cache._nodes.get(tau)
@@ -180,16 +185,25 @@ def _child(cache, memo, parent, bit):
     if memo.get(parent.sigma) is parent:
         node = memo.get(tau)
         if node is None:
-            node = _extend_node(cache, parent, bit)
+            node = _extend_node(cache, parent, bit, sums)
             memo[node.sigma] = node
     else:
-        node = _extend_node(cache, parent, bit)
+        node = _extend_node(cache, parent, bit, sums)
     cache._nodes[node.sigma] = node
     return node
 
 
 # one block object shared by every 0-extension, half the nodes of a tree
 _ZERO_BLOCK = finseq((0.0,))
+
+
+def _carry(sums, block):
+    """A child's power-sum parts ``{p: parts}``: its parent's own dict after
+    ``_ZERO_BLOCK``, which adds no part at any exponent, and otherwise a new
+    one, so that a step may add an exponent to the dict it is given."""
+    if block is _ZERO_BLOCK:
+        return sums
+    return {p: parts + _power_sum_parts(block, p) for p, parts in sums.items()}
 
 
 @dataclass(slots=True)
@@ -226,61 +240,58 @@ def _template(cache, length, one):
     return t
 
 
-def _extend_node(cache, parent, bit):
+def _extend_node(cache, parent, bit, sums):
     """The child by ``bit``: its parent's first ``keep`` caps, then one new
     cap per row from ``keep`` to its depth, above its power sum there.
 
     What the child's length fixes comes from its ``Template``, so a node
-    pays only for its own sums, claims and caps. A 0-node's phi links its
-    parent's to a zero; a 1-node makes its request on the template's
-    Claim, with the parent's phi and caps, and its phi is the u~v that
-    ``extend``'s re-check summed, which keeps the parts summed there. Both
-    sum their phi from those parts at the rows from ``keep`` on, if any. A
-    PreconditionError is tagged with the child's string."""
+    pays only for its own sums, claims and caps. ``sums`` is the parent's
+    parts ``{p: parts}``; an exponent it lacks is read once along the
+    parent's links into it. A 0-node's block is a zero; a 1-node's is the
+    witness of its request on the template's Claim, with the parent's phi,
+    caps and parts. The child's phi links the parent's to its block and
+    is summed at the rows from ``keep`` on as the parent's parts followed
+    by the block's. A PreconditionError is tagged with the child's string."""
     tau = parent.sigma + (bit,)
     t = cache._templates.get(len(tau))
     if t is None or bit and t.claim is None:
         t = _template(cache, len(tau), bit)
     margin = cache.margin
+    keep = t.level if bit else len(parent.M)
+    for p in t.exps if bit else t.exps[keep:]:
+        if p not in sums:
+            sums[p] = _power_sum_parts(parent.phi, p)
     if bit == 0:
-        keep, block = len(parent.M), _ZERO_BLOCK
-        phi = FinSeq(block, base=parent.phi)
+        block = _ZERO_BLOCK
     else:
-        keep = t.level
-        req = ClaimRequest.on(t.claim, parent.phi, tuple(map(float, parent.M[:keep])))
+        req = ClaimRequest.on(t.claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
         try:
-            w = extend(req, margin)
+            block = extend(req, margin).v
         except PreconditionError as err:
             err.sigma = tau
             raise
-        block, phi = w.v, w.uv
-    new = tuple(least_natural_above(math.fsum(_power_sum_parts(phi, p)), margin)
+    new = tuple(least_natural_above(math.fsum(sums[p] + _power_sum_parts(block, p)), margin)
                 for p in t.exps[keep:])
-    return Node(tau, phi, parent.M[:keep] + new, block)
+    return Node(tau, FinSeq(block, parent.phi), parent.M[:keep] + new, block)
 
 
 @_gc_held
 def build_tree(cache, max_len):
-    """Populate every node with lh(sigma) <= max_len (2**(max_len+1)-1 nodes)."""
+    """Populate every node with lh(sigma) <= max_len (2**(max_len+1)-1 nodes),
+    level by level, carrying each node's power-sum parts to its children."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     memo = _memo_of(cache)
-    frontier = [cache._nodes[()]]
-    for _ in range(max_len):
-        frontier = [_child(cache, memo, parent, bit) for parent in frontier for bit in (0, 1)]
+    frontier = [(cache._nodes[()], {})]
+    for length in range(1, max_len + 1):
+        children = []
+        for parent, sums in frontier:
+            for bit in (0, 1):
+                node = _child(cache, memo, parent, bit, sums)
+                if length < max_len:  # a leaf's parts are never read
+                    children.append((node, _carry(sums, node.block)))
+        frontier = children
     return cache
-
-
-def _exact_sum(phi, p):
-    """``pnorm_pow(phi, p)``, bit for bit, summed from the parts of phi's
-    blocks along its links and of the segments it starts from, in that
-    order: it reads and stores no part on a phi, only on blocks."""
-    parts = []
-    while phi.base is not None:
-        parts.append(_power_sum_parts(phi.block, p))
-        phi = phi.base
-    parts.append(_power_sum_parts(FinSeq(phi.segments), p))
-    return math.fsum(itertools.chain.from_iterable(reversed(parts)))
 
 
 def _level_rows(parent_rows, blocks, which, exps, exact):
@@ -297,7 +308,7 @@ def _level_rows(parent_rows, blocks, which, exps, exact):
     rows = parent_rows.repeat(2, axis=0)
     rows += sums[which]
     for k, phi in exact.items():
-        rows[k] = [_exact_sum(phi, p) for p in exps]
+        rows[k] = [pnorm_pow(phi, p) for p in exps]
     return rows
 
 
@@ -336,8 +347,8 @@ def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
     Each level is checked as one batch. Per node, in Python: a dict hit
-    (``_child`` on a miss), bookkeeping, phi-nonempty, p1-prefix (at once
-    where phi links its parent's to a nonempty block) and the p4/p5 cap
+    (``_child``, with no parts, on a miss in a partial or imported tree),
+    bookkeeping, phi-nonempty, p1-prefix (at once where phi links its parent's to a nonempty block) and the p4/p5 cap
     tuples; p2 is decided once per distinct block. p3 (every row entry under
     its cap) and p6 (forced growth) are decided on float64 arrays, and only a
     claim they cannot decide, or a violation, is summed exactly.
@@ -346,8 +357,8 @@ def check_properties(cache, max_len):
     level, its parent's row plus the ``math.fsum`` of its block's parts at
     that exponent (``_level_rows``); each distinct block is summed once per
     level with ``_power_sum_parts``. So the check reads parts stored on
-    blocks only, never the sums a build left on a phi, and stores no part
-    on a phi. R differs from the exact value the claims are about,
+    blocks only, and a phi, being linked, keeps none. R differs from the
+    exact value the claims are about,
     S = ``math.fsum`` of all of its phi's parts, by
 
         |R - S| <= (length+1) * 2**-52 * R + length * 2**-1074.
@@ -372,8 +383,8 @@ def check_properties(cache, max_len):
     rounded sum is monotone in its operands; p6, ``length + eta < S``,
     holds where it holds at the float below ``R - bound``
     (``_surely_above``). Any other claim, and a row that overflowed to
-    inf, is decided by the exact per-node rule: S by ``_exact_sum``,
-    compared with ``certified_less``.
+    inf, is decided by the exact per-node rule: S by ``pnorm_pow``, which
+    reads phi's parts along its links, compared with ``certified_less``.
     Violations, each noting its string, are then merged in node order,
     and within a node as bookkeeping, phi-nonempty, p1, p2, p3 by row
     entry, p4/p5, p6; instances are counted once per level. p3 compares a
@@ -398,7 +409,7 @@ def check_properties(cache, max_len):
                                       tag if i is None else f"{tag} i={i}")))
 
     # the previous level's nodes and their rows
-    nodes, rows = [root], np.array([[_exact_sum(root.phi, p) for p in exps]])
+    nodes, rows = [root], np.array([[pnorm_pow(root.phi, p) for p in exps]])
     for length in range(1, max_len + 1):
         probe = (0,) * length  # depth and level depend on the length alone
         d, l = depth(probe), level(probe)
@@ -410,7 +421,7 @@ def check_properties(cache, max_len):
         for parent in parents:
             pphi, psigma = parent.phi, parent.sigma
             for bit in (0, 1):
-                node = stored(psigma + (bit,)) or _child(cache, memo, parent, bit)
+                node = stored(psigma + (bit,)) or _child(cache, memo, parent, bit, {})
                 k = len(nodes)
                 nodes.append(node)
                 M, phi, block = node.M, node.phi, node.block
@@ -455,12 +466,12 @@ def check_properties(cache, max_len):
         for k, i in np.argwhere(open_p3).tolist():
             node = nodes[k]
             if i < len(node.M):  # a padded entry is no claim
-                s = _exact_sum(node.phi, exps[i])
+                s = pnorm_pow(node.phi, exps[i])
                 if not certified_less(s, float(node.M[i]), margin):
                     fail(k, 1, "p3-caps", s, node.M[i], node, i)
         for k in (2 * np.flatnonzero(open_p6) + 1).tolist():
             node = nodes[k]
-            s = _exact_sum(node.phi, exps[l])
+            s = pnorm_pow(node.phi, exps[l])
             if not certified_less(float(length), s, margin):
                 fail(k, 3, "p6-forced-growth", s, length, node)
         found.sort(key=lambda f: f[:2])
@@ -625,7 +636,7 @@ def import_cache(path):
     parent's last run with new entries: its entries extend the parent's, but
     no block of whole segments does. Only the block is parsed, once per
     distinct block text, and records with equal block texts share one block
-    object, as a built tree's 0-nodes share ``_ZERO_BLOCK``. Each distinct
+    object; ``L:0.0`` is ``_ZERO_BLOCK``, as in a built tree. Each distinct
     ``M=`` field is parsed once, and must read as ``export_cache`` writes its
     caps (``_CAPS_FIELD``), as the header's ``explicit`` and ``step_budget``
     must (``_FIXED_HEADER``). Every refusal names the file, and its line.
@@ -662,7 +673,7 @@ def import_cache(path):
     # node, and the start of its children's phi fields (its own, and ";")
     records = {"": (cache._nodes[()], "phi=")}
     caps_of = {}  # one caps tuple per distinct M= field
-    blocks = {}  # one block per distinct block text
+    blocks = {"L:0.0": _ZERO_BLOCK}  # one block per distinct block text
     for lineno, line in enumerate(lines[first - 1:], first):
         try:
             bits_text, m_text, phi_text = line.split("|")

@@ -25,7 +25,7 @@ from .construction import walk_path
 from .errors import PreconditionError
 from .grid import pair, unpair
 from .reports import Check, CheckReport
-from .seqspace import _power_sum_parts, certified_less, pnorm_pow
+from .seqspace import certified_less, pnorm_pow
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +174,17 @@ def path_rows(cache, spec, k, exps):
 
     One walk, as a list of ``(node, {p: sum})`` in exps' order. The bits
     are read lazily (``diagonal_bits``), so a walk refused at some node has
-    read no bit past it. Each sum is ``math.fsum`` of the node's stored
-    power-sum parts, read with one ``_sums`` lookup and summed by
-    ``_power_sum_parts`` only where none is stored, so it is
-    ``pnorm_pow(node.phi, p)`` bit for bit. A node whose parts equal the
-    previous node's shares its dict: a 0-node's zeros add no part, so it
-    shares its parent's sums, and a reader may format such a row once.
-    The checks below take such a list, so that ``lprl trace`` and
-    ``lprl verify`` walk each path once.
+    read no bit past it. Each sum is ``math.fsum`` of the parts the walk
+    carries, so it is ``pnorm_pow(node.phi, p)`` bit for bit. A node whose
+    parts equal the previous node's shares its dict: a 0-node's zeros add
+    no part, so it shares its parent's sums, and a reader may format such
+    a row once. The checks below take such a list, so that ``lprl trace``
+    and ``lprl verify`` walk each path once.
     """
     rows, last, sums = [], None, None
-    for node in walk_path(cache, _bits_to(spec, k)):
-        phi = node.phi
-        stored = phi._sums
-        parts = [got if (got := stored.get(p)) is not None else _power_sum_parts(phi, p)
-                 for p in exps]
+    # from the root's parts: its phi is empty
+    for node, carried in walk_path(cache, _bits_to(spec, k), None, dict.fromkeys(exps, ())):
+        parts = [carried[p] for p in exps]
         if parts != last:
             last, sums = parts, dict(zip(exps, map(math.fsum, parts)))
         rows.append((node, sums))
@@ -203,7 +199,7 @@ def f_blocks(cache, spec, k):
     """Blocks u_0..u_k of the reduced point; they concatenate to the path's phi."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return tuple(node.block for node in walk_path(cache, _bits_to(spec, k)))
+    return tuple(node.block for node, _ in walk_path(cache, _bits_to(spec, k)))
 
 
 def unit_ball_check(cache, path):
@@ -299,7 +295,7 @@ def divergence_witness(cache, spec, row, target, path):
         raise ValueError(f"row {row} does not carry infinitely many ones")
     p = cache.ladder.exponent(row)
     later = walk_path(cache, diagonal_bits(spec, len(path)), path[-1][0])
-    steps = enumerate(itertools.chain(path, ((node, ()) for node in later)))
+    steps = enumerate(itertools.chain(path, ((node, ()) for node, _ in later)))
     value = None
     for j in pat.ones():
         pos = pair(row, j)

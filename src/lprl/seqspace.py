@@ -20,15 +20,14 @@ its splits, so a window one term longer than one summed before sums little
 more than its last leaf.
 
 A sequence made by ``concat`` links to the sequence it extends and to the
-block it appends, with no segment tuple, and its power sums grow along
-those links: its per-segment parts are its base's followed by its block's.
-Every sequence summed keeps them per exponent, as does every base and
-block it was grown through, so a block that many sequences append is
-summed once. A part that is exactly 0.0 is left out: a block of zeros
-adds none, and its sequence keeps its base's tuple object. A power sum is
-``math.fsum`` of the parts, which ignores +0.0, so the power sum of a tree
-node sums one block yet is the ``math.fsum`` over all of its segments'
-parts.
+block it appends, with no segment tuple and no power-sum parts: its
+per-segment parts are those of the unlinked start of its links, then each
+block's, read along the links. Only an unlinked sequence keeps its parts,
+per exponent, so a block that many sequences append is summed once; a
+tree walk carries each node's (``construction.walk_path``). A part that is
+exactly 0.0 is left out, so a block of zeros adds none. A power sum is
+``math.fsum`` of the parts, which ignores +0.0, so it is the ``math.fsum``
+over all of the sequence's segments' parts.
 
 Every strict inequality that matters downstream goes through
 ``certified_less`` with an explicit margin, so a float rounding step can
@@ -319,9 +318,8 @@ class FinSeq:
 
     ``FinSeq(v, base=u)`` is u followed by the FinSeq v: it keeps the links
     to u and to v, its ``block``, and no segment tuple, so its ``segments``,
-    u's then v's, are derived where they are read. ``pnorm_pow`` takes its
-    power-sum parts from u's and v's, which each keeps per exponent in
-    ``_sums`` once they have been computed for it or through it.
+    u's then v's, are derived where they are read, and no power-sum parts
+    (``_sums`` is None): an unlinked sequence keeps its own per exponent.
 
     Immutable by convention: nothing sets an attribute after ``__init__``,
     which sets each slot once. ``length`` is an exact int and may exceed
@@ -333,7 +331,7 @@ class FinSeq:
 
     def __init__(self, segments=(), base=None):
         if base is not None:
-            self._segs = None
+            self._segs = self._sums = None
             self.length = base.length + segments.length
             self.block = segments
         else:
@@ -342,8 +340,8 @@ class FinSeq:
             if 0 in lengths:
                 segs = tuple(s for s, n in zip(segs, lengths) if n)
             self._segs, self.length, self.block = segs, sum(lengths), None
+            self._sums = {}
         self.base = base
-        self._sums = {}
 
     @property
     def segments(self):
@@ -567,9 +565,8 @@ def pnorm_pow(x, p):
 
     The value is ``math.fsum`` of the per-segment parts (each run's own
     fsum, each window's ``_window_power_sum``) in segment order, and raises
-    OverflowError where that does. The parts are taken from those stored
-    on x's base, so a sequence made by ``concat`` sums its own segments
-    only.
+    OverflowError where that does. The parts are those kept by the
+    unlinked sequences along x's links.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
         raise ValueError(f"exponent must be a finite positive real, got {p!r}")
@@ -586,38 +583,24 @@ def _power_sum_parts(x, p):
     """x's per-segment power-sum parts at p, in segment order, less every
     part that is exactly 0.0.
 
-    A linked sequence's parts are its base's followed by its block's. They
-    are stored on x, on every base they were grown through and on every
-    block, so each distinct block is summed once. A block of zeros adds no
-    part, so its sequence stores its base's tuple object. A stored tuple
-    may be empty.
+    An unlinked x keeps them in ``_sums``, so each distinct block is summed
+    once per exponent; a stored tuple may be empty. A linked x's are its
+    pieces' (``_pieces``), read in one loop along its links, kept nowhere.
     """
+    if x.base is not None:
+        return tuple(itertools.chain.from_iterable(_power_sum_parts(y, p) for y in x._pieces()))
     parts = x._sums.get(p)
-    if parts is not None:
-        return parts
-    chain, y = [x], x.base
-    while y is not None and (parts := y._sums.get(p)) is None:
-        chain.append(y)
-        y = y.base
-    for y in reversed(chain):
-        if y.base is None:  # the chain's start, with no base that kept parts
-            parts = tuple(s for seg in y._segs if (s := _segment_power_sum(seg, p)))
-        else:
-            own = y.block._sums.get(p)
-            if own is None:
-                own = _power_sum_parts(y.block, p)
-            if own:
-                parts += own
-        y._sums[p] = parts
+    if parts is None:
+        parts = x._sums[p] = tuple(s for seg in x._segs if (s := _segment_power_sum(seg, p)))
     return parts
 
 
 def concat(u, v):
     """u followed by v, as ``FinSeq(v, base=u)``.
 
-    The result links to u and v and stores no segment tuple, so it costs
-    the same at any length; its power sums add v's stored parts to u's
-    stored ones, and its prefix test against u finds u among its bases.
+    The result links to u and v and stores no segment tuple and no
+    power-sum parts, so it costs the same at any length, and its prefix
+    test against u finds u among its bases.
     """
     u = as_finseq(u)
     return FinSeq(as_finseq(v), base=u)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -90,29 +90,33 @@ def claim_of(q, exps, M, eps, caps=None):
 
 
 class ClaimRequest:
-    """Inputs of one extension step: the prefix u, its caps and its Claim.
+    """Inputs of one extension step: the prefix u, its caps, its Claim and
+    u's power-sum parts.
 
     ``exps`` lists p_0 > ... > p_{k+1}; ``caps`` holds r_0..r_k for all but
     the last exponent, so an empty ``caps`` means only the q-budget and the
-    divergence target are active. Construction checks every input and
-    refuses a bad one with ValueError. ``ClaimRequest.on`` pairs a Claim
-    made by ``claim_of`` with a prefix and caps that are positive and one
-    fewer than its exponents, and checks nothing again: the tree's step
-    makes its caps so. Immutable by convention.
+    divergence target are active. ``parts`` maps each exponent (at least)
+    to u's parts there, which u and u~v are summed from. Construction checks
+    every input, refuses a bad one with ValueError, and sums u's parts.
+    ``ClaimRequest.on`` pairs a Claim made by ``claim_of`` with a prefix,
+    caps that are positive and one fewer than its exponents, and u's parts,
+    and checks nothing again: the tree's step makes its caps so and carries
+    the parts. Immutable by convention.
     """
 
-    __slots__ = ("u", "caps", "claim")
+    __slots__ = ("u", "caps", "claim", "parts")
 
     def __init__(self, u, q, exps, caps, M, eps):
         u = as_finseq(u)
         exps = tuple(float(p) for p in exps)
         caps = tuple(float(r) for r in caps)
         self.u, self.caps, self.claim = u, caps, claim_of(q, exps, M, eps, caps)
+        self.parts = {p: _power_sum_parts(u, p) for p in exps}
 
     @classmethod
-    def on(cls, claim, u, caps):
+    def on(cls, claim, u, caps, parts):
         req = cls.__new__(cls)
-        req.u, req.caps, req.claim = u, caps, claim
+        req.u, req.caps, req.claim, req.parts = u, caps, claim, parts
         return req
 
     q = property(lambda self: self.claim.q)
@@ -121,28 +125,13 @@ class ClaimRequest:
     eps = property(lambda self: self.claim.eps)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ClaimWitness:
-    """The appended block v together with its generator index window.
-
-    A witness from ``extend`` also holds the sequence u~v that its re-check
-    summed, ``uv``, which keeps its power-sum parts, so that the tree takes
-    u~v as a node's phi. It takes no part in equality. ``extend`` sets it
-    once the re-check has passed; nothing changes a witness after that.
-    """
+    """The appended block v together with its generator index window."""
 
     v: FinSeq
     n0: int
     n1: int
-    uv: FinSeq = field(default=None, compare=False, repr=False)
-
-
-@dataclass
-class WitnessReport(CheckReport):
-    """``verify_witness``'s report, with the sequence u~v it summed (None
-    for an empty block)."""
-
-    uv: FinSeq = None
 
 
 def _least_true(pred, guess, floor):
@@ -252,21 +241,19 @@ def extend(req, margin=DEFAULT_MARGIN):
 
     Pure function of (request, margin): identical inputs give the identical
     window, which is what makes the tree construction well-defined. Per
-    call it sums u at each capped exponent, keeping u's parts, so that the
-    re-check sums ``u~v`` from them and the block's; takes the cap slacks
-    and the threshold; and looks up the two window searches and the block,
-    which answer repeated arguments from their memos: a window found before
-    gives the same block object (``_block``), which keeps its power-sum
-    parts. What the request's Claim fixes is not derived again. The block
-    is still re-checked by ``verify_witness`` on every call, which sums it
-    at q and at every exponent of the request, one kernel request per
-    exponent that the block does not hold yet. The witness returned holds
-    the re-check's u~v, with its parts at those exponents.
+    call it sums u at each capped exponent from the request's parts; takes
+    the cap slacks and the threshold; and looks up the two window searches
+    and the block, which answer repeated arguments from their memos: a
+    window found before gives the same block object (``_block``), which
+    keeps its power-sum parts. What the request's Claim fixes is not
+    derived again. The block is still re-checked by ``verify_witness`` on
+    every call, which sums it at q and at every exponent of the request,
+    one kernel request per exponent that the block does not hold yet.
     """
-    claim, u = req.claim, req.u
+    claim = req.claim
     slacks = []
     for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
-        us = math.fsum(_power_sum_parts(u, p))
+        us = math.fsum(req.parts[p])
         if not certified_less(us, r, margin):
             raise PreconditionError(
                 f"prefix already violates cap {i}: sum={us!r} vs cap={r!r}")
@@ -280,7 +267,6 @@ def extend(req, margin=DEFAULT_MARGIN):
     if not rep.ok:
         raise ArithmeticError(
             "constructed witness failed its own re-check:\n" + rep.summary())
-    w.uv = rep.uv
     return w
 
 
@@ -289,26 +275,26 @@ def verify_witness(req, w, margin):
 
     Uses only the block's entries (partial sums), never the tail estimates
     that guided the search, so a bookkeeping bug in ``extend`` cannot
-    certify itself. u~v is ``concat(req.u, w.v)``, summed once at each of
-    the request's exponents, and the report holds it. Every claim is
-    evaluated; each family of the request's Claim is counted once, and a
-    Check is kept for a violation only.
+    certify itself. u~v is summed once at each of the request's exponents,
+    as the ``math.fsum`` of u's parts from the request followed by v's.
+    Every claim is evaluated; each family of the request's Claim is counted
+    once, and a Check is kept for a violation only.
     """
-    claim, v = req.claim, w.v
+    claim, v, parts = req.claim, w.v, req.parts
     if v.length == 0:
-        rep = WitnessReport("claim-witness")
+        rep = CheckReport("claim-witness")
         rep.add("non-empty", False, v.length, 1)
         return rep
     bad = []
     qcost = math.fsum(_power_sum_parts(v, claim.q))
     if not certified_less(qcost, claim.eps, margin):
         bad.append(Check("q-cost", False, qcost, claim.eps))
-    uv = FinSeq(v, base=req.u)
     for i, (p, r) in enumerate(zip(claim.exps, req.caps)):
-        s = math.fsum(_power_sum_parts(uv, p))
+        s = math.fsum(parts[p] + _power_sum_parts(v, p))
         if not certified_less(s, r, margin):
             bad.append(Check(f"cap-p{i}", False, s, r))
-    div = math.fsum(_power_sum_parts(uv, claim.exps[-1]))
+    p = claim.exps[-1]
+    div = math.fsum(parts[p] + _power_sum_parts(v, p))
     if not certified_less(claim.M, div, margin):
         bad.append(Check("divergence", False, div, claim.M))
-    return WitnessReport("claim-witness", False, tally(claim.counts), bad, uv)
+    return CheckReport("claim-witness", False, tally(claim.counts), bad)

@@ -157,7 +157,7 @@ def check_properties_per_node(cache, max_len):
         parents, nodes = nodes, []
         for parent in parents:
             for bit in (0, 1):
-                node = _child(cache, memo, parent, bit)
+                node = _child(cache, memo, parent, bit, {})
                 M = node.M
                 if len(M) != d + 1:
                     fail("bookkeeping", len(M), d + 1, node)

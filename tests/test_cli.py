@@ -439,6 +439,7 @@ class TestMainExitCodes:
         child = construction._child
         monkeypatch.setattr(construction, "_child",
                             lambda *args: steps.append(args[2].sigma + (args[3],)) or child(*args))
+        monkeypatch.setattr(cli, "build_tree", lambda cache, max_len: cache)
         monkeypatch.setattr(cli, "check_properties", lambda cache, max_len: CheckReport("stub"))
         monkeypatch.setattr(cli, "_seeded_continuity_pairs", lambda rng, count: [])
         reports = cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 10, 0)

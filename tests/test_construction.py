@@ -34,7 +34,15 @@ from lprl.construction import (
 )
 from lprl.errors import PreconditionError
 from lprl.grid import depth, level
-from lprl.reduction import AlphaSpec, PeriodicOnes, divergence_witness, in_p3, path_rows
+from lprl.reduction import (
+    AlphaSpec,
+    EventuallyOne,
+    FiniteOnes,
+    PeriodicOnes,
+    divergence_witness,
+    in_p3,
+    path_rows,
+)
 from lprl.seqspace import (
     ExpLadder,
     FinSeq,
@@ -63,7 +71,7 @@ def counted(monkeypatch, fresh_nodes):
     built = []
     extend_node = construction._extend_node
     monkeypatch.setattr(construction, "_extend_node",
-                        lambda *args: built.append(args[1:]) or extend_node(*args))
+                        lambda *args: built.append(args[1:3]) or extend_node(*args))
     return built
 
 
@@ -163,14 +171,24 @@ class TestWalkPath:
         return import_cache(export_cache(build_tree(cache, 3), tmp_path / "cache.txt"))
 
     def test_yields_the_nodes_build_node_gives(self, cache):
-        walked = list(walk_path(cache, self.BITS))
+        walked = [node for node, _ in walk_path(cache, self.BITS)]
         assert [node.sigma for node in walked] == [self.BITS[:t + 1] for t in range(5)]
         assert all(build_node(cache, self.BITS[:t + 1]) is node for t, node in enumerate(walked))
 
     def test_an_endless_path_is_walked_lazily(self, small_cache):
-        walked = list(itertools.islice(walk_path(small_cache, itertools.repeat(0)), 6))
-        assert [node.sigma for node in walked] == [(0,) * t for t in range(1, 7)]
+        walked = itertools.islice(walk_path(small_cache, itertools.repeat(0)), 6)
+        assert [node.sigma for node, _ in walked] == [(0,) * t for t in range(1, 7)]
         assert len(small_cache) == 7
+
+    def test_a_zero_node_carries_its_parents_parts(self, cache):
+        # a zero adds no part at any exponent: the walk hands a 0-node its
+        # parent's own dict, and any other node a dict of its own
+        exps = cache.ladder.exponents(3)
+        before = dict.fromkeys(exps, ())
+        for bit, (node, sums) in zip(self.BITS, walk_path(cache, self.BITS, None, before)):
+            assert (node.block is construction._ZERO_BLOCK) == (bit == 0)
+            assert (sums is before) == (bit == 0) and set(exps) <= sums.keys()
+            before = sums
 
     def test_walking_past_an_import_adds_nothing_to_the_memo(self, tmp_path, fresh_nodes):
         path = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3),
@@ -229,6 +247,8 @@ class TestProperties:
             return segment_power_sum(seg, p)
 
         monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
+        # the zero block is the process-wide one, which may hold its cost already
+        monkeypatch.setattr(construction._ZERO_BLOCK, "_sums", {})
         rep = check_properties(cache, 10)
         assert rep.ok, rep.summary()
         # import_cache shares one block per distinct block text
@@ -651,6 +671,12 @@ class TestExportImport:
                     refs = gc.get_referents(node.phi)
                     assert not any(isinstance(ref, tuple) for ref in refs), sigma
 
+    def test_an_imported_zero_is_the_zero_block(self):
+        cache = import_cache(STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt")
+        zeros = [node.block for sigma, node in cache._nodes.items() if sigma[-1:] == (0,)]
+        assert len(zeros) == 2 ** 10 - 1
+        assert all(block is construction._ZERO_BLOCK for block in zeros)
+
     @pytest.mark.parametrize("bits,edit", [
         ("1", lambda record: record),
         ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record)),
@@ -671,26 +697,29 @@ class TestExportImport:
 
 
 class TestPowerRow:
-    def test_every_level_keeps_parts_and_a_zero_node_its_parents(self, fresh_nodes):
-        # the parts the build stores; an imported tree's phis hold none, and
-        # the check stores none on them (``TestLevelRows``)
+    def test_a_build_carries_its_parents_dict_past_a_zero_alone(self, monkeypatch,
+                                                                  fresh_nodes):
+        # the parts a build carries down the tree: after the zero block, the
+        # parent's own dict object; after any other block, a new dict
         max_len = 5
+        carried = []
+        carry = construction._carry
+
+        def recorded(sums, block):
+            child = carry(sums, block)
+            assert child.keys() == sums.keys()
+            carried.append((sums, block, child))
+            return child
+
+        monkeypatch.setattr(construction, "_carry", recorded)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
         assert check_properties(cache, max_len).ok
-        q, shared = cache.ladder.q, 0
-        for sigma, node in cache._nodes.items():
-            if not sigma:
-                continue
-            assert q in node.block._sums, sigma
-            if sigma[-1] == 1:  # summed at its whole row, the last level's too
-                assert node.phi._sums.keys() >= set(cache.ladder.exponents(depth(sigma) + 1))
-            else:  # its zero adds no part: it holds its parent's tuple object
-                parent = cache._nodes[sigma[:-1]]
-                for p, parts in node.phi._sums.items():
-                    assert parts is parent.phi._sums[p], sigma
-                    shared += 1
-        assert shared
-
+        # every node below the root and above the last level
+        assert len(carried) == 2 ** max_len - 2
+        zero = construction._ZERO_BLOCK
+        for sums, block, child in carried:
+            assert (child is sums) == (block is zero)
+        assert sum(block is zero for _, block, _ in carried) == 2 ** (max_len - 1) - 1
     def test_each_window_is_summed_once_per_exponent(self, monkeypatch):
         # built with one window object per 1-node (1-nodes of one window
         # share it otherwise); with no parts stored, on phis or on blocks, a
@@ -700,8 +729,9 @@ class TestPowerRow:
         monkeypatch.setattr(witness, "_block", seqspace.window_seq)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
         for node in cache._nodes.values():
-            node.phi._sums.clear()
-            node.block._sums.clear()
+            for seq in (node.phi, node.block):
+                if seq.base is None:  # a linked phi keeps no parts to clear
+                    seq._sums.clear()
         summed = []
         segment_power_sum = seqspace._segment_power_sum
 
@@ -828,10 +858,12 @@ class TestLevelRows:
                                     sigma, p)
                 assert _same_report(c, max_len).ok
 
-    def test_the_check_stores_parts_on_blocks_only(self, tmp_path, fresh_nodes):
+    def test_the_check_stores_parts_on_blocks_only(self, tmp_path, monkeypatch, fresh_nodes):
         max_len = 5
         built = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
         cache = import_cache(export_cache(built, tmp_path / "cache.txt"))
+        # the imported zero is the process-wide one: what it holds, the check stored
+        monkeypatch.setattr(construction._ZERO_BLOCK, "_sums", {})
         assert check_properties(cache, max_len).ok
         ladder = cache.ladder
         exps = set(ladder.exponents(depth((0,) * max_len) + 1))
@@ -839,7 +871,7 @@ class TestLevelRows:
         for sigma, node in cache._nodes.items():
             if not sigma:  # the root's phi is the process-wide EMPTY
                 continue
-            assert node.phi._sums == {}, sigma
+            assert node.phi._sums is None, sigma
             block = node.block
             # its q-cost, and its sums at every exponent of the deepest level
             assert block._sums.keys() == {ladder.q} | exps, sigma
@@ -1089,21 +1121,27 @@ class TestOneRowPerNode:
         assert len(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)) == 2 ** 13 - 1
         assert requests == []
 
-    def test_a_one_node_phi_is_the_uv_its_recheck_summed(self, monkeypatch, fresh_nodes):
-        rechecks = []
-        verify_witness = witness.verify_witness
+    def test_a_one_node_request_carries_its_parents_parts(self, monkeypatch, fresh_nodes):
+        requests = []
+        extend_ = construction.extend
 
-        def recorded(req, w, margin):
-            rechecks.append(verify_witness(req, w, margin))
-            return rechecks[-1]
+        def recorded(req, margin):
+            requests.append(req)
+            return extend_(req, margin)
 
-        monkeypatch.setattr(witness, "verify_witness", recorded)
+        monkeypatch.setattr(construction, "extend", recorded)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
         ones = [node for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)]
-        assert len(ones) == len(rechecks) == 2 ** 5 - 1
-        for node, rep in zip(ones, rechecks):
-            assert node.phi is rep.uv
-            assert node.phi.block is node.block
+        assert len(ones) == len(requests) == 2 ** 5 - 1
+        for node, req in zip(ones, requests):
+            parent = cache._nodes[node.sigma[:-1]]
+            assert req.u is parent.phi
+            fresh = FinSeq(parent.phi.segments)  # no links, no stored parts
+            for p in req.exps:
+                assert [x.hex() for x in req.parts[p]] == [
+                    x.hex() for x in _power_sum_parts(fresh, p)]
+            assert node.phi.base is parent.phi and node.phi.block is node.block
+            assert node.phi._sums is None
 
     def test_new_caps_lie_above_a_fresh_sum_of_phi(self, fresh_nodes):
         # one rule for both children: a node keeps its parent's caps below
@@ -1125,22 +1163,111 @@ class TestOneRowPerNode:
         assert new_caps > 2 ** 6
 
     @pytest.mark.parametrize("imported", [False, True], ids=["built", "imported"])
-    def test_rows_and_kept_parts_equal_a_full_resummation(self, tmp_path, fresh_nodes,
-                                                          imported):
+    def test_rows_and_block_parts_equal_a_full_resummation(self, tmp_path, fresh_nodes,
+                                                           imported):
         depth = 6
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), depth)
         if imported:
             cache = import_cache(export_cache(cache, tmp_path / "cache.txt"))
         assert check_properties(cache, depth).ok
+        exps = cache.ladder.exponents(4) + (cache.ladder.q,)
         kept = 0
-        for node in cache._nodes.values():
-            for seq in (node.phi, node.block):
-                fresh = FinSeq(seq.segments)
-                for p, parts in seq._sums.items():
-                    kept += 1
-                    assert [x.hex() for x in parts] == [
-                        x.hex() for x in _power_sum_parts(fresh, p)]
+        for sigma, node in cache._nodes.items():
+            # a phi's parts are its blocks' along its links; only blocks keep any
+            assert (node.phi._sums is None) == bool(sigma)
+            fresh = FinSeq(node.phi.segments)
+            for p in exps:
+                assert pnorm_pow(node.phi, p).hex() == pnorm_pow(fresh, p).hex()
+            block = FinSeq(node.block.segments)
+            for p, parts in node.block._sums.items():
+                kept += 1
+                assert [x.hex() for x in parts] == [
+                    x.hex() for x in _power_sum_parts(block, p)]
         assert kept
+
+
+def _linked_phis_with_parts(nodes):
+    """The strings of the nodes whose phi is linked yet holds a parts dict."""
+    return [node.sigma for node in nodes
+            if node.phi.base is not None and node.phi._sums is not None]
+
+
+_CONFIGS = [(0.0, 2.0), (0.0, 0.5), (1.0, 3.0)]
+
+_PATH_SPECS = st.dictionaries(
+    st.integers(0, 4),
+    st.one_of(
+        st.builds(FiniteOnes, st.frozensets(st.integers(0, 4), max_size=3)),
+        st.builds(EventuallyOne, st.integers(0, 4)),
+        st.integers(1, 3).flatmap(lambda m: st.builds(
+            PeriodicOnes, st.integers(0, m - 1), st.just(m), st.integers(0, 2)))),
+    max_size=3).map(AlphaSpec.from_rows)
+
+
+class TestCarriedParts:
+    """Only unlinked sequences keep power-sum parts: a walk carries each
+    node's, its parent's followed by its block's."""
+
+    @pytest.mark.parametrize("run", ["build", "verify", "import-check", "trace"])
+    def test_no_linked_phi_holds_parts(self, tmp_path, capsys, fresh_nodes, run):
+        ladder = ExpLadder(0.0, 2.0)
+        cache = ConstructionCache(ladder)
+        if run == "build":
+            build_tree(cache, 8)
+        elif run == "verify":
+            assert main(["verify", "--max-len", "6", "--out", str(tmp_path)]) == 0
+        elif run == "import-check":
+            cache = import_cache(STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt")
+            assert check_properties(cache, 10).ok
+        else:
+            assert main(["trace", "--spec", "row=1:finite{0,2}", "--k", "12",
+                         "--out", str(tmp_path)]) == 0
+        nodes = [*cache._nodes.values(),
+                 *construction._NODE_MEMO.get((ladder, cache.margin), {}).values()]
+        assert len(nodes) > 12
+        assert _linked_phis_with_parts(nodes) == []
+
+    @given(st.sampled_from(_CONFIGS), st.integers(1, 6), _PATH_SPECS, st.integers(0, 14))
+    @settings(max_examples=25, deadline=None)
+    def test_carried_sums_equal_a_fresh_sum(self, config, max_len, spec, k):
+        # the parts each step is given, after the walk: those it was carried
+        # and those it read along its parent's links
+        ladder = ExpLadder(*config)
+        cache = ConstructionCache(ladder)
+        given_parts = []
+        child = construction._child
+
+        def recorded(cache_, memo, parent, bit, sums):
+            given_parts.append((parent, sums))
+            return child(cache_, memo, parent, bit, sums)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(construction, "_child", recorded)
+            build_tree(cache, max_len)
+            path = path_rows(cache, spec, k, (ladder.q,) + ladder.exponents(4))
+        assert len(given_parts) == 2 ** (max_len + 1) - 2 + k + 1
+
+        def fresh(node, p):  # no links, no stored parts
+            return pnorm_pow(FinSeq(node.phi.segments), p).hex()
+
+        for parent, sums in given_parts:
+            for p, parts in sums.items():
+                assert math.fsum(parts).hex() == fresh(parent, p), (parent.sigma, p)
+        for node, sums in path:
+            for p, s in sums.items():
+                assert s.hex() == fresh(node, p), (node.sigma, p)
+
+    def test_a_build_from_a_warm_memo_equals_a_cold_one(self, tmp_path, fresh_nodes):
+        # the walk through the depth-4 memo carries empty dicts; the first
+        # steps past it read their parents' parts along the links
+        build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
+        path = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8),
+                            tmp_path / "cache.txt")
+        stored = (STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt").read_text()
+        cut = [line for line in stored.splitlines(keepends=True)
+               if line.startswith("# ") or len(line.split("|")[0].strip("-")) <= 8]
+        assert len(cut) == 3 + 2 ** 9 - 1
+        assert path.read_text() == "".join(cut)
 
 
 def _request_of(cache, sigma):
@@ -1268,7 +1395,7 @@ class TestTemplates:
         window, = node.block.segments
         assert (window.n_start, window.n_end) == (w.n0, w.n1)
         assert node.block is w.v and node.phi.base is parent.phi
-        assert node.M == (1, least_natural_above(pnorm_pow(w.uv, exps[1]), margin))
+        assert node.M == (1, least_natural_above(pnorm_pow(node.phi, exps[1]), margin))
 
     def test_every_one_node_is_extended_and_rechecked_once(self, monkeypatch, fresh_nodes):
         requests, reports = [], []
@@ -1295,7 +1422,7 @@ class TestTemplates:
             assert list(rep.counts.items()) == [
                 (label, 1) for label in ("non-empty", "q-cost", *caps, "divergence")]
             assert isinstance(rep.counts, Counter) and rep.ok
-            assert cache._nodes[sigma].phi is rep.uv
+            assert cache._nodes[sigma].phi.base is req.u
 
     def test_an_all_zero_path_passes_the_length_where_eps_underflows(self, small_cache):
         # a 0-node makes no claim, so its budget 2**-length may underflow;

@@ -631,19 +631,24 @@ class TestIncrementalPowerSums:
 
     @given(concat_steps, st.floats(min_value=0.25, max_value=2.0))
     @settings(max_examples=100, deadline=None)
-    def test_every_sequence_summed_stores_its_parts(self, steps, p):
+    def test_only_unlinked_sequences_store_parts(self, steps, p):
         x = _concat_chain(steps)[-1]
         try:
             pnorm_pow(x, p)
             overflowed = False
         except OverflowError:
-            overflowed = True  # the bases summed before it still store their parts
+            overflowed = True  # the pieces summed before it still store their parts
         y = x  # the summed sequence itself, then each base
         while y is not None:
-            assert p in y._sums or overflowed
+            if y.base is not None:  # linked: its parts are read, never kept
+                assert y._sums is None
+            # the start of the links, and each block, keep theirs
             for z in (y, y.block):
-                if z is not None and p in z._sums:
-                    assert [v.hex() for v in z._sums[p]] == [v.hex() for v in _parts(z, p) if v]
+                if z is not None and z.base is None:
+                    assert p in z._sums or overflowed
+                    if p in z._sums:
+                        assert [v.hex() for v in z._sums[p]] == [
+                            v.hex() for v in _parts(z, p) if v]
             y = y.base
 
     @given(zero_rule_steps, st.sampled_from((1.0, 2.0)), st.randoms())
@@ -660,13 +665,10 @@ class TestIncrementalPowerSums:
             else:
                 assert pnorm_pow(x, p).hex() == expected.hex()
         for x in chain:
-            if p not in x._sums:
-                continue  # a base of it overflowed
-            assert 0.0 not in x._sums[p]
-            if x.base is not None:
-                assert 0.0 not in x.block._sums[p]
-                if not any(_parts(x.block, p)):  # a zero-only block adds no tuple
-                    assert x._sums[p] is x.base._sums[p]
+            # only the unlinked pieces keep parts; none where a piece overflowed
+            assert x.base is None or x._sums is None
+            for y in x._pieces():
+                assert 0.0 not in y._sums.get(p, ())
 
     @given(concat_steps, st.data())
     @settings(max_examples=100, deadline=None)

@@ -14,6 +14,7 @@ from lprl.seqspace import (
     Margin,
     PowerWindow,
     _WINDOW_SUM_CACHE,
+    _power_sum_parts,
     _range_power_sum,
     certified_less,
     concat,
@@ -158,18 +159,24 @@ class TestExtendProperties:
         assert rep.ok and made == [] and rep.checks == []
         assert list(rep.counts) == ["non-empty", "q-cost", "cap-p0", "cap-p1", "divergence"]
 
-    def test_witness_holds_the_rechecked_uv_and_its_sums(self):
+    def test_a_request_sums_u_from_its_parts(self):
         u = concat(window_seq(1.0, 0, 3, 0.5), finseq((0.25,)))
-        req = ClaimRequest(u=u, q=2.0, exps=(1.5, 1.2, 1.0), caps=(10.0, 10.0), M=2.0, eps=0.1)
+        exps = (1.5, 1.2, 1.0)
+        req = ClaimRequest(u=u, q=2.0, exps=exps, caps=(10.0, 10.0), M=2.0, eps=0.1)
+        # u's parts at the request's exponents, as summed afresh; u is
+        # linked, so it keeps none of them
+        fresh = FinSeq(u.segments)  # no links, no stored parts
+        assert {p: [x.hex() for x in parts] for p, parts in req.parts.items()} == {
+            p: [x.hex() for x in _power_sum_parts(fresh, p)] for p in exps}
+        assert u._sums is None
         w = extend(req, MARGIN)
-        assert w.uv.base is u and w.uv.block is w.v
-        # u~v keeps its parts at the request's exponents, as summed afresh
-        assert sorted(w.uv._sums) == [1.0, 1.2, 1.5]
-        fresh = FinSeq(w.uv.segments)  # no links, no stored parts
-        assert {p: pnorm_pow(w.uv, p).hex() for p in w.uv._sums} == {
-            p: pnorm_pow(fresh, p).hex() for p in w.uv._sums}
-        # u~v takes no part in equality
-        assert w == ClaimWitness(w.v, w.n0, w.n1)
+        assert w == ClaimWitness(w.v, w.n0, w.n1) and not hasattr(w, "uv")
+        # a request on the same claim, prefix, caps and parts gives the same window
+        assert extend(ClaimRequest.on(req.claim, u, req.caps, dict(req.parts)), MARGIN) == w
+        # the re-check sums u~v from the request's parts, not from u
+        heavier = {p: parts + (20.0,) for p, parts in req.parts.items()}
+        rep = verify_witness(ClaimRequest.on(req.claim, u, req.caps, heavier), w, MARGIN)
+        assert [c.label for c in rep.violations] == ["cap-p0", "cap-p1"]
 
     def test_cap_violation_rejected(self):
         req = ClaimRequest(u=finseq((2.0,)), q=2.0, exps=(1.0, 0.5), caps=(1.5,),
