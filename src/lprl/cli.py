@@ -62,8 +62,9 @@ class SpecParseError(ValueError):
     pass
 
 
-_CLAUSE = re.compile(r"row=(\d+):(?:(finite)\{\s*(\d+(?:\s*,\s*\d+)*)?\s*\}"
-                     r"|eventually\((\d+)\)|periodic\((\d+),(\d+),(\d+)\))")
+# digits are ASCII, as in the cache format: ``\d`` would read any Unicode digit
+_CLAUSE = re.compile(r"row=([0-9]+):(?:(finite)\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\}"
+                     r"|eventually\(([0-9]+)\)|periodic\(([0-9]+),([0-9]+),([0-9]+)\))")
 
 
 def parse_alpha_spec(text):

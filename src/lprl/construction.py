@@ -118,7 +118,8 @@ class ConstructionCache:
 
     Nodes are pure functions of (ladder, margin, sigma), so population
     order never changes values, and built nodes are shared process-wide by
-    every cache of one configuration (``_NODE_MEMO``).
+    every cache of one configuration (``_NODE_MEMO``). ``shape`` and
+    ``claim`` are the ladder's ``_derivations``, bound once.
     Completed nodes are immutable and safe to read concurrently.
     """
 
@@ -128,7 +129,7 @@ class ConstructionCache:
         self.ladder = ladder
         self.margin = margin
         self._nodes = {(): _ROOT}
-        self._templates = _TEMPLATES.setdefault(ladder, {})
+        self.shape, self.claim = _derivations(ladder)
 
     def __len__(self):
         return len(self._nodes)
@@ -206,72 +207,62 @@ def _carry(sums, block):
     return {p: parts + _power_sum_parts(block, p) for p, parts in sums.items()}
 
 
-@dataclass(slots=True)
-class Template:
-    """What a string's length fixes for a node: ``exps``, p_0..p_d for its
-    depth d, and ``level``, the row l of its last cell, below which a
-    1-node keeps its parent's caps. A 1-node of the length adds its
-    ``claim``, on p_0..p_l with target M = length and q-cost budget
-    eps = 2**-length; a length that no 1-node has reached lacks it, so an
-    all-zero path never makes a budget that underflows to 0."""
+@functools.cache
+def _derivations(ladder):
+    """``(shape, claim)``: what a string's length fixes under ladder, each
+    a function of the length, memoised process-wide, that a cache binds so
+    that a lookup keys on an int. ``shape(length)`` is ``(exps, level)``:
+    p_0..p_d for the strings' depth d, and the row of their last cell,
+    below which a 1-node keeps its parent's caps. ``claim(length)`` is a
+    1-node's Claim, on p_0..p_level with target M = length and q-cost
+    budget eps = 2**-length; only a 1-node asks for it, so an all-zero path
+    never makes a budget that underflows to 0."""
 
-    exps: tuple
-    level: int
-    claim: object = None
+    @functools.cache
+    def shape(length):
+        bits = range(length)  # depth and level read the length alone
+        return ladder.exponents(depth(bits) + 1), level(bits)
 
+    @functools.cache
+    def claim(length):
+        exps, l = shape(length)
+        return claim_of(ladder.q, exps[:l + 1], float(length), 2.0 ** -length)
 
-# Templates by ladder, then by length: {ladder: {length: Template}}. Each
-# is derived and validated once per process, and every cache of the ladder
-# holds its dict.
-_TEMPLATES = {}
-
-
-def _template(cache, length, one):
-    """cache's template for strings of ``length``, made on first use, with
-    what a 1-node needs too once ``one`` asks for it."""
-    t = cache._templates.get(length)
-    if t is None:
-        probe = (0,) * length  # depth and level depend on the length alone
-        t = Template(cache.ladder.exponents(depth(probe) + 1), level(probe))
-        cache._templates[length] = t
-    if one and t.claim is None:
-        l = t.level
-        t.claim = claim_of(cache.ladder.q, t.exps[:l + 1], float(length), 2.0 ** -length)
-    return t
+    return shape, claim
 
 
 def _extend_node(cache, parent, bit, sums):
     """The child by ``bit``: its parent's first ``keep`` caps, then one new
     cap per row from ``keep`` to its depth, above its power sum there.
 
-    What the child's length fixes comes from its ``Template``, so a node
-    pays only for its own sums, claims and caps. ``sums`` is the parent's
-    parts ``{p: parts}``; an exponent it lacks is read once along the
-    parent's links into it. A 0-node's block is a zero; a 1-node's is the
-    witness of its request on the template's Claim, with the parent's phi,
-    caps and parts. The child's phi links the parent's to its block and
-    is summed at the rows from ``keep`` on as the parent's parts followed
-    by the block's. A PreconditionError is tagged with the child's string."""
+    What the child's length fixes comes from the cache's ``shape`` and
+    ``claim`` (``_derivations``), so a node pays only for its own sums,
+    claims and caps. ``sums`` is the parent's parts ``{p: parts}``; an
+    exponent it lacks is read once along the parent's links into it. A
+    0-node's block is a zero; a 1-node's is the witness of its request on
+    the length's Claim, with the parent's phi, caps and parts. The child's
+    phi links the parent's to its block and is summed at the rows from
+    ``keep`` on as the parent's parts followed by the block's. A
+    PreconditionError is tagged with the child's string."""
     tau = parent.sigma + (bit,)
-    t = cache._templates.get(len(tau))
-    if t is None or bit and t.claim is None:
-        t = _template(cache, len(tau), bit)
+    exps, l = cache.shape(len(tau))
     margin = cache.margin
-    keep = t.level if bit else len(parent.M)
-    for p in t.exps if bit else t.exps[keep:]:
+    keep = l if bit else len(parent.M)
+    for p in exps if bit else exps[keep:]:
         if p not in sums:
             sums[p] = _power_sum_parts(parent.phi, p)
     if bit == 0:
         block = _ZERO_BLOCK
     else:
-        req = ClaimRequest.on(t.claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
+        claim = cache.claim(len(tau))
+        req = ClaimRequest.on(claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
         try:
             block = extend(req, margin).v
         except PreconditionError as err:
             err.sigma = tau
             raise
     new = tuple(least_natural_above(math.fsum(sums[p] + _power_sum_parts(block, p)), margin)
-                for p in t.exps[keep:])
+                for p in exps[keep:])
     return Node(tau, FinSeq(block, parent.phi), parent.M[:keep] + new, block)
 
 
@@ -391,16 +382,16 @@ def check_properties(cache, max_len):
     row only against the caps a node has, so a short cap vector is a
     bookkeeping violation.
     """
-    ladder = cache.ladder
     margin = cache.margin
-    q = ladder.q
+    q = cache.ladder.q
     memo, stored = _memo_of(cache), cache._nodes.get
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = cache._nodes[()]
-    rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
+    # the root reaches no row, so it has no cap
+    rep.add("bookkeeping", len(root.M) == 0, len(root.M), 0, note="sigma=()")
     if max_len < 1:
         return rep
-    exps = ladder.exponents(depth((0,) * max_len) + 1)
+    exps = cache.shape(max_len)[0]
     found = []  # a level's violations: (node index, order within the node, Check)
 
     def fail(k, order, label, lhs, rhs, node, i=None):
@@ -411,8 +402,8 @@ def check_properties(cache, max_len):
     # the previous level's nodes and their rows
     nodes, rows = [root], np.array([[pnorm_pow(root.phi, p) for p in exps]])
     for length in range(1, max_len + 1):
-        probe = (0,) * length  # depth and level depend on the length alone
-        d, l = depth(probe), level(probe)
+        reach, l = cache.shape(length)  # p_0..p_d, and the level
+        d = len(reach) - 1
         bound = 2.0 ** -length
         parents, nodes = nodes, []
         seen = {}  # by distinct block: [q-cost, p2 verdict, index in blocks or None]
@@ -638,8 +629,9 @@ def import_cache(path):
     distinct block text, and records with equal block texts share one block
     object; ``L:0.0`` is ``_ZERO_BLOCK``, as in a built tree. Each distinct
     ``M=`` field is parsed once, and must read as ``export_cache`` writes its
-    caps (``_CAPS_FIELD``), as the header's ``explicit`` and ``step_budget``
-    must (``_FIXED_HEADER``). Every refusal names the file, and its line.
+    caps (``_CAPS_FIELD``), as each header value must: ``a``, ``q`` and
+    ``eta`` as the ``repr`` of their float, ``explicit`` and ``step_budget``
+    as ``_FIXED_HEADER``. Every refusal names the file, and its line.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "# lprl-cache v1":
@@ -661,11 +653,11 @@ def import_cache(path):
         if key not in meta:
             raise ValueError(f"{path}: header is missing the key {key!r}")
     try:
-        for key, val in _FIXED_HEADER.items():
+        a, q, eta = (float(meta[key]) for key in ("a", "q", "eta"))
+        cache = ConstructionCache(ExpLadder(a, q), Margin(eta))
+        for key, val in dict(_FIXED_HEADER, a=repr(a), q=repr(q), eta=repr(eta)).items():
             if meta[key] != val:
                 raise ValueError(f"{key} must read {val}")
-        ladder = ExpLadder(float(meta["a"]), float(meta["q"]))
-        cache = ConstructionCache(ladder, Margin(float(meta["eta"])))
     except ValueError as err:
         header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None

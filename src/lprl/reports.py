@@ -84,8 +84,8 @@ class CheckReport:
         }
 
     def summary(self):
-        lines = [f"[{'PASS' if self.ok else 'FAIL'}] {self.title}: "
-                 f"{self.instances} instances, {len(self.violations)} violations"]
-        for c in self.violations:
-            lines.append("  " + str(c))
+        bad = self.violations
+        lines = [f"[{'FAIL' if bad else 'PASS'}] {self.title}: "
+                 f"{self.instances} instances, {len(bad)} violations"]
+        lines += ("  " + str(c) for c in bad)
         return "\n".join(lines)

@@ -66,12 +66,26 @@ class TestSpecGrammar:
         spec = AlphaSpec.from_rows(rows)
         assert parse_alpha_spec(format_alpha_spec(spec)) == spec
 
-    @pytest.mark.parametrize("body", ["1 2", "1,,2", "1,", ",1", ","])
+    @pytest.mark.parametrize("body", ["1 2", "1,,2", "1,", ",1", ",",
+                                      # digits are ASCII: Arabic-Indic and full-width ones
+                                      "\u0661", "\uff11", "\u0661,2"])
     def test_malformed_finite_is_two(self, tmp_path, capsys, body):
         clause = f"row=0:finite{{{body}}}"
         with pytest.raises(SpecParseError, match="clause 1"):
             parse_alpha_spec(f"row=1:eventually(0);{clause}")
         rc = main(["trace", "--spec", clause, "--k", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"clause 0: unrecognized token {clause!r}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("clause", [
+        "row=\u0663:finite{\u0661,2}", "row=\u0663:finite{}", "row=\uff13:finite{1}",
+        "row=0:eventually(\u0663)", "row=0:periodic(0,\uff12,0)",
+    ])
+    def test_non_ascii_digits_are_two(self, tmp_path, capsys, clause):
+        with pytest.raises(SpecParseError, match="clause 0"):
+            parse_alpha_spec(clause)
+        rc = main(["trace", "--spec", clause, "--k", "4", "--out", str(tmp_path)])
         assert rc == 2
         assert f"clause 0: unrecognized token {clause!r}" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()

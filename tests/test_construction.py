@@ -522,6 +522,9 @@ class TestExportImport:
         ("step_budget", "0"), ("step_budget", "-3"),
         # a well-formed value other than the one every export writes
         ("explicit", "1.5"), ("step_budget", "10"),
+        # a float that reads as the exported one, but is not its repr
+        ("a", "0"), ("a", "0_0"), ("a", "+0.0"), ("a", "0e0"), ("a", "\u0660"),
+        ("q", "2"), ("q", "2.00"), ("eta", "9.5367431640625E-07"), ("eta", "9.5367431640625e-7"),
     ])
     def test_bad_header_value_names_file(self, tmp_path, small_cache, key, value):
         build_tree(small_cache, 2)
@@ -1357,9 +1360,10 @@ class TestSearchMemo:
 
 
 class TestTemplates:
-    def test_a_build_derives_and_checks_each_length_once(self, monkeypatch, fresh_nodes):
-        # a length fixes depth, level, exponents, M and eps: a build derives
-        # and validates them per length, not per node
+    def test_a_build_and_its_check_derive_each_length_once(self, monkeypatch, fresh_nodes):
+        # a length fixes depth, level, exponents, M and eps: the build and
+        # then the check of a tree read one derivation per length, made
+        # and validated once, not once per node or per walk
         calls = Counter()
 
         def counted(name, fn):
@@ -1368,13 +1372,14 @@ class TestTemplates:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(construction, "_TEMPLATES", {})
-        for name in ("depth", "level"):
+        construction._derivations.cache_clear()  # derive this ladder afresh
+        for name in ("depth", "level", "claim_of"):
             monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
-        monkeypatch.setattr(construction, "claim_of", counted("check", construction.claim_of))
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
         assert len(cache) == 2 ** 9 - 1
-        assert calls == {"depth": 8, "level": 8, "check": 8}
+        assert calls == {"depth": 8, "level": 8, "claim_of": 8}
+        assert check_properties(cache, 8).ok
+        assert calls == {"depth": 8, "level": 8, "claim_of": 8}
 
     def test_a_cap_slack_below_eps_gets_its_own_search(self, small_cache, fresh_nodes):
         # the prefix's p_0 sum 0.9 leaves a slack of about 0.1 under its cap
