@@ -13,6 +13,7 @@ import json
 import os
 import random
 import re
+import string
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -62,9 +63,10 @@ class SpecParseError(ValueError):
     pass
 
 
-# digits are ASCII, as in the cache format: ``\d`` would read any Unicode digit
+# digits and whitespace are ASCII, as in the cache format: ``\d`` and ``\s``
+# would read any Unicode digit and space
 _CLAUSE = re.compile(r"row=([0-9]+):(?:(finite)\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\}"
-                     r"|eventually\(([0-9]+)\)|periodic\(([0-9]+),([0-9]+),([0-9]+)\))")
+                     r"|eventually\(([0-9]+)\)|periodic\(([0-9]+),([0-9]+),([0-9]+)\))", re.ASCII)
 
 
 def parse_alpha_spec(text):
@@ -75,11 +77,11 @@ def parse_alpha_spec(text):
     may surround the commas and braces only, and no item may be empty.
     """
     rows = {}
-    text = text.strip()
+    text = text.strip(string.whitespace)
     if not text:
         return AlphaSpec.from_rows(rows)
     for pos, raw in enumerate(text.split(";")):
-        clause = raw.strip()
+        clause = raw.strip(string.whitespace)
         m = _CLAUSE.fullmatch(clause)
         if m is None:
             raise SpecParseError(f"clause {pos}: unrecognized token {clause!r}")

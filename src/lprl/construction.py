@@ -23,13 +23,13 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import bitstring, depth, level
+from .grid import _BIT_OF, bitstring, depth, level
 from .reports import Check, CheckReport
 from .seqspace import (
     DEFAULT_MARGIN,
@@ -95,22 +95,24 @@ class Node:
     """State at one string: phi value, cap vector, and the appended block.
 
     Immutable by convention: a built or imported node is shared by every
-    cache of its configuration, and nothing sets its fields again."""
+    cache that reached it, and nothing sets its fields again but its
+    children ``kid0`` and ``kid1``, which ``_child`` sets once each, when
+    it builds that child."""
 
     sigma: tuple
     phi: FinSeq
     M: tuple
     block: FinSeq
+    kid0: Node | None = field(default=None, compare=False, repr=False)
+    kid1: Node | None = field(default=None, compare=False, repr=False)
 
 
-# the root of every cache, which ``_child`` counts as each memo's own node
-_ROOT = Node((), EMPTY, (), EMPTY)
-
-# Built nodes per configuration, {(ladder, margin): {sigma: node}}, shared
-# by every cache of that configuration, since a node is a pure function of
-# it and sigma. Only nodes built from the memo's own parents enter it:
-# never a node read from a file, nor one built from one.
-_NODE_MEMO = {}
+@functools.cache
+def _root(ladder, margin):
+    """The root of every cache of the configuration (ladder, margin), shared
+    process-wide: its descendants, by child links, are the configuration's
+    built nodes, since a node is a pure function of it and sigma."""
+    return Node((), EMPTY, (), EMPTY)
 
 
 class ConstructionCache:
@@ -118,9 +120,9 @@ class ConstructionCache:
 
     Nodes are pure functions of (ladder, margin, sigma), so population
     order never changes values, and built nodes are shared process-wide by
-    every cache of one configuration (``_NODE_MEMO``). ``shape`` and
-    ``claim`` are the ladder's ``_derivations``, bound once.
-    Completed nodes are immutable and safe to read concurrently.
+    every cache of one configuration, as descendants of its one root
+    (``_root``). ``shape`` and ``claim`` are the ladder's ``_derivations``,
+    bound once. Completed nodes are immutable and safe to read concurrently.
     """
 
     def __init__(self, ladder, margin=DEFAULT_MARGIN):
@@ -128,7 +130,7 @@ class ConstructionCache:
             raise TypeError("ladder must be an ExpLadder")
         self.ladder = ladder
         self.margin = margin
-        self._nodes = {(): _ROOT}
+        self._nodes = {(): _root(ladder, margin)}
         self.shape, self.claim = _derivations(ladder)
 
     def __len__(self):
@@ -151,46 +153,33 @@ def walk_path(cache, bits, start=None, sums=None):
     Each step is one ``_child``, so bits may be any iterable, an endless
     one included: a node is built only when the walk reaches it.
     """
-    memo = _memo_of(cache)
     node = cache._nodes[()] if start is None else start
     sums = {} if sums is None else sums
     for bit in bits:
-        node = _child(cache, memo, node, bit, sums)
+        node = _child(cache, node, bit, sums)
         sums = _carry(sums, node.block)
         yield node, sums
 
 
-def _memo_of(cache):
-    """The built nodes of cache's configuration, by string."""
-    key = (cache.ladder, cache.margin)
-    memo = _NODE_MEMO.get(key)
-    if memo is None:
-        memo = _NODE_MEMO[key] = {(): _ROOT}
-    return memo
+def _child(cache, parent, bit, sums):
+    """The child of parent by bit, stored in cache under its own sigma.
 
-
-def _child(cache, memo, parent, bit, sums):
-    """The child of parent by bit, stored in cache.
-
-    A child already in cache is returned as it is. Otherwise, a parent that
-    is memo's own node (the root is) gets its child from memo, built and
-    stored there on a miss. Any other parent was read from a file, or built
-    from one: its child is built from it and stored in cache alone, from
-    the parent's power-sum parts ``sums``. A build that raises stores
-    nothing.
+    A child already in cache is returned as it is. Otherwise it is parent's
+    own child, built from the parent's power-sum parts ``sums`` and set on
+    parent when missing. A node read from a file is no built node's child,
+    so it and the nodes built from it stay private to their cache. A build
+    that raises stores nothing.
     """
-    tau = parent.sigma + (bit,)
-    node = cache._nodes.get(tau)
-    if node is not None:
-        return node
-    if memo.get(parent.sigma) is parent:
-        node = memo.get(tau)
+    node = cache._nodes.get(parent.sigma + (bit,))
+    if node is None:
+        node = parent.kid1 if bit else parent.kid0
         if node is None:
             node = _extend_node(cache, parent, bit, sums)
-            memo[node.sigma] = node
-    else:
-        node = _extend_node(cache, parent, bit, sums)
-    cache._nodes[node.sigma] = node
+            if bit:
+                parent.kid1 = node
+            else:
+                parent.kid0 = node
+        cache._nodes[node.sigma] = node
     return node
 
 
@@ -272,13 +261,12 @@ def build_tree(cache, max_len):
     level by level, carrying each node's power-sum parts to its children."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    memo = _memo_of(cache)
     frontier = [(cache._nodes[()], {})]
     for length in range(1, max_len + 1):
         children = []
         for parent, sums in frontier:
             for bit in (0, 1):
-                node = _child(cache, memo, parent, bit, sums)
+                node = _child(cache, parent, bit, sums)
                 if length < max_len:  # a leaf's parts are never read
                     children.append((node, _carry(sums, node.block)))
         frontier = children
@@ -384,7 +372,7 @@ def check_properties(cache, max_len):
     """
     margin = cache.margin
     q = cache.ladder.q
-    memo, stored = _memo_of(cache), cache._nodes.get
+    stored = cache._nodes.get
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = cache._nodes[()]
     # the root reaches no row, so it has no cap
@@ -412,7 +400,7 @@ def check_properties(cache, max_len):
         for parent in parents:
             pphi, psigma = parent.phi, parent.sigma
             for bit in (0, 1):
-                node = stored(psigma + (bit,)) or _child(cache, memo, parent, bit, {})
+                node = stored(psigma + (bit,)) or _child(cache, parent, bit, {})
                 k = len(nodes)
                 nodes.append(node)
                 M, phi, block = node.M, node.phi, node.block
@@ -605,9 +593,6 @@ def write_output(path, text):
     finally:
         os.close(fd)
     return path
-
-
-_BIT_OF = {"0": 0, "1": 1}
 
 
 _HEADER_KEYS = ("a", "q", "explicit", "eta", "step_budget")

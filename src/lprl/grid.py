@@ -18,12 +18,18 @@ from math import isqrt
 from .reports import CheckReport
 
 
+# a bit in each form it may take: an entry equal to 0 or 1, or its text
+_BIT_OF = {0: 0, 1: 1, "0": 0, "1": 1}
+
+
 def bitstring(bits):
-    """Coerce to a canonical bit tuple, validating entries are 0/1."""
-    out = tuple(int(b) for b in bits)
-    for b in out:
-        if b not in (0, 1):
-            raise ValueError(f"bit string entries must be 0 or 1, got {b!r}")
+    """Coerce to a canonical bit tuple. Each entry must equal 0 or 1, or be
+    the text "0" or "1": 1.5, and a full-width or Arabic-Indic digit, which
+    ``int`` would read, are refused."""
+    bits = tuple(bits)
+    out = tuple(map(_BIT_OF.get, bits))
+    if None in out:
+        raise ValueError(f"bit string entries must be 0 or 1, got {bits[out.index(None)]!r}")
     return out
 
 

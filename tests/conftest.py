@@ -29,5 +29,7 @@ def cache02(ladder02):
 
 @pytest.fixture
 def fresh_nodes():
-    """Empty the process-wide node memo, so that the test builds every node."""
-    construction._NODE_MEMO.clear()
+    """Forget every configuration's root, and so the process-wide node memo,
+    so that the test builds every node. A cache binds its root when it is
+    made, so a test's caches must be made after this has run."""
+    construction._root.cache_clear()

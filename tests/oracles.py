@@ -131,7 +131,7 @@ def check_properties_per_node(cache, max_len):
     ``_prefix_walk``, and never by ``is_prefix_of``, whose walk along a
     phi's bases is the shortcut under test.
     """
-    from lprl.construction import _child, _memo_of
+    from lprl.construction import _child
     from lprl.grid import depth, level
     from lprl.reports import Check, CheckReport
     from lprl.seqspace import _power_sum_parts, _prefix_walk, certified_less
@@ -139,7 +139,6 @@ def check_properties_per_node(cache, max_len):
     ladder = cache.ladder
     margin = cache.margin
     q = ladder.q
-    memo = _memo_of(cache)
     rep = CheckReport(f"construction-properties max_len={max_len}")
     root = cache._nodes[()]
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
@@ -157,7 +156,7 @@ def check_properties_per_node(cache, max_len):
         parents, nodes = nodes, []
         for parent in parents:
             for bit in (0, 1):
-                node = _child(cache, memo, parent, bit, {})
+                node = _child(cache, parent, bit, {})
                 M = node.M
                 if len(M) != d + 1:
                     fail("bookkeeping", len(M), d + 1, node)
@@ -199,3 +198,17 @@ def check_properties_per_node(cache, max_len):
         for _, label, count in sorted(tallies, key=lambda t: t[0]):
             rep.count(label, count)
     return rep
+
+
+def built_nodes(ladder, margin=None):
+    """The process-wide node memo of a configuration, ``{sigma: node}``: its
+    root and every node reached from it by child links."""
+    from lprl.construction import _root
+    from lprl.seqspace import DEFAULT_MARGIN
+
+    found, stack = {}, [_root(ladder, DEFAULT_MARGIN if margin is None else margin)]
+    while stack:
+        node = stack.pop()
+        found[node.sigma] = node
+        stack += [kid for kid in (node.kid0, node.kid1) if kid is not None]
+    return found

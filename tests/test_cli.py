@@ -38,7 +38,7 @@ class TestSpecGrammar:
         assert spec.row_pattern(0) == FiniteOnes(frozenset({1, 2}))
 
     def test_empty_finite_and_whitespace(self):
-        spec = parse_alpha_spec(" row=3:finite{} ; row=1:eventually(4) ; row=0:finite{ 1 ,\t2 } ")
+        spec = parse_alpha_spec(" row=3:finite{} ; row=1:eventually(4) ; row=0:finite{ 1 ,\n\t2 }\n")
         assert spec.row_pattern(3) == FiniteOnes(frozenset())
         assert spec.row_pattern(1) == EventuallyOne(4)
         assert spec.row_pattern(0) == FiniteOnes(frozenset({1, 2}))
@@ -90,6 +90,18 @@ class TestSpecGrammar:
         assert f"clause 0: unrecognized token {clause!r}" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("spec", ["row=0:finite{\u3000 1 , 2 }", "\u3000row=1:eventually(2) "],
+                             ids=["inside", "around"])
+    def test_non_ascii_whitespace_is_two(self, tmp_path, capsys, spec):
+        # whitespace is ASCII too: an ideographic space is no separator
+        clause = spec.strip(" ")
+        with pytest.raises(SpecParseError, match="clause 0"):
+            parse_alpha_spec(spec)
+        rc = main(["trace", "--spec", spec, "--k", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"clause 0: unrecognized token {clause!r}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_errors_cite_clause(self):
         with pytest.raises(SpecParseError, match="clause 1"):
             parse_alpha_spec("row=0:finite{1};bogus")
@@ -100,7 +112,7 @@ class TestSpecGrammar:
 class TestCommands:
     def test_build_writes_deterministic_cache(self, tmp_path, capsys):
         for out in ("one", "two"):
-            construction._NODE_MEMO.clear()  # two independent builds
+            construction._root.cache_clear()  # two independent builds
             assert cmd_build(ConstructionCache(ExpLadder(0.0, 2.0)), 5, tmp_path / out) == 0
         out = capsys.readouterr().out
         assert "nodes cached: 63" in out
@@ -452,7 +464,7 @@ class TestMainExitCodes:
         steps = []
         child = construction._child
         monkeypatch.setattr(construction, "_child",
-                            lambda *args: steps.append(args[2].sigma + (args[3],)) or child(*args))
+                            lambda *args: steps.append(args[1].sigma + (args[2],)) or child(*args))
         monkeypatch.setattr(cli, "build_tree", lambda cache, max_len: cache)
         monkeypatch.setattr(cli, "check_properties", lambda cache, max_len: CheckReport("stub"))
         monkeypatch.setattr(cli, "_seeded_continuity_pairs", lambda rng, count: [])
@@ -610,7 +622,7 @@ class TestOneWalkPerTrace:
         steps = []
         child = construction._child
         monkeypatch.setattr(construction, "_child",
-                            lambda *args: steps.append(args[2].sigma) or child(*args))
+                            lambda *args: steps.append(args[1].sigma) or child(*args))
         k = 12
         assert main(["trace", "--spec", spec, "--k", str(k), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

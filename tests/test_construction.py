@@ -57,11 +57,12 @@ from lprl.seqspace import (
 )
 from lprl.witness import ClaimRequest, cap_room, extend
 
-from oracles import check_properties_per_node, power_sum_plain
+from oracles import built_nodes, check_properties_per_node, power_sum_plain
 
 
 @pytest.fixture
-def small_cache():
+def small_cache(fresh_nodes):
+    """A (0, 2) cache whose root is made after ``fresh_nodes`` has run."""
     return ConstructionCache(ExpLadder(0.0, 2.0))
 
 
@@ -153,7 +154,13 @@ class TestBuildSteps:
         assert len(counted) == len(small_cache) - 1 == 2 ** 5 - 2
         assert len({(parent.sigma, bit) for parent, bit in counted}) == len(counted)
 
-    @pytest.mark.parametrize("sigma", ["012", (0, 2)])
+    @pytest.mark.parametrize("sigma", [
+        "012", (0, 2),
+        # int() would read each of these as bits: 1.5 as 1, and any Unicode digit
+        pytest.param((1.5,), id="float"),
+        pytest.param("\uff10\uff11", id="fullwidth"),
+        pytest.param("\u0661", id="arabic-indic"),
+    ])
     def test_build_node_still_validates_bits(self, small_cache, counted, sigma):
         with pytest.raises(ValueError, match="bit string entries must be 0 or 1"):
             build_node(small_cache, sigma)
@@ -191,13 +198,14 @@ class TestWalkPath:
             before = sums
 
     def test_walking_past_an_import_adds_nothing_to_the_memo(self, tmp_path, fresh_nodes):
-        path = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3),
-                            tmp_path / "cache.txt")
-        before = {key: dict(memo) for key, memo in construction._NODE_MEMO.items()}
+        ladder = ExpLadder(0.0, 2.0)
+        path = export_cache(build_tree(ConstructionCache(ladder), 3), tmp_path / "cache.txt")
+        before = built_nodes(ladder)
         loaded = import_cache(path)
         assert len(list(walk_path(loaded, self.BITS + (1, 1)))) == 7
         assert len(loaded) == 15 + 4
-        assert construction._NODE_MEMO == before
+        after = built_nodes(ladder)
+        assert after.keys() == before.keys() and all(after[s] is n for s, n in before.items())
 
     def test_divergence_reads_each_position_once(self, small_cache, monkeypatch, fresh_nodes):
         spec = AlphaSpec.from_rows({1: PeriodicOnes(0, 2, 0)})  # ones at 1, 8, 19, ...
@@ -266,11 +274,9 @@ class TestProperties:
 
 class TestDeterminism:
     def test_rebuild_bit_identical(self):
-        c1 = ConstructionCache(ExpLadder(0.0, 2.0))
-        c2 = ConstructionCache(ExpLadder(0.0, 2.0))
-        build_tree(c1, 5)
-        construction._NODE_MEMO.clear()  # two independent builds
-        build_tree(c2, 5)
+        c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
+        construction._root.cache_clear()  # two independent builds
+        c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
         for sigma, n1 in c1._nodes.items():
             n2 = c2._nodes[sigma]
             assert n1.M == n2.M
@@ -324,14 +330,14 @@ class TestNodeMemo:
         bad.write_text("\n".join(lines) + "\n")
 
         build_tree(cache, 5)  # the memo now holds 011 and the nodes below it
-        memo = construction._memo_of(cache)
-        before = dict(memo)
+        memo = built_nodes(ladder)
         loaded = import_cache(bad)
         counted.clear()
         build_tree(loaded, 5)
         # every node below the file's depth is built from the file's nodes
         assert sorted(_built(counted)) == sorted(s for s in loaded._nodes if len(s) > 3)
-        assert memo == before and all(memo[s] is node for s, node in before.items())
+        after = built_nodes(ladder)
+        assert after.keys() == memo.keys() and all(after[s] is node for s, node in memo.items())
         edited = loaded._nodes[(0, 1, 1)]
         assert edited is not memo[(0, 1, 1)]
         child = loaded._nodes[(0, 1, 1, 0)]
@@ -342,10 +348,32 @@ class TestNodeMemo:
         fresh = build_tree(ConstructionCache(ladder), 3)
         assert export_cache(fresh, tmp_path / "fresh.txt").read_bytes() == stored
 
+    def test_the_memo_is_the_roots_tree(self, tmp_path, fresh_nodes):
+        ladder = ExpLadder(0.0, 2.0)
+        cache = build_tree(ConstructionCache(ladder), 8)
+        # each node is stored under its own sigma: a key tuple of its own
+        # would take about 19 MB more at depth 16
+        assert all(key is node.sigma for key, node in cache._nodes.items())
+        for sigma, node in cache._nodes.items():
+            if sigma:
+                parent = cache._nodes[sigma[:-1]]
+                assert node is (parent.kid1 if sigma[-1] else parent.kid0), sigma
+        memo = built_nodes(ladder)
+        assert memo.keys() == cache._nodes.keys()
+        assert all(memo[sigma] is node for sigma, node in cache._nodes.items())
+
+        loaded = import_cache(export_cache(cache, tmp_path / "cache.txt"))
+        build_tree(loaded, 10)
+        assert all(key is node.sigma for key, node in loaded._nodes.items())
+        # the configuration's root reaches no imported node, nor one built from it
+        reached = {id(node) for node in built_nodes(ladder).values()}
+        assert len(reached) == len(memo)
+        assert not any(id(node) in reached for sigma, node in loaded._nodes.items() if sigma)
+
     def test_a_shallow_build_after_a_deep_one_exports_its_own_depth(self, tmp_path, fresh_nodes):
         ladder = ExpLadder(0.0, 2.0)
         alone = export_cache(build_tree(ConstructionCache(ladder), 4), tmp_path / "alone.txt")
-        construction._NODE_MEMO.clear()
+        construction._root.cache_clear()
         build_tree(ConstructionCache(ladder), 6)
         shallow = build_tree(ConstructionCache(ladder), 4)
         assert len(shallow) == 31
@@ -356,11 +384,11 @@ class TestNodeMemo:
     ], ids=["precondition"])
     def test_a_build_that_raises_stores_nothing(self, counted, config, sigma, error):
         cache = ConstructionCache(ExpLadder(0.0, 2.0), **config)
-        memo = construction._memo_of(cache)
         for _ in range(2):
             with pytest.raises(error) as err:
                 build_node(cache, sigma)
             assert err.value.sigma == sigma
+            memo = built_nodes(cache.ladder, cache.margin)
             assert sigma not in memo and memo.keys() == cache._nodes.keys()
         assert _built(counted).count(sigma) == 2  # the retry built it again
 
@@ -680,22 +708,41 @@ class TestExportImport:
         assert len(zeros) == 2 ** 10 - 1
         assert all(block is construction._ZERO_BLOCK for block in zeros)
 
-    @pytest.mark.parametrize("bits,edit", [
-        ("1", lambda record: record),
-        ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record)),
-        ("-", lambda record: record),
-        # bitstring reads any decimal digit, so ARABIC-INDIC DIGIT ONE names 01 too
-        ("01", lambda record: "0\u0661" + record[2:]),
+    @pytest.mark.parametrize("bits,edit,error", [
+        ("1", lambda record: record, None),
+        ("1", lambda record: re.sub(r"\|M=[^|]*\|", "|M=99|", record), None),
+        ("-", lambda record: record, None),
+        # ARABIC-INDIC DIGIT ONE is no bit, so 0\u0661 names no string, 01 included
+        ("01", lambda record: "0\u0661" + record[2:],
+         "bit string entries must be 0 or 1, got '\u0661'"),
     ], ids=["identical", "altered-caps", "root", "other-digits"])
-    def test_rejects_a_second_record_for_a_string(self, tmp_path, bits, edit):
+    def test_rejects_a_second_record_for_a_string(self, tmp_path, bits, edit, error):
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
         lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
         record = next(line for line in lines if line.startswith(bits + "|"))
         lines.append(edit(record))
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
+        what = (f"a second record for {lines[-1].split('|')[0]}" if error is None
+                else f"bad record {lines[-1]!r}: {error}")
+        with pytest.raises(ValueError, match=re.escape(f"bad.txt: line {len(lines)}: {what}")):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("bits,other", [
+        ("0", "\u0660"),  # the first record after the root's
+        ("1", "\u0661"),
+        ("01", "\uff10\uff11"),
+    ], ids=["first", "arabic-indic", "fullwidth"])
+    def test_rejects_non_ascii_bits(self, tmp_path, bits, other):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith(bits + "|"))
+        lines[lineno - 1] = other + lines[lineno - 1][len(bits):]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"bad.txt: line {len(lines)}: a second record for {lines[-1].split('|')[0]}")):
+                f"bad.txt: line {lineno}: bad record {lines[lineno - 1]!r}: "
+                f"bit string entries must be 0 or 1, got {other[0]!r}")):
             import_cache(bad)
 
 
@@ -728,7 +775,7 @@ class TestPowerRow:
         # share it otherwise); with no parts stored, on phis or on blocks, a
         # check that kept none would sum a parent's window again for each child
         depth = 6
-        monkeypatch.setattr(construction, "_NODE_MEMO", {})
+        monkeypatch.setattr(construction, "_root", functools.cache(construction._root.__wrapped__))
         monkeypatch.setattr(witness, "_block", seqspace.window_seq)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
         for node in cache._nodes.values():
@@ -1089,7 +1136,7 @@ class TestOneRowPerNode:
     exponent, and a 1-node's row where ``extend``'s re-check sums u~v."""
 
     def test_each_block_reaches_the_kernel_once_per_exponent(self, monkeypatch):
-        monkeypatch.setattr(construction, "_NODE_MEMO", {})
+        monkeypatch.setattr(construction, "_root", functools.cache(construction._root.__wrapped__))
         # new 1-node blocks, with no parts kept, shared as ``_block`` shares them
         monkeypatch.setattr(witness, "_block", functools.cache(seqspace.window_seq))
         summed = []
@@ -1115,7 +1162,7 @@ class TestOneRowPerNode:
         # at every exponent asked once the first build has summed it, and
         # the searches answer from their memos
         build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)
-        construction._NODE_MEMO.clear()
+        construction._root.cache_clear()
         requests = []
         for module, name in ((seqspace, "_window_power_sum"), (witness, "_range_power_sum")):
             inner = getattr(module, name)
@@ -1226,7 +1273,7 @@ class TestCarriedParts:
             assert main(["trace", "--spec", "row=1:finite{0,2}", "--k", "12",
                          "--out", str(tmp_path)]) == 0
         nodes = [*cache._nodes.values(),
-                 *construction._NODE_MEMO.get((ladder, cache.margin), {}).values()]
+                 *built_nodes(ladder, cache.margin).values()]
         assert len(nodes) > 12
         assert _linked_phis_with_parts(nodes) == []
 
@@ -1240,9 +1287,9 @@ class TestCarriedParts:
         given_parts = []
         child = construction._child
 
-        def recorded(cache_, memo, parent, bit, sums):
+        def recorded(cache_, parent, bit, sums):
             given_parts.append((parent, sums))
-            return child(cache_, memo, parent, bit, sums)
+            return child(cache_, parent, bit, sums)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(construction, "_child", recorded)
@@ -1328,7 +1375,7 @@ class TestSearchMemo:
         c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
         misses = [search.cache_info().misses for search in SEARCHES]
         assert all(misses)
-        construction._NODE_MEMO.clear()  # c2 searches again, with no misses
+        construction._root.cache_clear()  # c2 searches again, with no misses
         c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
         assert [search.cache_info().misses for search in SEARCHES] == misses
         assert c1._nodes.keys() == c2._nodes.keys()
@@ -1501,7 +1548,7 @@ class TestWalksHoldTheGC:
         # it set off no young collection that would scan them all
         stored = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8),
                               tmp_path / "deep.txt")
-        construction._NODE_MEMO.clear()
+        construction._root.cache_clear()
         walks = {
             "build_tree": lambda: build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8),
             "check_properties": lambda: check_properties(
