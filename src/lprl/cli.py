@@ -235,7 +235,7 @@ def cmd_trace(cache, spec_text, k, target, out):
     ladder = cache.ladder
     path = path_rows(cache, spec, k, (ladder.q,) + ladder.exponents(4))
     # no field needs quoting: each is an int, a column name or a float repr
-    lines, block, sums = [",".join(TRACE_COLUMNS)], None, None
+    lines, block, sums, parent = [",".join(TRACE_COLUMNS)], None, None, cache.root
     for t, (node, row) in enumerate(path):
         if node.block is not block:  # every 0-node shares one block object
             block = node.block
@@ -243,7 +243,8 @@ def cmd_trace(cache, spec_text, k, target, out):
         if row is not sums:  # a 0-node that shares its parent's sums shares their text
             sums = row
             cum_text = ",".join(map(repr, sums.values()))
-        lines.append(f"{t},{node.sigma[-1]},{block_text},{cum_text}")
+        lines.append(f"{t},{int(node is parent.kid1)},{block_text},{cum_text}")
+        parent = node
     written = write_output(out / "trace.csv", "\r\n".join(lines) + "\r\n")
     print("\n".join(lines))
     print(f"trace written to {written}")

@@ -94,12 +94,11 @@ def _gc_held(walk):
 class Node:
     """State at one string: phi value, cap vector, and the appended block.
 
-    Immutable by convention: a built or imported node is shared by every
-    cache that reached it, and nothing sets its fields again but its
-    children ``kid0`` and ``kid1``, which ``_child`` sets once each, when
-    it builds that child."""
+    It holds no string: its string is where it sits below a root, which
+    each walk knows (a key, ``_child``). Immutable by convention: a node is
+    shared by every cache that reached it, and nothing sets its fields again
+    but ``kid0`` and ``kid1``, which ``_child`` sets once each."""
 
-    sigma: tuple
     phi: FinSeq
     M: tuple
     block: FinSeq
@@ -109,20 +108,24 @@ class Node:
 
 @functools.cache
 def _root(ladder, margin):
-    """The root of every cache of the configuration (ladder, margin), shared
-    process-wide: its descendants, by child links, are the configuration's
-    built nodes, since a node is a pure function of it and sigma."""
-    return Node((), EMPTY, (), EMPTY)
+    """The root of every built cache of the configuration (ladder, margin),
+    shared process-wide: its descendants, by child links, are the
+    configuration's built nodes, since a node is a pure function of it and
+    sigma."""
+    return Node(EMPTY, (), EMPTY)
 
 
 class ConstructionCache:
-    """Prefix-closed store of the construction nodes a run asked for.
+    """A root and a depth: the nodes a run asked for are the root's tree to
+    that depth (``held``).
 
-    Nodes are pure functions of (ladder, margin, sigma), so population
-    order never changes values, and built nodes are shared process-wide by
-    every cache of one configuration, as descendants of its one root
-    (``_root``). ``shape`` and ``claim`` are the ladder's ``_derivations``,
-    bound once. Completed nodes are immutable and safe to read concurrently.
+    The root is the configuration's shared one (``_root``), or an import's
+    own. The depth is the deepest level ``build_tree`` or
+    ``check_properties`` completed, or an import's longest record; above it
+    every level is full, or private to an import, so what a cache holds
+    never depends on other caches. ``shape`` and ``claim`` are the ladder's
+    ``_derivations``, bound once. Completed nodes are immutable and safe to
+    read concurrently.
     """
 
     def __init__(self, ladder, margin=DEFAULT_MARGIN):
@@ -130,56 +133,64 @@ class ConstructionCache:
             raise TypeError("ladder must be an ExpLadder")
         self.ladder = ladder
         self.margin = margin
-        self._nodes = {(): _root(ladder, margin)}
+        self.root = _root(ladder, margin)
+        self.depth = 0
         self.shape, self.claim = _derivations(ladder)
 
-    def __len__(self):
-        return len(self._nodes)
+
+def held(cache):
+    """``(key, node)`` (``_child``) for each node the cache holds, in
+    (length, bits) order: a level at a time, in parent order."""
+    level = [(1, cache.root)]
+    for _ in range(cache.depth):
+        yield from level
+        level = [(2 * key + bit, kid) for key, node in level
+                 for bit, kid in ((0, node.kid0), (1, node.kid1)) if kid is not None]
+    yield from level
 
 
 def build_node(cache, sigma):
     """Return the node at sigma, building its missing prefixes first."""
-    node = cache._nodes[()]
+    node = cache.root
     for node, _ in walk_path(cache, bitstring(sigma)):
         pass
     return node
 
 
-def walk_path(cache, bits, start=None, sums=None):
+def walk_path(cache, bits, start=None, sums=None, key=1):
     """Yield ``(node, sums)`` at each prefix of bits, from length 1 on, below
-    start (the root by default), sums being the node's power-sum parts
-    ``{p: parts}`` (``_carry``), from start's (an empty dict by default).
+    start at key (the root at 1 by default), sums being the node's power-sum
+    parts ``{p: parts}`` (``_carry``), from start's (an empty dict by default).
 
     Each step is one ``_child``, so bits may be any iterable, an endless
     one included: a node is built only when the walk reaches it.
     """
-    node = cache._nodes[()] if start is None else start
+    node = cache.root if start is None else start
     sums = {} if sums is None else sums
     for bit in bits:
-        node = _child(cache, node, bit, sums)
+        key = 2 * key + bit
+        node = _child(cache, node, key, sums)
         sums = _carry(sums, node.block)
         yield node, sums
 
 
-def _child(cache, parent, bit, sums):
-    """The child of parent by bit, stored in cache under its own sigma.
+def _child(cache, parent, key, sums):
+    """The child of parent at key: the binary digits of 1 and the child's
+    string, so the root's key is 1 and a child's is its parent's doubled
+    plus its bit.
 
-    A child already in cache is returned as it is. Otherwise it is parent's
-    own child, built from the parent's power-sum parts ``sums`` and set on
-    parent when missing. A node read from a file is no built node's child,
-    so it and the nodes built from it stay private to their cache. A build
-    that raises stores nothing.
+    A missing child is built from the parent's power-sum parts ``sums`` and
+    set on parent. An imported node hangs below its cache's own root, so it
+    and the nodes built from it stay private to their cache. A build that
+    raises sets nothing.
     """
-    node = cache._nodes.get(parent.sigma + (bit,))
+    node = parent.kid1 if key & 1 else parent.kid0
     if node is None:
-        node = parent.kid1 if bit else parent.kid0
-        if node is None:
-            node = _extend_node(cache, parent, bit, sums)
-            if bit:
-                parent.kid1 = node
-            else:
-                parent.kid0 = node
-        cache._nodes[node.sigma] = node
+        node = _extend_node(cache, parent, key, sums)
+        if key & 1:
+            parent.kid1 = node
+        else:
+            parent.kid0 = node
     return node
 
 
@@ -220,8 +231,8 @@ def _derivations(ladder):
     return shape, claim
 
 
-def _extend_node(cache, parent, bit, sums):
-    """The child by ``bit``: its parent's first ``keep`` caps, then one new
+def _extend_node(cache, parent, key, sums):
+    """The child at ``key``: its parent's first ``keep`` caps, then one new
     cap per row from ``keep`` to its depth, above its power sum there.
 
     What the child's length fixes comes from the cache's ``shape`` and
@@ -233,8 +244,8 @@ def _extend_node(cache, parent, bit, sums):
     phi links the parent's to its block and is summed at the rows from
     ``keep`` on as the parent's parts followed by the block's. A
     PreconditionError is tagged with the child's string."""
-    tau = parent.sigma + (bit,)
-    exps, l = cache.shape(len(tau))
+    length, bit = key.bit_length() - 1, key & 1
+    exps, l = cache.shape(length)
     margin = cache.margin
     keep = l if bit else len(parent.M)
     for p in exps if bit else exps[keep:]:
@@ -243,16 +254,16 @@ def _extend_node(cache, parent, bit, sums):
     if bit == 0:
         block = _ZERO_BLOCK
     else:
-        claim = cache.claim(len(tau))
+        claim = cache.claim(length)
         req = ClaimRequest.on(claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
         try:
             block = extend(req, margin).v
         except PreconditionError as err:
-            err.sigma = tau
+            err.sigma = tuple(map(int, bin(key)[3:]))
             raise
     new = tuple(least_natural_above(math.fsum(sums[p] + _power_sum_parts(block, p)), margin)
                 for p in exps[keep:])
-    return Node(tau, FinSeq(block, parent.phi), parent.M[:keep] + new, block)
+    return Node(FinSeq(block, parent.phi), parent.M[:keep] + new, block)
 
 
 @_gc_held
@@ -261,15 +272,16 @@ def build_tree(cache, max_len):
     level by level, carrying each node's power-sum parts to its children."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    frontier = [(cache._nodes[()], {})]
+    frontier = [(1, cache.root, {})]
     for length in range(1, max_len + 1):
         children = []
-        for parent, sums in frontier:
-            for bit in (0, 1):
-                node = _child(cache, parent, bit, sums)
+        for key, parent, sums in frontier:
+            for key in (2 * key, 2 * key + 1):
+                node = _child(cache, parent, key, sums)
                 if length < max_len:  # a leaf's parts are never read
-                    children.append((node, _carry(sums, node.block)))
+                    children.append((key, node, _carry(sums, node.block)))
         frontier = children
+    cache.depth = max(cache.depth, max_len)
     return cache
 
 
@@ -325,10 +337,12 @@ def _surely_above(target, rows, length, margin):
 def check_properties(cache, max_len):
     """Re-verify all construction properties over the tree up to max_len.
 
-    Each level is checked as one batch. Per node, in Python: a dict hit
-    (``_child``, with no parts, on a miss in a partial or imported tree),
-    bookkeeping, phi-nonempty, p1-prefix (at once where phi links its parent's to a nonempty block) and the p4/p5 cap
-    tuples; p2 is decided once per distinct block. p3 (every row entry under
+    Each level is checked as one batch, in parent order, 0-child first, so
+    node k of level L is at the L-bit binary of k. Per node, in Python: a
+    child link (``_child``, which builds a missing node with no parts, in a
+    partial tree), bookkeeping, phi-nonempty, p1-prefix (at once where phi
+    links its parent's to a nonempty block) and the p4/p5 cap tuples; p2 is
+    decided once per distinct block. p3 (every row entry under
     its cap) and p6 (forced growth) are decided on float64 arrays, and only a
     claim they cannot decide, or a violation, is summed exactly.
 
@@ -372,9 +386,8 @@ def check_properties(cache, max_len):
     """
     margin = cache.margin
     q = cache.ladder.q
-    stored = cache._nodes.get
     rep = CheckReport(f"construction-properties max_len={max_len}")
-    root = cache._nodes[()]
+    root = cache.root
     # the root reaches no row, so it has no cap
     rep.add("bookkeeping", len(root.M) == 0, len(root.M), 0, note="sigma=()")
     if max_len < 1:
@@ -382,8 +395,8 @@ def check_properties(cache, max_len):
     exps = cache.shape(max_len)[0]
     found = []  # a level's violations: (node index, order within the node, Check)
 
-    def fail(k, order, label, lhs, rhs, node, i=None):
-        tag = "".join(map(str, node.sigma))
+    def fail(k, order, label, lhs, rhs, i=None):
+        tag = format(k, f"0{length}b")  # node k of the level has that string
         found.append((k, order, Check(label, False, lhs, rhs,
                                       tag if i is None else f"{tag} i={i}")))
 
@@ -398,30 +411,30 @@ def check_properties(cache, max_len):
         blocks, which, exact = [], [], {}
         caps, short = [], 0  # each node's caps padded to d+1 entries; caps it lacks
         for parent in parents:
-            pphi, psigma = parent.phi, parent.sigma
+            pphi = parent.phi
             for bit in (0, 1):
-                node = stored(psigma + (bit,)) or _child(cache, parent, bit, {})
                 k = len(nodes)
+                node = _child(cache, parent, 1 << length | k, {})
                 nodes.append(node)
                 M, phi, block = node.M, node.phi, node.block
                 if len(M) == d + 1:
                     caps.append(M)
                 else:
-                    fail(k, 0, "bookkeeping", len(M), d + 1, node)
+                    fail(k, 0, "bookkeeping", len(M), d + 1)
                     short += max(d + 1 - len(M), 0)
                     caps.append(M[:d + 1] + (math.inf,) * (d + 1 - len(M)))
                 if phi.length < 1:
-                    fail(k, 0, "phi-nonempty", phi.length, 1, node)
+                    fail(k, 0, "phi-nonempty", phi.length, 1)
                 linked = phi.base is pphi and phi.block is block
                 if not (linked and block.length or pphi.is_prefix_of(phi, proper=True)):
-                    fail(k, 0, "p1-prefix", None, None, node)
+                    fail(k, 0, "p1-prefix", None, None)
 
                 cost = seen.get(id(block))
                 if cost is None:
                     s = math.fsum(_power_sum_parts(block, q))
                     cost = seen[id(block)] = [s, certified_less(s, bound, margin), None]
                 if not cost[1]:
-                    fail(k, 0, "p2-block-cost", cost[0], bound, node)
+                    fail(k, 0, "p2-block-cost", cost[0], bound)
                 if linked:
                     if cost[2] is None:
                         cost[2] = len(blocks)
@@ -433,9 +446,9 @@ def check_properties(cache, max_len):
 
                 if bit == 0:
                     if length >= 2 and M[:len(parent.M)] != parent.M:
-                        fail(k, 2, "p4-zero-stable", M, parent.M, node)
+                        fail(k, 2, "p4-zero-stable", M, parent.M)
                 elif l > 0 and M[:l] != parent.M[:l]:
-                    fail(k, 2, "p5-one-stable", M[:l], parent.M[:l], node)
+                    fail(k, 2, "p5-one-stable", M[:l], parent.M[:l])
         rows = _level_rows(rows, blocks, which, exps, exact)
 
         n = len(nodes)
@@ -447,12 +460,12 @@ def check_properties(cache, max_len):
             if i < len(node.M):  # a padded entry is no claim
                 s = pnorm_pow(node.phi, exps[i])
                 if not certified_less(s, float(node.M[i]), margin):
-                    fail(k, 1, "p3-caps", s, node.M[i], node, i)
+                    fail(k, 1, "p3-caps", s, node.M[i], i)
         for k in (2 * np.flatnonzero(open_p6) + 1).tolist():
             node = nodes[k]
             s = pnorm_pow(node.phi, exps[l])
             if not certified_less(float(length), s, margin):
-                fail(k, 3, "p6-forced-growth", s, length, node)
+                fail(k, 3, "p6-forced-growth", s, length)
         found.sort(key=lambda f: f[:2])
         rep.checks += [check for _, _, check in found]
         found.clear()
@@ -472,16 +485,18 @@ def check_properties(cache, max_len):
         ]
         for _, label, count in sorted(tallies, key=lambda t: t[0]):
             rep.count(label, count)
+    cache.depth = max(cache.depth, max_len)
     return rep
 
 
 def cache_stats(cache):
     """Node count plus size measures (window lengths are exact ints)."""
-    segs = [seg for node in cache._nodes.values() for seg in node.block.segments]
+    nodes = [node for _, node in held(cache)]
+    segs = [seg for node in nodes for seg in node.block.segments]
     windows = [seg.length for seg in segs if not isinstance(seg, Literal)]
     return {
-        "nodes": len(cache._nodes),
-        "max_phi_length": max(node.phi.length for node in cache._nodes.values()),
+        "nodes": len(nodes),
+        "max_phi_length": max(node.phi.length for node in nodes),
         "literal_entries": sum(seg.length for seg in segs if isinstance(seg, Literal)),
         "window_segments": len(windows),
         "window_entries": sum(windows),
@@ -539,10 +554,11 @@ _FIXED_HEADER = {"explicit": "-", "step_budget": "100000000"}
 
 
 def export_cache(cache, path):
-    """Write every cached node as structured text, deterministically.
+    """Write every node the cache holds (``held``) as structured text,
+    deterministically.
 
     One record per string: bits, cap vector, and the phi segments at full
-    (round-trip exact) precision. Records are sorted by (length, bits), so
+    (round-trip exact) precision. Records are in (length, bits) order, so
     identical configurations export byte-identical files. A node's phi is
     its parent's followed by its block, so its text is the parent's text,
     ``;`` and the block's segments: only the block is formatted.
@@ -551,15 +567,13 @@ def export_cache(cache, path):
     lines = ["# lprl-cache v1",
              f"# a={ladder.a!r} q={ladder.q!r} explicit={_FIXED_HEADER['explicit']}",
              f"# eta={cache.margin.eta!r} step_budget={_FIXED_HEADER['step_budget']}"]
-    texts = {(): ""}
-    for sigma in sorted(cache._nodes, key=lambda s: (len(s), s)):
-        node = cache._nodes[sigma]
-        if sigma:
-            head, block = texts[sigma[:-1]], _format_segments(node.block)
-            texts[sigma] = f"{head};{block}" if head else block
-        bits = "".join(map(str, sigma)) or "-"
+    texts = {1: ""}  # by key (``_child``)
+    for key, node in held(cache):
+        if key > 1:
+            head, block = texts[key >> 1], _format_segments(node.block)
+            texts[key] = f"{head};{block}" if head else block
         mvec = ",".join(str(m) for m in node.M)
-        lines.append(f"{bits}|M={mvec}|phi={texts[sigma]}")
+        lines.append(f"{bin(key)[3:] or '-'}|M={mvec}|phi={texts[key]}")
     return write_output(path, "\n".join(lines) + "\n")
 
 
@@ -605,10 +619,11 @@ _CAPS_FIELD = re.compile(r"M=(?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?")
 def import_cache(path):
     """Rebuild a ConstructionCache from an exported file, in one pass.
 
-    Each node's phi links its parent's phi to its block, as in a built tree.
-    A record's phi field must be its parent's followed by ``;`` and the
-    block, as ``export_cache`` writes it, and is compared with the parent's
-    in place. Any other record is refused, among them one that merges the
+    Each record's node is its parent's child, below a root of the cache's
+    own, and the depth is the longest record's. Each node's phi links its
+    parent's phi to its block, as in a built tree. A record's phi field must
+    be its parent's followed by ``;`` and the block, as ``export_cache``
+    writes it, and is compared with the parent's in place. Any other record is refused, among them one that merges the
     parent's last run with new entries: its entries extend the parent's, but
     no block of whole segments does. Only the block is parsed, once per
     distinct block text, and records with equal block texts share one block
@@ -648,7 +663,8 @@ def import_cache(path):
         raise ValueError(f"{path}: bad header {header!r}: {err}") from None
     # By each record's bits text (the root's is "", and "-" once read): its
     # node, and the start of its children's phi fields (its own, and ";")
-    records = {"": (cache._nodes[()], "phi=")}
+    cache.root = Node(EMPTY, (), EMPTY)
+    records = {"": (cache.root, "phi=")}
     caps_of = {}  # one caps tuple per distinct M= field
     blocks = {"L:0.0": _ZERO_BLOCK}  # one block per distinct block text
     for lineno, line in enumerate(lines[first - 1:], first):
@@ -667,14 +683,9 @@ def import_cache(path):
                 raise ValueError("the bits field is empty; the root's reads '-'")
             # most records are a record's bits and one bit more; any other
             # bits field gets ``bitstring``'s verdict
-            bits, parent = bits_text, records.get(bits_text[:-1])
-            bit = _BIT_OF.get(bits_text[-1])
-            if parent is not None and bit is not None:
-                sigma = parent[0].sigma + (bit,)
-            else:
-                sigma = () if bits_text == "-" else bitstring(bits_text)
-                bits = "".join(map(str, sigma))
-                parent = records.get(bits[:-1])
+            parent, bit = records.get(bits_text[:-1]), _BIT_OF.get(bits_text[-1])
+            if (parent is None or bit is None) and bits_text != "-":
+                bitstring(bits_text)
             caps = caps_of.get(m_text)
             if caps is None:
                 if _CAPS_FIELD.fullmatch(m_text) is None:
@@ -690,9 +701,9 @@ def import_cache(path):
                     block = blocks[block_text] = FinSeq(_parse_segments(block_text))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
-        if (bits or "-") in records:
+        if bits_text in records:
             raise ValueError(f"{path}: line {lineno}: a second record for {bits_text}")
-        if not sigma:  # the root is pre-seeded; its record must match it
+        if bits_text == "-":  # the root is pre-seeded; its record must match it
             if line != _ROOT_RECORD:
                 raise ValueError(
                     f"{path}: line {lineno}: the root record must read "
@@ -706,6 +717,11 @@ def import_cache(path):
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
         # FinSeq(block, base=...) by position, which calls faster than by keyword
-        node = cache._nodes[sigma] = Node(sigma, FinSeq(block, parent[0].phi), caps, block)
-        records[bits] = (node, phi_text + ";" if phi_text != "phi=" else phi_text)
+        node = Node(FinSeq(block, parent[0].phi), caps, block)
+        if bit:
+            parent[0].kid1 = node
+        else:
+            parent[0].kid0 = node
+        records[bits_text] = (node, phi_text + ";" if phi_text != "phi=" else phi_text)
+        cache.depth = max(cache.depth, len(bits_text))
     return cache

@@ -294,7 +294,10 @@ def divergence_witness(cache, spec, row, target, path):
     if pat is None or not pat.infinite:
         raise ValueError(f"row {row} does not carry infinitely many ones")
     p = cache.ladder.exponent(row)
-    later = walk_path(cache, diagonal_bits(spec, len(path)), path[-1][0])
+    key, end = 1, cache.root  # u_k's key (``construction._child``), by the path's links
+    for node, _ in path:
+        key, end = 2 * key + (node is end.kid1), node
+    later = walk_path(cache, diagonal_bits(spec, len(path)), end, None, key)
     steps = enumerate(itertools.chain(path, ((node, ()) for node, _ in later)))
     value = None
     for j in pat.ones():

@@ -33,3 +33,14 @@ def fresh_nodes():
     so that the test builds every node. A cache binds its root when it is
     made, so a test's caches must be made after this has run."""
     construction._root.cache_clear()
+
+
+@pytest.fixture
+def counted(monkeypatch, fresh_nodes):
+    """Every (parent, key) that ``_extend_node`` builds, from an empty memo;
+    a key is the binary digits of 1 and the built node's string."""
+    built = []
+    extend_node = construction._extend_node
+    monkeypatch.setattr(construction, "_extend_node",
+                        lambda *args: built.append(args[1:3]) or extend_node(*args))
+    return built

@@ -140,57 +140,58 @@ def check_properties_per_node(cache, max_len):
     margin = cache.margin
     q = ladder.q
     rep = CheckReport(f"construction-properties max_len={max_len}")
-    root = cache._nodes[()]
+    root = cache.root
     rep.add("bookkeeping", len(root.M) == depth(()) + 1, len(root.M), 0, note="sigma=()")
 
-    def fail(label, lhs, rhs, node, i=None):
-        tag = "".join(map(str, node.sigma))
+    def fail(label, lhs, rhs, sigma, i=None):
+        tag = "".join(map(str, sigma))
         rep.checks.append(Check(label, False, lhs, rhs, tag if i is None else f"{tag} i={i}"))
 
-    nodes = [root]
+    nodes = [((), root)]
     for length in range(1, max_len + 1):
         probe = (0,) * length
         d, l = depth(probe), level(probe)
         exps = ladder.exponents(d + 1)
         bound = 2.0 ** -length
         parents, nodes = nodes, []
-        for parent in parents:
+        for psigma, parent in parents:
             for bit in (0, 1):
-                node = _child(cache, parent, bit, {})
+                sigma = psigma + (bit,)
+                node = _child(cache, parent, key_of(sigma), {})
                 M = node.M
                 if len(M) != d + 1:
-                    fail("bookkeeping", len(M), d + 1, node)
+                    fail("bookkeeping", len(M), d + 1, sigma)
                 if node.phi.length < 1:
-                    fail("phi-nonempty", node.phi.length, 1, node)
+                    fail("phi-nonempty", node.phi.length, 1, sigma)
                 mine, theirs = parent.phi, node.phi
                 if not (mine.length < theirs.length
                         and _prefix_walk(mine.segments, theirs.segments, mine.length)):
-                    fail("p1-prefix", None, None, node)
+                    fail("p1-prefix", None, None, sigma)
 
                 block_cost = math.fsum(_power_sum_parts(node.block, q))
                 if not certified_less(block_cost, bound, margin):
-                    fail("p2-block-cost", block_cost, bound, node)
+                    fail("p2-block-cost", block_cost, bound, sigma)
 
                 row = [math.fsum(_power_sum_parts(node.phi, p)) for p in exps]
                 for i, (s, cap) in enumerate(zip(row, M)):
                     if not certified_less(s, float(cap), margin):
-                        fail("p3-caps", s, cap, node, i)
+                        fail("p3-caps", s, cap, sigma, i)
 
                 if bit == 0:
                     if length >= 2 and M[:len(parent.M)] != parent.M:
-                        fail("p4-zero-stable", M, parent.M, node)
+                        fail("p4-zero-stable", M, parent.M, sigma)
                 else:
                     if l > 0 and M[:l] != parent.M[:l]:
-                        fail("p5-one-stable", M[:l], parent.M[:l], node)
+                        fail("p5-one-stable", M[:l], parent.M[:l], sigma)
                     if not certified_less(float(length), row[l], margin):
-                        fail("p6-forced-growth", row[l], length, node)
-                nodes.append(node)
+                        fail("p6-forced-growth", row[l], length, sigma)
+                nodes.append((sigma, node))
         n, half = len(nodes), len(parents)
-        first_caps = next((k for k, node in enumerate(nodes) if node.M), 0)
+        first_caps = next((k for k, (_, node) in enumerate(nodes) if node.M), 0)
         tallies = [
             (0, "bookkeeping", n), (0, "phi-nonempty", n), (0, "p1-prefix", n),
             (0, "p2-block-cost", n),
-            (first_caps, "p3-caps", sum(min(len(node.M), d + 1) for node in nodes)),
+            (first_caps, "p3-caps", sum(min(len(node.M), d + 1) for _, node in nodes)),
             (0, "p4-zero-stable", half if length >= 2 else 0),
             (1, "p5-one-stable", half if l > 0 else 0),
             (1, "p6-forced-growth", half),
@@ -200,15 +201,28 @@ def check_properties_per_node(cache, max_len):
     return rep
 
 
+def key_of(sigma):
+    """The key of the node at sigma: the binary digits of 1 and sigma."""
+    return int("".join(map(str, (1,) + tuple(sigma))), 2)
+
+
+def nodes_of(cache):
+    """The nodes a cache holds, ``{sigma: node}``, from ``construction.held``."""
+    from lprl.construction import held
+
+    return {tuple(map(int, bin(key)[3:])): node for key, node in held(cache)}
+
+
 def built_nodes(ladder, margin=None):
     """The process-wide node memo of a configuration, ``{sigma: node}``: its
     root and every node reached from it by child links."""
     from lprl.construction import _root
     from lprl.seqspace import DEFAULT_MARGIN
 
-    found, stack = {}, [_root(ladder, DEFAULT_MARGIN if margin is None else margin)]
+    found, stack = {}, [((), _root(ladder, DEFAULT_MARGIN if margin is None else margin))]
     while stack:
-        node = stack.pop()
-        found[node.sigma] = node
-        stack += [kid for kid in (node.kid0, node.kid1) if kid is not None]
+        sigma, node = stack.pop()
+        found[sigma] = node
+        stack += [(sigma + (bit,), kid) for bit, kid in enumerate((node.kid0, node.kid1))
+                  if kid is not None]
     return found

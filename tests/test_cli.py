@@ -464,14 +464,15 @@ class TestMainExitCodes:
         steps = []
         child = construction._child
         monkeypatch.setattr(construction, "_child",
-                            lambda *args: steps.append(args[1].sigma + (args[2],)) or child(*args))
+                            lambda *args: steps.append(args[2]) or child(*args))
         monkeypatch.setattr(cli, "build_tree", lambda cache, max_len: cache)
         monkeypatch.setattr(cli, "check_properties", lambda cache, max_len: CheckReport("stub"))
         monkeypatch.setattr(cli, "_seeded_continuity_pairs", lambda rng, count: [])
         reports = cli.run_verification_suites(ConstructionCache(ExpLadder(0.0, 2.0)), 10, 0)
         assert len(reports) == 1 + 8 + 4 * 3 + 4 and all(r.ok for r in reports)
         assert len(steps) == 8 * 13
-        assert sorted(len(sigma) for sigma in steps) == sorted(list(range(1, 14)) * 8)
+        # each step's length, from its key (the binary digits of 1 and its string)
+        assert sorted(key.bit_length() - 1 for key in steps) == sorted(list(range(1, 14)) * 8)
 
     def test_build_then_trace_cli(self, tmp_path):
         assert main(["build", "--max-len", "4", "--out", str(tmp_path)]) == 0
@@ -622,7 +623,7 @@ class TestOneWalkPerTrace:
         steps = []
         child = construction._child
         monkeypatch.setattr(construction, "_child",
-                            lambda *args: steps.append(args[1].sigma) or child(*args))
+                            lambda *args: steps.append(args[2]) or child(*args))
         k = 12
         assert main(["trace", "--spec", spec, "--k", str(k), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -44,6 +45,7 @@ from lprl.reduction import (
     path_rows,
 )
 from lprl.seqspace import (
+    EMPTY,
     ExpLadder,
     FinSeq,
     Literal,
@@ -57,23 +59,13 @@ from lprl.seqspace import (
 )
 from lprl.witness import ClaimRequest, cap_room, extend
 
-from oracles import built_nodes, check_properties_per_node, power_sum_plain
+from oracles import built_nodes, check_properties_per_node, key_of, nodes_of, power_sum_plain
 
 
 @pytest.fixture
 def small_cache(fresh_nodes):
     """A (0, 2) cache whose root is made after ``fresh_nodes`` has run."""
     return ConstructionCache(ExpLadder(0.0, 2.0))
-
-
-@pytest.fixture
-def counted(monkeypatch, fresh_nodes):
-    """Every (parent, bit) that ``_extend_node`` builds, from an empty memo."""
-    built = []
-    extend_node = construction._extend_node
-    monkeypatch.setattr(construction, "_extend_node",
-                        lambda *args: built.append(args[1:3]) or extend_node(*args))
-    return built
 
 
 class TestLeastNaturalAbove:
@@ -140,19 +132,20 @@ class TestBaseCases:
 
 class TestBuildSteps:
     def test_build_node_extends_from_the_nearest_built_prefix(self, small_cache, counted):
-        nodes = small_cache._nodes
+        root = small_cache.root
         build_node(small_cache, (1, 0))
-        assert counted == [(nodes[()], 1), (nodes[(1,)], 0)]
+        assert counted == [(root, 0b11), (root.kid1, 0b110)]
         node = build_node(small_cache, (1, 0, 1, 1))
-        assert counted[2:] == [(nodes[(1, 0)], 1), (nodes[(1, 0, 1)], 1)]
-        assert nodes[(1, 0, 1, 1)] is node
-        assert len(small_cache) == 1 + len(counted)
+        assert counted[2:] == [(root.kid1.kid0, 0b1101), (root.kid1.kid0.kid1, 0b11011)]
+        assert root.kid1.kid0.kid1.kid1 is node
+        # a path walk builds what it reaches, and the cache holds none of it
+        assert len(counted) == 4 and nodes_of(small_cache) == {(): root}
 
     def test_build_tree_extends_only_missing_nodes(self, small_cache, counted):
         build_node(small_cache, (0, 1, 1))
         build_tree(small_cache, 4)
-        assert len(counted) == len(small_cache) - 1 == 2 ** 5 - 2
-        assert len({(parent.sigma, bit) for parent, bit in counted}) == len(counted)
+        assert len(counted) == len(nodes_of(small_cache)) - 1 == 2 ** 5 - 2
+        assert len({key for _, key in counted}) == len(counted)
 
     @pytest.mark.parametrize("sigma", [
         "012", (0, 2),
@@ -164,7 +157,7 @@ class TestBuildSteps:
     def test_build_node_still_validates_bits(self, small_cache, counted, sigma):
         with pytest.raises(ValueError, match="bit string entries must be 0 or 1"):
             build_node(small_cache, sigma)
-        assert counted == [] and len(small_cache) == 1
+        assert counted == [] and small_cache.root.kid0 is small_cache.root.kid1 is None
 
 
 class TestWalkPath:
@@ -179,13 +172,17 @@ class TestWalkPath:
 
     def test_yields_the_nodes_build_node_gives(self, cache):
         walked = [node for node, _ in walk_path(cache, self.BITS)]
-        assert [node.sigma for node in walked] == [self.BITS[:t + 1] for t in range(5)]
+        # each node is its parent's child by its bit
+        assert all(node is (parent.kid1 if bit else parent.kid0)
+                   for parent, node, bit in zip([cache.root, *walked], walked, self.BITS))
         assert all(build_node(cache, self.BITS[:t + 1]) is node for t, node in enumerate(walked))
 
-    def test_an_endless_path_is_walked_lazily(self, small_cache):
-        walked = itertools.islice(walk_path(small_cache, itertools.repeat(0)), 6)
-        assert [node.sigma for node, _ in walked] == [(0,) * t for t in range(1, 7)]
-        assert len(small_cache) == 7
+    def test_an_endless_path_is_walked_lazily(self, small_cache, counted):
+        walked = [node for node, _ in itertools.islice(
+            walk_path(small_cache, itertools.repeat(0)), 6)]
+        # the strings 0, 00, ..., 0**6, and no more
+        assert [key for _, key in counted] == [key_of((0,) * t) for t in range(1, 7)]
+        assert [node for node, _ in counted[1:]] == walked[:-1]
 
     def test_a_zero_node_carries_its_parents_parts(self, cache):
         # a zero adds no part at any exponent: the walk hands a 0-node its
@@ -197,17 +194,23 @@ class TestWalkPath:
             assert (sums is before) == (bit == 0) and set(exps) <= sums.keys()
             before = sums
 
-    def test_walking_past_an_import_adds_nothing_to_the_memo(self, tmp_path, fresh_nodes):
+    def test_walking_past_an_import_adds_nothing_to_the_memo(self, tmp_path, counted):
         ladder = ExpLadder(0.0, 2.0)
         path = export_cache(build_tree(ConstructionCache(ladder), 3), tmp_path / "cache.txt")
         before = built_nodes(ladder)
         loaded = import_cache(path)
+        counted.clear()
         assert len(list(walk_path(loaded, self.BITS + (1, 1)))) == 7
-        assert len(loaded) == 15 + 4
+        # the nodes past the file's depth are built below its nodes, and
+        # are no part of what the cache holds
+        assert [key for _, key in counted] == [key_of((self.BITS + (1, 1))[:t])
+                                               for t in range(4, 8)]
+        assert counted[0][0] is loaded.root.kid1.kid0.kid1
+        assert len(nodes_of(loaded)) == 15
         after = built_nodes(ladder)
         assert after.keys() == before.keys() and all(after[s] is n for s, n in before.items())
 
-    def test_divergence_reads_each_position_once(self, small_cache, monkeypatch, fresh_nodes):
+    def test_divergence_reads_each_position_once(self, small_cache, monkeypatch, counted):
         spec = AlphaSpec.from_rows({1: PeriodicOnes(0, 2, 0)})  # ones at 1, 8, 19, ...
         calls = []
         diagonal_bits = reduction.diagonal_bits
@@ -222,7 +225,7 @@ class TestWalkPath:
         found = divergence_witness(small_cache, spec, 1, 3.0, path_rows(small_cache, spec, 0, ()))
         assert calls == list(range(9))  # the one at 8 clears the target
         last = build_node(small_cache, (0, 1, 0, 0, 0, 0, 0, 0, 1))
-        assert found.prefix_len == last.phi.length and len(small_cache) == 10
+        assert found.prefix_len == last.phi.length and len(counted) == 9
 
 
 class TestProperties:
@@ -239,7 +242,7 @@ class TestProperties:
 
     def test_block_cost_bound_per_level(self, small_cache):
         build_tree(small_cache, 5)
-        for sigma, node in small_cache._nodes.items():
+        for sigma, node in nodes_of(small_cache).items():
             if sigma:
                 assert pnorm_pow(node.block, 2.0) < 2.0 ** -len(sigma)
 
@@ -260,11 +263,12 @@ class TestProperties:
         rep = check_properties(cache, 10)
         assert rep.ok, rep.summary()
         # import_cache shares one block per distinct block text
-        blocks = {id(node.block): node.block for sigma, node in cache._nodes.items() if sigma}
+        nodes = nodes_of(cache)
+        blocks = {id(node.block): node.block for sigma, node in nodes.items() if sigma}
         assert len(blocks) < 20
         assert sorted(costed) == sorted(id(seg) for block in blocks.values()
                                         for seg in block.segments)
-        assert rep.counts["p2-block-cost"] == len(cache) - 1
+        assert rep.counts["p2-block-cost"] == len(nodes) - 1
 
     def test_sub_one_q_configuration(self):
         cache = ConstructionCache(ExpLadder(0.0, 0.5))
@@ -277,33 +281,37 @@ class TestDeterminism:
         c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
         construction._root.cache_clear()  # two independent builds
         c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
-        for sigma, n1 in c1._nodes.items():
-            n2 = c2._nodes[sigma]
+        nodes1, nodes2 = nodes_of(c1), nodes_of(c2)
+        assert nodes1.keys() == nodes2.keys()
+        for sigma, n1 in nodes1.items():
+            n2 = nodes2[sigma]
             assert n1.M == n2.M
             assert n1.phi == n2.phi
 
 
 def _built(counted):
-    """The strings ``counted`` saw built."""
-    return [parent.sigma + (bit,) for parent, bit in counted]
+    """The strings ``counted`` saw built, from their keys."""
+    return [tuple(map(int, bin(key)[3:])) for _, key in counted]
 
 
 class TestNodeMemo:
     def test_a_second_cache_gets_the_same_nodes(self, counted):
-        first = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
+        first = nodes_of(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5))
         assert len(counted) == len(first) - 1
         counted.clear()
         second = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
         checked = ConstructionCache(ExpLadder(0.0, 2.0))
         assert check_properties(checked, 5).ok  # builds what it checks
         third = ConstructionCache(ExpLadder(0.0, 2.0))
-        node = build_node(third, (1, 0, 1, 1, 0))
+        bits = (1, 0, 1, 1, 0)
+        node = build_node(third, bits)
         assert counted == []
         for cache in (second, checked):
-            assert cache._nodes.keys() == first._nodes.keys()
-            assert all(cache._nodes[sigma] is node for sigma, node in first._nodes.items())
-        assert len(third) == 6 and node is first._nodes[(1, 0, 1, 1, 0)]
-        assert all(third._nodes[sigma] is first._nodes[sigma] for sigma in third._nodes)
+            held = nodes_of(cache)
+            assert held.keys() == first.keys()
+            assert all(held[sigma] is node for sigma, node in first.items())
+        assert node is first[bits] and nodes_of(third) == {(): first[()]}
+        assert all(node is first[bits[:t + 1]] for t, (node, _) in enumerate(walk_path(third, bits)))
 
     @pytest.mark.parametrize("other", [
         dict(margin=Margin(2.0 ** -21)),
@@ -313,9 +321,10 @@ class TestNodeMemo:
         config = dict(ladder=ExpLadder(0.0, 2.0), margin=Margin())
         first = build_tree(ConstructionCache(**config), 3)
         counted.clear()
-        second = build_tree(ConstructionCache(**{**config, **other}), 3)
-        assert sorted(_built(counted)) == sorted(sigma for sigma in second._nodes if sigma)
-        assert not any(second._nodes[sigma] is first._nodes[sigma] for sigma in first._nodes if sigma)
+        second = nodes_of(build_tree(ConstructionCache(**{**config, **other}), 3))
+        first = nodes_of(first)
+        assert sorted(_built(counted)) == sorted(sigma for sigma in second if sigma)
+        assert not any(second[sigma] is first[sigma] for sigma in first if sigma)
 
     def test_imported_nodes_never_meet_the_memo(self, tmp_path, counted):
         ladder = ExpLadder(0.0, 2.0)
@@ -335,12 +344,13 @@ class TestNodeMemo:
         counted.clear()
         build_tree(loaded, 5)
         # every node below the file's depth is built from the file's nodes
-        assert sorted(_built(counted)) == sorted(s for s in loaded._nodes if len(s) > 3)
+        held = nodes_of(loaded)
+        assert sorted(_built(counted)) == sorted(s for s in held if len(s) > 3)
         after = built_nodes(ladder)
         assert after.keys() == memo.keys() and all(after[s] is node for s, node in memo.items())
-        edited = loaded._nodes[(0, 1, 1)]
+        edited = held[(0, 1, 1)]
         assert edited is not memo[(0, 1, 1)]
-        child = loaded._nodes[(0, 1, 1, 0)]
+        child = held[(0, 1, 1, 0)]
         assert child.phi.base is edited.phi and child.phi != memo[(0, 1, 1, 0)].phi
 
         rep = check_properties(loaded, 3)
@@ -351,24 +361,26 @@ class TestNodeMemo:
     def test_the_memo_is_the_roots_tree(self, tmp_path, fresh_nodes):
         ladder = ExpLadder(0.0, 2.0)
         cache = build_tree(ConstructionCache(ladder), 8)
-        # each node is stored under its own sigma: a key tuple of its own
-        # would take about 19 MB more at depth 16
-        assert all(key is node.sigma for key, node in cache._nodes.items())
-        for sigma, node in cache._nodes.items():
+        # a node holds no string, and a cache no node dict: a cache is a
+        # root and a depth, and each node is where it sits below the root
+        assert [f.name for f in dataclasses.fields(Node)] == ["phi", "M", "block", "kid0", "kid1"]
+        assert (cache.root, cache.depth) == (construction._root(ladder, cache.margin), 8)
+        held = nodes_of(cache)
+        for sigma, node in held.items():
             if sigma:
-                parent = cache._nodes[sigma[:-1]]
+                parent = held[sigma[:-1]]
                 assert node is (parent.kid1 if sigma[-1] else parent.kid0), sigma
         memo = built_nodes(ladder)
-        assert memo.keys() == cache._nodes.keys()
-        assert all(memo[sigma] is node for sigma, node in cache._nodes.items())
+        assert memo.keys() == held.keys()
+        assert all(memo[sigma] is node for sigma, node in held.items())
 
         loaded = import_cache(export_cache(cache, tmp_path / "cache.txt"))
         build_tree(loaded, 10)
-        assert all(key is node.sigma for key, node in loaded._nodes.items())
+        assert loaded.root is not cache.root and len(nodes_of(loaded)) == 2 ** 11 - 1
         # the configuration's root reaches no imported node, nor one built from it
         reached = {id(node) for node in built_nodes(ladder).values()}
         assert len(reached) == len(memo)
-        assert not any(id(node) in reached for sigma, node in loaded._nodes.items() if sigma)
+        assert not any(id(node) in reached for node in nodes_of(loaded).values())
 
     def test_a_shallow_build_after_a_deep_one_exports_its_own_depth(self, tmp_path, fresh_nodes):
         ladder = ExpLadder(0.0, 2.0)
@@ -376,7 +388,7 @@ class TestNodeMemo:
         construction._root.cache_clear()
         build_tree(ConstructionCache(ladder), 6)
         shallow = build_tree(ConstructionCache(ladder), 4)
-        assert len(shallow) == 31
+        assert len(nodes_of(shallow)) == 31
         assert export_cache(shallow, tmp_path / "after.txt").read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize("config,sigma,error", [
@@ -389,7 +401,7 @@ class TestNodeMemo:
                 build_node(cache, sigma)
             assert err.value.sigma == sigma
             memo = built_nodes(cache.ladder, cache.margin)
-            assert sigma not in memo and memo.keys() == cache._nodes.keys()
+            assert memo.keys() == {sigma[:t] for t in range(len(sigma))}  # its prefixes alone
         assert _built(counted).count(sigma) == 2  # the retry built it again
 
     @pytest.mark.parametrize("spec,member", [("row=0:finite{1,3};row=2:finite{0,2}", True),
@@ -434,10 +446,11 @@ class TestExportImport:
         path = export_cache(cache, tmp_path_factory.mktemp("roundtrip") / "cache.txt")
         loaded = import_cache(path)
         assert (loaded.ladder, loaded.margin) == (ladder, cache.margin)
-        assert loaded._nodes.keys() == cache._nodes.keys()
-        exps = ladder.exponents(max(len(node.M) for node in cache._nodes.values())) + (ladder.q,)
-        for sigma, node in cache._nodes.items():
-            other = loaded._nodes[sigma]
+        nodes, imported = nodes_of(cache), nodes_of(loaded)
+        assert imported.keys() == nodes.keys()
+        exps = ladder.exponents(max(len(node.M) for node in nodes.values())) + (ladder.q,)
+        for sigma, node in nodes.items():
+            other = imported[sigma]
             assert (other.phi, other.M, other.block) == (node.phi, node.M, node.block)
             for p in exps:
                 assert pnorm_pow(other.phi, p).hex() == pnorm_pow(node.phi, p).hex()
@@ -450,9 +463,10 @@ class TestExportImport:
         build_tree(small_cache, 4)
         path = export_cache(small_cache, tmp_path / "cache.txt")
         loaded = import_cache(path)
-        assert len(loaded) == len(small_cache)
-        for sigma, node in small_cache._nodes.items():
-            other = loaded._nodes[sigma]
+        nodes, imported = nodes_of(small_cache), nodes_of(loaded)
+        assert imported.keys() == nodes.keys() and len(nodes) == 31
+        for sigma, node in nodes.items():
+            other = imported[sigma]
             assert other.M == node.M
             assert other.phi == node.phi
             assert other.block == node.block
@@ -463,11 +477,12 @@ class TestExportImport:
     def test_equal_block_texts_share_one_block(self, tmp_path, small_cache):
         build_tree(small_cache, 3)
         loaded = import_cache(export_cache(small_cache, tmp_path / "cache.txt"))
-        zero_nodes = [node for sigma, node in loaded._nodes.items() if sigma[-1:] == (0,)]
+        imported = nodes_of(loaded)
+        zero_nodes = [node for sigma, node in imported.items() if sigma[-1:] == (0,)]
         assert len(zero_nodes) == 7
         assert all(node.block is zero_nodes[0].block for node in zero_nodes)
-        assert all(node.phi.base is loaded._nodes[sigma[:-1]].phi
-                   for sigma, node in loaded._nodes.items() if sigma)
+        assert all(node.phi.base is imported[sigma[:-1]].phi
+                   for sigma, node in imported.items() if sigma)
 
     def test_a_window_index_past_the_int_text_limit_round_trips(self, tmp_path):
         # str() refuses an int of more than 4300 digits: such an index is
@@ -475,12 +490,14 @@ class TestExportImport:
         huge = 10 ** 5000
         block = FinSeq((PowerWindow(1.0, 7, huge),))
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
-        cache._nodes[(1,)] = Node((1,), concat(cache._nodes[()].phi, block), (1,), block)
+        cache.root = Node(EMPTY, (), EMPTY)  # a root of its own, for the hand-made node
+        cache.root.kid1 = Node(concat(cache.root.phi, block), (1,), block)
+        cache.depth = 1
         path = export_cache(cache, tmp_path / "cache.txt")
         assert path.read_text().splitlines()[-1] == f"1|M=1|phi=W:1.0,1.0,7,{hex(huge)}"
         loaded = import_cache(path)
-        assert loaded._nodes[(1,)].block.segments == block.segments
-        assert loaded._nodes[(1,)].phi.length == huge - 6
+        assert loaded.root.kid1.block.segments == block.segments
+        assert loaded.root.kid1.phi.length == huge - 6
         assert export_cache(loaded, tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("index,error", [
@@ -499,7 +516,7 @@ class TestExportImport:
         edited.write_text("\n".join(lines) + "\n")
         if error is None:
             loaded = import_cache(edited)
-            assert loaded._nodes[(0, 1)].block == small_cache._nodes[(0, 1)].block
+            assert loaded.root.kid0.kid1.block == build_node(small_cache, (0, 1)).block
         else:
             with pytest.raises(ValueError, match=re.escape(
                     f"edited.txt: line {lineno}: bad record {lines[lineno - 1]!r}: {error}")):
@@ -671,7 +688,7 @@ class TestExportImport:
         text = path.read_text().replace("\n1|M=2|", "\n1|M=0|")
         path.write_text(text)
         loaded = import_cache(path)
-        assert loaded._nodes[(1,)].M == (0,)
+        assert loaded.root.kid1.M == (0,)
         assert export_cache(loaded, tmp_path / "again.txt").read_text() == text
 
     def test_caps_are_read_once_per_distinct_field(self, tmp_path, monkeypatch):
@@ -689,22 +706,24 @@ class TestExportImport:
         monkeypatch.setattr(construction, "_CAPS_FIELD", Counted())
         loaded = import_cache(path)
         assert len(fields) == 511 and sorted(checked) == sorted(set(fields))
-        assert all(loaded._nodes[sigma].M == node.M for sigma, node in cache._nodes.items())
+        imported = nodes_of(loaded)
+        assert all(imported[sigma].M == node.M for sigma, node in nodes_of(cache).items())
 
     def test_no_linked_phi_holds_a_segment_tuple(self, tmp_path):
         built = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
         loaded = import_cache(export_cache(built, tmp_path / "cache.txt"))
         for cache in (built, loaded):
-            assert len(cache) == 511
-            for sigma, node in cache._nodes.items():
+            nodes = nodes_of(cache)
+            assert len(nodes) == 511
+            for sigma, node in nodes.items():
                 if sigma:
-                    assert node.phi.base is cache._nodes[sigma[:-1]].phi, sigma
+                    assert node.phi.base is nodes[sigma[:-1]].phi, sigma
                     refs = gc.get_referents(node.phi)
                     assert not any(isinstance(ref, tuple) for ref in refs), sigma
 
     def test_an_imported_zero_is_the_zero_block(self):
         cache = import_cache(STORED_DEPTH10 / "cache_a0.0_q2.0_len10.txt")
-        zeros = [node.block for sigma, node in cache._nodes.items() if sigma[-1:] == (0,)]
+        zeros = [node.block for sigma, node in nodes_of(cache).items() if sigma[-1:] == (0,)]
         assert len(zeros) == 2 ** 10 - 1
         assert all(block is construction._ZERO_BLOCK for block in zeros)
 
@@ -778,7 +797,7 @@ class TestPowerRow:
         monkeypatch.setattr(construction, "_root", functools.cache(construction._root.__wrapped__))
         monkeypatch.setattr(witness, "_block", seqspace.window_seq)
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), depth)
-        for node in cache._nodes.values():
+        for node in nodes_of(cache).values():
             for seq in (node.phi, node.block):
                 if seq.base is None:  # a linked phi keeps no parts to clear
                     seq._sums.clear()
@@ -797,7 +816,7 @@ class TestPowerRow:
     def test_a_zero_node_cap_below_its_sum_is_a_violation(self, tmp_path):
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
         lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
-        node = cache._nodes[(1, 0, 0)]
+        node = build_node(cache, (1, 0, 0))
         s = pnorm_pow(node.phi, 1.0)
         assert 1.0 < s < node.M[0]
         lineno = next(n for n, line in enumerate(lines) if line.startswith("100|"))
@@ -828,6 +847,25 @@ def _within_the_bound(row, exact, length):
     """|R - S| <= (length+1) * 2**-52 * R + length * 2**-1074, in exact rationals."""
     r, s = Fraction(row), Fraction(exact)
     return abs(r - s) <= (length + 1) * Fraction(2) ** -52 * r + length * Fraction(2) ** -1074
+
+
+def _own_tree(tmp_path, max_len):
+    """A (0, 2) tree to max_len with a root of its own, an import's, so
+    that a test may put hand-made nodes in it."""
+    built = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), max_len)
+    return import_cache(export_cache(built, tmp_path / "own.txt"))
+
+
+def _replace_phi(cache, sigma, phi):
+    """Put a node with phi in the place of the one at sigma, which keeps its
+    caps, block and children, below cache's own root."""
+    assert cache.root is not construction._root(cache.ladder, cache.margin)
+    parent, node = build_node(cache, sigma[:-1]), build_node(cache, sigma)
+    new = Node(phi, node.M, node.block, node.kid0, node.kid1)
+    if sigma[-1]:
+        parent.kid1 = new
+    else:
+        parent.kid0 = new
 
 
 def _same_report(cache, max_len):
@@ -891,6 +929,7 @@ class TestLevelRows:
         exps = ladder.exponents(depth((0,) * max_len) + 1)
         with pytest.MonkeyPatch.context() as monkeypatch:
             for c in (cache, loaded):
+                nodes = nodes_of(c)
                 # the second check sums the blocks the first one summed
                 for _ in range(2):
                     rep, levels = _level_rows_used(monkeypatch, c, max_len)
@@ -902,7 +941,7 @@ class TestLevelRows:
                         for k, row in enumerate(rows.tolist()):
                             sigma = tuple(map(int, format(k, f"0{length}b")))
                             # summed from scratch: no stored parts, no links
-                            fresh = FinSeq(c._nodes[sigma].phi.segments)
+                            fresh = FinSeq(nodes[sigma].phi.segments)
                             for p, r in zip(exps, row):
                                 assert _within_the_bound(r, pnorm_pow(fresh, p), length), (
                                     sigma, p)
@@ -918,7 +957,7 @@ class TestLevelRows:
         ladder = cache.ladder
         exps = set(ladder.exponents(depth((0,) * max_len) + 1))
         zeros = 0
-        for sigma, node in cache._nodes.items():
+        for sigma, node in nodes_of(cache).items():
             if not sigma:  # the root's phi is the process-wide EMPTY
                 continue
             assert node.phi._sums is None, sigma
@@ -940,15 +979,14 @@ class TestLevelRows:
             for c in (cache, loaded):
                 assert _same_report(c, max_len).ok
 
-    def test_p1_on_phis_that_do_not_link_their_parents(self):
+    def test_p1_on_phis_that_do_not_link_their_parents(self, tmp_path):
         # p1 is decided by identity only where phi links its parent's to a
         # nonempty block; every other phi is compared entry by entry
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
-        nodes = cache._nodes
+        cache = _own_tree(tmp_path, 3)
+        nodes = nodes_of(cache)
 
         def replace(sigma, phi):
-            node = nodes[sigma]
-            nodes[sigma] = Node(sigma, phi, node.M, node.block)
+            _replace_phi(cache, sigma, phi)
 
         # the same entries, unlinked: p1 holds
         replace((1, 0), FinSeq(nodes[(1, 0)].phi.segments))
@@ -962,13 +1000,13 @@ class TestLevelRows:
             "01", "11", "010", "011"]
 
     @pytest.mark.parametrize("extra", [(), (0.5,)], ids=["same-entries", "one-more-entry"])
-    def test_a_phi_that_does_not_link_to_its_parents_is_summed_whole(self, extra):
+    def test_a_phi_that_does_not_link_to_its_parents_is_summed_whole(self, tmp_path, extra):
         # a row grows from the parent's only along phi's link to it; a node
         # whose phi is a sequence of its own gets the exact sums of that phi
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
-        node = cache._nodes[(1, 0, 1)]
+        cache = _own_tree(tmp_path, 4)
+        node = build_node(cache, (1, 0, 1))
         phi = FinSeq(node.phi.segments + ((Literal(extra),) if extra else ()))
-        cache._nodes[node.sigma] = Node(node.sigma, phi, node.M, node.block)
+        _replace_phi(cache, (1, 0, 1), phi)
         rep = _same_report(cache, 4)
         assert rep.ok == (extra == ())
         assert any(c.note.startswith("101") for c in rep.violations) == (extra != ())
@@ -1147,13 +1185,13 @@ class TestOneRowPerNode:
             return segment_power_sum(seg, p)
 
         monkeypatch.setattr(seqspace, "_segment_power_sum", recorded)
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 10)
-        block_of = {id(seg): node.block for node in cache._nodes.values()
+        nodes = nodes_of(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 10))
+        block_of = {id(seg): node.block for node in nodes.values()
                     for seg in node.block.segments}
         pairs = [(id(block_of[id(seg)]), p) for seg, p in summed]
         assert len(pairs) > 10 and len(pairs) == len(set(pairs))
         # the 1-nodes share one window block per length, each summed here
-        ones = {id(node.block) for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)}
+        ones = {id(node.block) for sigma, node in nodes.items() if sigma[-1:] == (1,)}
         assert len(ones) == 10 and ones <= {block for block, _ in pairs}
 
     def test_a_warm_rebuild_sends_no_kernel_request_from_extend(self, monkeypatch,
@@ -1168,7 +1206,7 @@ class TestOneRowPerNode:
             inner = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
                                 requests.append(name) or inner(*args))
-        assert len(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12)) == 2 ** 13 - 1
+        assert len(nodes_of(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 12))) == 2 ** 13 - 1
         assert requests == []
 
     def test_a_one_node_request_carries_its_parents_parts(self, monkeypatch, fresh_nodes):
@@ -1180,11 +1218,11 @@ class TestOneRowPerNode:
             return extend_(req, margin)
 
         monkeypatch.setattr(construction, "extend", recorded)
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5)
-        ones = [node for sigma, node in cache._nodes.items() if sigma[-1:] == (1,)]
+        nodes = nodes_of(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 5))
+        ones = [(sigma, node) for sigma, node in nodes.items() if sigma[-1:] == (1,)]
         assert len(ones) == len(requests) == 2 ** 5 - 1
-        for node, req in zip(ones, requests):
-            parent = cache._nodes[node.sigma[:-1]]
+        for (sigma, node), req in zip(ones, requests):
+            parent = nodes[sigma[:-1]]
             assert req.u is parent.phi
             fresh = FinSeq(parent.phi.segments)  # no links, no stored parts
             for p in req.exps:
@@ -1199,10 +1237,11 @@ class TestOneRowPerNode:
         # from there to its depth
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), 6)
         new_caps = 0
-        for sigma, node in cache._nodes.items():
+        nodes = nodes_of(cache)
+        for sigma, node in nodes.items():
             if not sigma:
                 continue
-            parent = cache._nodes[sigma[:-1]]
+            parent = nodes[sigma[:-1]]
             keep = level(sigma) if sigma[-1] else len(parent.M)
             exps = cache.ladder.exponents(depth(sigma) + 1)
             assert node.M[:keep] == parent.M[:keep] and len(node.M) == len(exps)
@@ -1222,7 +1261,7 @@ class TestOneRowPerNode:
         assert check_properties(cache, depth).ok
         exps = cache.ladder.exponents(4) + (cache.ladder.q,)
         kept = 0
-        for sigma, node in cache._nodes.items():
+        for sigma, node in nodes_of(cache).items():
             # a phi's parts are its blocks' along its links; only blocks keep any
             assert (node.phi._sums is None) == bool(sigma)
             fresh = FinSeq(node.phi.segments)
@@ -1237,8 +1276,9 @@ class TestOneRowPerNode:
 
 
 def _linked_phis_with_parts(nodes):
-    """The strings of the nodes whose phi is linked yet holds a parts dict."""
-    return [node.sigma for node in nodes
+    """The strings of the nodes, ``(sigma, node)``, whose phi is linked yet
+    holds a parts dict."""
+    return [sigma for sigma, node in nodes
             if node.phi.base is not None and node.phi._sums is not None]
 
 
@@ -1272,8 +1312,8 @@ class TestCarriedParts:
         else:
             assert main(["trace", "--spec", "row=1:finite{0,2}", "--k", "12",
                          "--out", str(tmp_path)]) == 0
-        nodes = [*cache._nodes.values(),
-                 *built_nodes(ladder, cache.margin).values()]
+        nodes = [*nodes_of(cache).items(),
+                 *built_nodes(ladder, cache.margin).items()]
         assert len(nodes) > 12
         assert _linked_phis_with_parts(nodes) == []
 
@@ -1287,9 +1327,9 @@ class TestCarriedParts:
         given_parts = []
         child = construction._child
 
-        def recorded(cache_, parent, bit, sums):
-            given_parts.append((parent, sums))
-            return child(cache_, parent, bit, sums)
+        def recorded(cache_, parent, key, sums):
+            given_parts.append((parent, key, sums))
+            return child(cache_, parent, key, sums)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(construction, "_child", recorded)
@@ -1300,12 +1340,12 @@ class TestCarriedParts:
         def fresh(node, p):  # no links, no stored parts
             return pnorm_pow(FinSeq(node.phi.segments), p).hex()
 
-        for parent, sums in given_parts:
+        for parent, key, sums in given_parts:
             for p, parts in sums.items():
-                assert math.fsum(parts).hex() == fresh(parent, p), (parent.sigma, p)
-        for node, sums in path:
+                assert math.fsum(parts).hex() == fresh(parent, p), (bin(key), p)
+        for t, (node, sums) in enumerate(path):
             for p, s in sums.items():
-                assert s.hex() == fresh(node, p), (node.sigma, p)
+                assert s.hex() == fresh(node, p), (t, p)
 
     def test_a_build_from_a_warm_memo_equals_a_cold_one(self, tmp_path, fresh_nodes):
         # the walk through the depth-4 memo carries empty dicts; the first
@@ -1323,7 +1363,7 @@ class TestCarriedParts:
 def _request_of(cache, sigma):
     """The ClaimRequest the construction makes for the 1-extension ``sigma``."""
     ladder = cache.ladder
-    parent = cache._nodes[sigma[:-1]]
+    parent = build_node(cache, sigma[:-1])
     l_sigma = level(sigma)
     return ClaimRequest(
         u=parent.phi,
@@ -1363,13 +1403,14 @@ class TestSearchMemo:
 
     def test_blocks_equal_unmemoised_extend(self, small_cache):
         build_tree(small_cache, 6)
-        ones = [s for s in small_cache._nodes if s and s[-1] == 1]
+        nodes = nodes_of(small_cache)
+        ones = [s for s in nodes if s and s[-1] == 1]
         assert len(ones) == 2 ** 6 - 1
         for sigma in ones:
             for search in SEARCHES:
                 search.cache_clear()
             w = extend(_request_of(small_cache, sigma), small_cache.margin)
-            assert small_cache._nodes[sigma].block == w.v
+            assert nodes[sigma].block == w.v
 
     def test_second_cache_reuses_searches(self, cleared):
         c1 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
@@ -1378,9 +1419,10 @@ class TestSearchMemo:
         construction._root.cache_clear()  # c2 searches again, with no misses
         c2 = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4)
         assert [search.cache_info().misses for search in SEARCHES] == misses
-        assert c1._nodes.keys() == c2._nodes.keys()
-        for sigma, node in c1._nodes.items():
-            assert c2._nodes[sigma].block == node.block
+        nodes1, nodes2 = nodes_of(c1), nodes_of(c2)
+        assert nodes1.keys() == nodes2.keys()
+        for sigma, node in nodes1.items():
+            assert nodes2[sigma].block == node.block
 
     def test_memo_keeps_margin_and_budget_apart(self, cleared):
         def stored():
@@ -1423,7 +1465,7 @@ class TestTemplates:
         for name in ("depth", "level", "claim_of"):
             monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
         cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 8)
-        assert len(cache) == 2 ** 9 - 1
+        assert len(nodes_of(cache)) == 2 ** 9 - 1
         assert calls == {"depth": 8, "level": 8, "claim_of": 8}
         assert check_properties(cache, 8).ok
         assert calls == {"depth": 8, "level": 8, "claim_of": 8}
@@ -1434,8 +1476,8 @@ class TestTemplates:
         # search with that slack, exactly as extend on an explicit request
         ladder, margin = small_cache.ladder, small_cache.margin
         block = finseq((0.9,))
-        parent = Node((0,), concat(small_cache._nodes[()].phi, block), (1,), block)
-        small_cache._nodes[(0,)] = parent
+        small_cache.root = Node(EMPTY, (), EMPTY)  # a root of its own, for the hand-made node
+        parent = small_cache.root.kid0 = Node(concat(small_cache.root.phi, block), (1,), block)
         node = build_node(small_cache, (0, 1))
         exps = ladder.exponents(2)
         req = ClaimRequest(u=parent.phi, q=ladder.q, exps=exps, caps=(1.0,), M=2.0, eps=0.25)
@@ -1464,26 +1506,27 @@ class TestTemplates:
 
         monkeypatch.setattr(construction, "extend", extended)
         monkeypatch.setattr(witness, "verify_witness", rechecked)
-        cache = build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), 6)
-        ones = [sigma for sigma in cache._nodes if sigma[-1:] == (1,)]
+        nodes = nodes_of(build_tree(ConstructionCache(ExpLadder(0.0, 0.5)), 6))
+        ones = [sigma for sigma in nodes if sigma[-1:] == (1,)]
         assert len(ones) == len(requests) == len(reports) == 2 ** 6 - 1
         by_prefix = {id(req.u): (req, rep) for req, rep in zip(requests, reports)}
         for sigma in ones:
-            req, rep = by_prefix[id(cache._nodes[sigma[:-1]].phi)]
+            req, rep = by_prefix[id(nodes[sigma[:-1]].phi)]
             caps = [f"cap-p{i}" for i in range(level(sigma))]
             assert list(rep.counts.items()) == [
                 (label, 1) for label in ("non-empty", "q-cost", *caps, "divergence")]
             assert isinstance(rep.counts, Counter) and rep.ok
-            assert cache._nodes[sigma].phi.base is req.u
+            assert nodes[sigma].phi.base is req.u
 
     def test_an_all_zero_path_passes_the_length_where_eps_underflows(self, small_cache):
         # a 0-node makes no claim, so its budget 2**-length may underflow;
         # a 1-node there refuses its request as before
         assert 2.0 ** -1075 == 0.0
-        node = build_node(small_cache, (0,) * 1100)
-        assert len(node.M) == depth(node.sigma) + 1
+        zeros = (0,) * 1100
+        node = build_node(small_cache, zeros)
+        assert len(node.M) == depth(zeros) + 1
         with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
-            build_node(small_cache, node.sigma + (1,))
+            build_node(small_cache, zeros + (1,))
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])

@@ -38,6 +38,7 @@ from lprl.reduction import (
     unit_ball_check,
 )
 from lprl.seqspace import (
+    EMPTY,
     ExpLadder,
     FinSeq,
     Margin,
@@ -173,19 +174,22 @@ class TestPathRows:
         spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({0, 1}))})  # ones at 0 and 2
         exps = cache02.ladder.exponents(3)
         path = path_rows(cache02, spec, 4, exps)
-        assert path[-1][0].sigma == (1, 0, 1, 0, 0)
+        bits = (1, 0, 1, 0, 0)
+        assert path[-1][0] is build_node(cache02, bits)
         for t, (node, sums) in enumerate(path):
             assert sums == {p: pnorm_pow(node.phi, p) for p in exps}
             assert list(sums) == list(exps)
             if t:  # the same dict object after a 0, a dict of its own after a 1
-                assert (sums is path[t - 1][1]) == (node.sigma[-1] == 0)
+                assert (sums is path[t - 1][1]) == (bits[t] == 0)
 
     @pytest.mark.parametrize("block", [finseq((0.0, -0.0)), FinSeq((PowerWindow(1.0, 3, 9, 0.0),))])
     def test_exact_zeros_share_the_parents_sums(self, block):
-        # a hand-made node after u_0 = (1,), whose phi adds exact zeros alone
+        # a hand-made node after u_0 = (1,), whose phi adds exact zeros
+        # alone, below a root of the cache's own
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
+        cache.root = Node(EMPTY, (), EMPTY)
         parent = build_node(cache, (1,))
-        cache._nodes[(1, 0)] = Node((1, 0), concat(parent.phi, block), parent.M, block)
+        parent.kid0 = Node(concat(parent.phi, block), parent.M, block)
         spec = AlphaSpec.from_rows({0: FiniteOnes(frozenset({0}))})
         (_, first), (node, second) = path_rows(cache, spec, 1, (1.0,))
         assert node.block is block
@@ -195,8 +199,9 @@ class TestPathRows:
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
         block = finseq((1e-200,))
         assert pnorm_pow(block, cache.ladder.q) == 0.0  # (1e-200)**2 underflows
+        cache.root = Node(EMPTY, (), EMPTY)  # a root of its own, for the hand-made node
         parent = build_node(cache, (0,))
-        cache._nodes[(0, 0)] = Node((0, 0), concat(parent.phi, block), parent.M, block)
+        parent.kid0 = Node(concat(parent.phi, block), parent.M, block)
         assert cache.ladder.exponents(1) == (1.0,)
         (_, first), (_, second) = path_rows(cache, ZERO, 1, (1.0,))
         assert first == {1.0: 0.0} and second == {1.0: 1e-200}
@@ -334,16 +339,17 @@ class TestDivergence:
         with pytest.raises(ValueError):
             divergence_witness(cache02, spec, 0, 1.0, path_rows(cache02, spec, 0, ()))
 
-    def test_a_first_one_whose_budget_underflows_is_refused_unwalked(self):
+    def test_a_first_one_whose_budget_underflows_is_refused_unwalked(self, counted):
         cache = ConstructionCache(ExpLadder(0.0, 2.0))
         spec = AlphaSpec.from_rows({46: EventuallyOne(0)})
         assert pair(46, 0) == 1081  # its budget 2**-1082 is 0.0
         path = path_rows(cache, spec, 0, ())
         with pytest.raises(PreconditionError, match="row 46's first one is at position 1081"):
             divergence_witness(cache, spec, 46, 3.0, path)
-        assert len(cache) == 2  # the root and u_0, the path given
+        assert [key for _, key in counted] == [0b10]  # u_0 = (0,) alone, the path given
 
-    def test_a_later_one_whose_budget_underflows_is_refused_unwalked(self, monkeypatch):
+    def test_a_later_one_whose_budget_underflows_is_refused_unwalked(self, monkeypatch,
+                                                                     counted):
         # a walk past the last positive budget (position 1073) fails the test, not hangs it
         monkeypatch.setattr(reduction, "walk_path",
                             lambda *args: itertools.islice(walk_path(*args), 1100))
@@ -352,8 +358,8 @@ class TestDivergence:
         second = pair(0, 10 ** 12)  # about 5e23, past every positive budget
         with pytest.raises(PreconditionError) as err:
             divergence_witness(cache, spec, 0, 3.0, path_rows(cache, spec, 0, ()))
-        assert len(cache) == 2  # the root and the first one's node alone
-        reached = pnorm_pow(cache._nodes[(1,)].phi, cache.ladder.exponent(0))
+        assert [key for _, key in counted] == [0b11]  # the first one's node (1,) alone
+        reached = pnorm_pow(cache.root.kid1.phi, cache.ladder.exponent(0))
         assert 1.0 < reached < 3.0
         assert str(err.value) == (
             f"row 0's next one is at position {second}, where the block budget "
