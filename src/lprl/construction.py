@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .grid import _BIT_OF, bitstring, depth, level
 from .reports import Check, CheckReport
 from .seqspace import (
@@ -51,12 +51,16 @@ from .witness import ClaimRequest, cap_room, claim_of, extend
 def least_natural_above(x, margin=DEFAULT_MARGIN):
     """Smallest natural n, exact as a float, with ``cap_room(x, n)`` certified
     above zero: an extension under the cap has room, and strict domination
-    survives re-summation. Past 2**53 the candidates step by floats."""
+    survives re-summation. Past 2**53 the candidates step by floats; an x
+    with no such float above it, inf included, is a ResourceLimitError."""
     if x < 0:
         raise ValueError(f"expected a non-negative value, got {x!r}")
-    n = math.floor(x + margin.eta) + 1
-    while not certified_less(0.0, cap_room(x, float(n)), margin):
-        n = max(n + 1, int(math.nextafter(float(n), math.inf)))
+    try:
+        n = math.floor(x + margin.eta) + 1
+        while not certified_less(0.0, cap_room(x, float(n)), margin):
+            n = max(n + 1, int(math.nextafter(float(n), math.inf)))
+    except OverflowError:
+        raise ResourceLimitError(f"no float cap lies above the power sum {x!r}") from None
     return n
 
 
@@ -243,7 +247,8 @@ def _extend_node(cache, parent, key, sums):
     the length's Claim, with the parent's phi, caps and parts. The child's
     phi links the parent's to its block and is summed at the rows from
     ``keep`` on as the parent's parts followed by the block's. A
-    PreconditionError is tagged with the child's string."""
+    PreconditionError, and a ResourceLimitError (a sum with no finite cap
+    above it), is tagged with the child's string."""
     length, bit = key.bit_length() - 1, key & 1
     exps, l = cache.shape(length)
     margin = cache.margin
@@ -251,18 +256,18 @@ def _extend_node(cache, parent, key, sums):
     for p in exps if bit else exps[keep:]:
         if p not in sums:
             sums[p] = _power_sum_parts(parent.phi, p)
-    if bit == 0:
-        block = _ZERO_BLOCK
-    else:
-        claim = cache.claim(length)
-        req = ClaimRequest.on(claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
-        try:
+    try:
+        if bit == 0:
+            block = _ZERO_BLOCK
+        else:
+            claim = cache.claim(length)
+            req = ClaimRequest.on(claim, parent.phi, tuple(map(float, parent.M[:keep])), sums)
             block = extend(req, margin).v
-        except PreconditionError as err:
-            err.sigma = tuple(map(int, bin(key)[3:]))
-            raise
-    new = tuple(least_natural_above(math.fsum(sums[p] + _power_sum_parts(block, p)), margin)
-                for p in exps[keep:])
+        new = tuple(least_natural_above(math.fsum(sums[p] + _power_sum_parts(block, p)), margin)
+                    for p in exps[keep:])
+    except (PreconditionError, ResourceLimitError) as err:
+        err.sigma = tuple(map(int, bin(key)[3:]))
+        raise
     return Node(FinSeq(block, parent.phi), parent.M[:keep] + new, block)
 
 
@@ -517,8 +522,19 @@ def int_text(n):
 
 
 def _parse_int(text):
-    """An int as ``int_text`` writes it."""
-    return int(text, 16) if text.startswith("0x") else int(text)
+    """An int as ``int_text`` writes it, and read no other way."""
+    n = int(text, 16) if text.startswith("0x") else int(text)
+    if int_text(n) != text:
+        raise ValueError(f"an int must read as int_text writes it, got {text!r}")
+    return n
+
+
+def _parse_float(text):
+    """A float as its ``repr``, and read no other way."""
+    x = float(text)
+    if repr(x) != text:
+        raise ValueError(f"a float must read as its repr, got {text!r}")
+    return x
 
 
 def _format_segments(fs):
@@ -533,15 +549,18 @@ def _format_segments(fs):
 
 
 def _parse_segments(text):
+    """The segments ``_format_segments`` writes as text, each number read
+    only as it writes it."""
     segs = []
     if text:
         for part in text.split(";"):
             kind, _, body = part.partition(":")
             if kind == "L":
-                segs.append(finite_literal(body.split(",")))
+                segs.append(finite_literal(map(_parse_float, body.split(","))))
             elif kind == "W":
                 pb, sc, n0, n1 = body.split(",")
-                segs.append(PowerWindow(float(pb), _parse_int(n0), _parse_int(n1), float(sc)))
+                segs.append(PowerWindow(_parse_float(pb), _parse_int(n0), _parse_int(n1),
+                                        _parse_float(sc)))
             else:
                 raise ValueError(f"unknown segment kind {kind!r}")
     return tuple(segs)
@@ -551,6 +570,13 @@ def _parse_segments(text):
 # written with, and read only at, the value every build used: no explicit
 # ladder prefix, and a search step budget of 10**8, which never bound.
 _FIXED_HEADER = {"explicit": "-", "step_budget": "100000000"}
+
+
+def _header(cache):
+    """The lines of an export's header."""
+    return ["# lprl-cache v1",
+            f"# a={cache.ladder.a!r} q={cache.ladder.q!r} explicit={_FIXED_HEADER['explicit']}",
+            f"# eta={cache.margin.eta!r} step_budget={_FIXED_HEADER['step_budget']}"]
 
 
 def export_cache(cache, path):
@@ -563,11 +589,7 @@ def export_cache(cache, path):
     its parent's followed by its block, so its text is the parent's text,
     ``;`` and the block's segments: only the block is formatted.
     """
-    ladder = cache.ladder
-    lines = ["# lprl-cache v1",
-             f"# a={ladder.a!r} q={ladder.q!r} explicit={_FIXED_HEADER['explicit']}",
-             f"# eta={cache.margin.eta!r} step_budget={_FIXED_HEADER['step_budget']}"]
-    texts = {1: ""}  # by key (``_child``)
+    lines, texts = _header(cache), {1: ""}  # texts by key (``_child``)
     for key, node in held(cache):
         if key > 1:
             head, block = texts[key >> 1], _format_segments(node.block)
@@ -619,60 +641,71 @@ _CAPS_FIELD = re.compile(r"M=(?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?")
 def import_cache(path):
     """Rebuild a ConstructionCache from an exported file, in one pass.
 
-    Each record's node is its parent's child, below a root of the cache's
-    own, and the depth is the longest record's. Each node's phi links its
-    parent's phi to its block, as in a built tree. A record's phi field must
-    be its parent's followed by ``;`` and the block, as ``export_cache``
-    writes it, and is compared with the parent's in place. Any other record is refused, among them one that merges the
+    Only text that ``export_cache`` writes is read, so every accepted file,
+    with no exemption, re-exports to itself byte for byte: the header's
+    lines as export writes them (each value its float's ``repr``, or
+    ``_FIXED_HEADER``'s), then one ``\\n``-ended record per line, the root's
+    ``-|M=|phi=`` first and the rest in strict (length, bits) order. Each
+    record's node is its parent's child, below a root of the cache's own,
+    and the depth is the last record's length.
+
+    Each node's phi links its parent's phi to its block, as in a built tree.
+    A record's phi field must be its parent's followed by ``;`` and the
+    block, as ``export_cache`` writes it, and is compared with the parent's
+    in place. Any other record is refused, among them one that merges the
     parent's last run with new entries: its entries extend the parent's, but
     no block of whole segments does. Only the block is parsed, once per
-    distinct block text, and records with equal block texts share one block
-    object; ``L:0.0`` is ``_ZERO_BLOCK``, as in a built tree. Each distinct
-    ``M=`` field is parsed once, and must read as ``export_cache`` writes its
-    caps (``_CAPS_FIELD``), as each header value must: ``a``, ``q`` and
-    ``eta`` as the ``repr`` of their float, ``explicit`` and ``step_budget``
-    as ``_FIXED_HEADER``. Every refusal names the file, and its line.
+    distinct block text, each number as ``_format_segments`` writes it, and
+    records with equal block texts share one block object; ``L:0.0`` is
+    ``_ZERO_BLOCK``, as in a built tree. Each distinct ``M=`` field is
+    parsed once, and must read as ``export_cache`` writes its caps
+    (``_CAPS_FIELD``). Every refusal names the file, and its line.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "# lprl-cache v1":
-        raise ValueError(f"{path}: not a cache file")
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode().split("\n")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+    if lines[0] != "# lprl-cache v1":
+        raise ValueError(f"{path}: line 1: not a cache file")
+    if lines.pop():
+        raise ValueError(f"{path}: line {len(lines) + 1}: the last line does not end in a newline")
     meta, first = {}, len(lines) + 1  # first: the first record's line number
     for lineno, line in enumerate(lines[1:], 2):
-        if line.startswith("# "):
-            for tok in line[2:].split():
-                key, _, val = tok.partition("=")
-                if key not in _HEADER_KEYS:
-                    raise ValueError(f"{path}: line {lineno}: unknown header key {key!r}")
-                if key in meta:
-                    raise ValueError(f"{path}: line {lineno}: header key {key!r} given twice")
-                meta[key] = val
-        elif line:
+        if not line.startswith("# "):
             first = lineno
             break
+        for tok in line[2:].split():
+            key, _, val = tok.partition("=")
+            if key not in _HEADER_KEYS:
+                raise ValueError(f"{path}: line {lineno}: unknown header key {key!r}")
+            if key in meta:
+                raise ValueError(f"{path}: line {lineno}: header key {key!r} given twice")
+            meta[key] = val
     for key in _HEADER_KEYS:
         if key not in meta:
-            raise ValueError(f"{path}: header is missing the key {key!r}")
+            raise ValueError(f"{path}: line {first}: header is missing the key {key!r}")
     try:
         a, q, eta = (float(meta[key]) for key in ("a", "q", "eta"))
         cache = ConstructionCache(ExpLadder(a, q), Margin(eta))
-        for key, val in dict(_FIXED_HEADER, a=repr(a), q=repr(q), eta=repr(eta)).items():
-            if meta[key] != val:
-                raise ValueError(f"{key} must read {val}")
+        header = _header(cache)
+        if lines[:first - 1] != header:
+            raise ValueError(f"its lines must read {header[1:]!r}")
     except ValueError as err:
-        header = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
-        raise ValueError(f"{path}: bad header {header!r}: {err}") from None
-    # By each record's bits text (the root's is "", and "-" once read): its
-    # node, and the start of its children's phi fields (its own, and ";")
+        given = " ".join(f"{key}={meta[key]}" for key in _HEADER_KEYS)
+        raise ValueError(f"{path}: bad header {given!r} on lines 2-{first - 1}: {err}") from None
     cache.root = Node(EMPTY, (), EMPTY)
-    records = {"": (cache.root, "phi=")}
+    # By each record's bits text (the root's is ""): its node, its key
+    # (``_child``), and the start of its children's phi fields (its own, and ";")
+    records = {}
     caps_of = {}  # one caps tuple per distinct M= field
     blocks = {"L:0.0": _ZERO_BLOCK}  # one block per distinct block text
+    key = 0  # the last record's
     for lineno, line in enumerate(lines[first - 1:], first):
         try:
             bits_text, m_text, phi_text = line.split("|")
         except ValueError:
-            if not line:
-                continue
             what = ("a header line after the first record" if line.startswith("# ")
                     else f"a record needs exactly three '|' fields, got {line!r}")
             raise ValueError(f"{path}: line {lineno}: {what}") from None
@@ -692,7 +725,7 @@ def import_cache(path):
                     raise ValueError(f"caps must read as export_cache writes them, got {m_text!r}")
                 text = m_text[2:]
                 caps = caps_of[m_text] = tuple(map(int, text.split(","))) if text else ()
-            start = "phi=" if parent is None else parent[1]
+            start = "phi=" if parent is None else parent[2]
             block = None
             if phi_text.startswith(start):
                 block_text = phi_text[len(start):]
@@ -701,27 +734,33 @@ def import_cache(path):
                     block = blocks[block_text] = FinSeq(_parse_segments(block_text))
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: bad record {line!r}: {err}") from None
-        if bits_text in records:
+        if bits_text in records or bits_text == "-" and records:
             raise ValueError(f"{path}: line {lineno}: a second record for {bits_text}")
-        if bits_text == "-":  # the root is pre-seeded; its record must match it
+        if bits_text == "-":
             if line != _ROOT_RECORD:
                 raise ValueError(
                     f"{path}: line {lineno}: the root record must read "
                     f"{_ROOT_RECORD!r}, got {line!r}")
-            records["-"] = records[""]
+            records[""], key = (cache.root, 1, "phi="), 1
             continue
         if parent is None:
             raise ValueError(
                 f"{path}: line {lineno}: record for {bits_text} appears before its parent")
+        if 2 * parent[1] + bit < key:
+            raise ValueError(
+                f"{path}: line {lineno}: record for {bits_text} is out of (length, bits) order")
         if block is None:
             raise ValueError(
                 f"{path}: line {lineno}: phi at {bits_text} does not extend its parent")
+        key = 2 * parent[1] + bit
         # FinSeq(block, base=...) by position, which calls faster than by keyword
         node = Node(FinSeq(block, parent[0].phi), caps, block)
         if bit:
             parent[0].kid1 = node
         else:
             parent[0].kid0 = node
-        records[bits_text] = (node, phi_text + ";" if phi_text != "phi=" else phi_text)
-        cache.depth = max(cache.depth, len(bits_text))
+        records[bits_text] = (node, key, phi_text + ";" if phi_text != "phi=" else phi_text)
+    if not records:
+        raise ValueError(f"{path}: line {first}: no records; the first must read {_ROOT_RECORD!r}")
+    cache.depth = key.bit_length() - 1
     return cache

@@ -17,7 +17,7 @@ from lprl.construction import ConstructionCache
 from lprl.errors import ResourceLimitError
 from lprl.reports import CheckReport
 from lprl.reduction import (
-    AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes)
+    AlphaSpec, DivergenceWitness, EventuallyOne, FiniteOnes, PeriodicOnes, path_bits)
 from lprl.seqspace import ExpLadder
 from lprl.cli import (
     DIVERGENCE_TARGET,
@@ -371,6 +371,20 @@ class TestMainExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.splitlines() == [
             "resource limit: refusing to materialize 9 entries (limit 8)", "  sigma: 01"]
+
+    def test_a_sum_past_float_range_is_three_naming_its_node(self, tmp_path, capsys):
+        # near k = 440 a power sum at a new row of the path passes float64's
+        # largest value, and no cap lies above it
+        spec = "row=0:eventually(0)"
+        rc = main(["trace", "--a", "0", "--q", "2", "--eta", "1e-300", "--spec", spec,
+                   "--k", "440", "--out", str(tmp_path)])
+        first, second = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert first == "resource limit: no float cap lies above the power sum inf"
+        assert second.startswith("  sigma: ")
+        sigma = second.removeprefix("  sigma: ")
+        assert 400 < len(sigma) <= 441
+        assert sigma == "".join(map(str, path_bits(parse_alpha_spec(spec), len(sigma) - 1)))
 
     def test_an_underflowing_divergence_budget_is_two_at_once(self, tmp_path):
         # the row's first one sits at position ~5e27, which no walk reaches

@@ -33,7 +33,7 @@ from lprl.construction import (
     least_natural_above,
     walk_path,
 )
-from lprl.errors import PreconditionError
+from lprl.errors import PreconditionError, ResourceLimitError
 from lprl.grid import depth, level
 from lprl.reduction import (
     AlphaSpec,
@@ -97,6 +97,14 @@ class TestLeastNaturalAbove:
         with pytest.raises(ValueError):
             least_natural_above(-0.5)
 
+    @pytest.mark.parametrize("x", [math.inf, sys.float_info.max])
+    def test_no_float_cap_above_is_a_resource_limit(self, x):
+        # inf has no natural above it; the largest float has one, but the
+        # float after it is inf
+        with pytest.raises(ResourceLimitError, match=re.escape(
+                f"no float cap lies above the power sum {x!r}")):
+            least_natural_above(x)
+
 
 class TestBaseCases:
     def test_root(self, small_cache):
@@ -158,6 +166,16 @@ class TestBuildSteps:
         with pytest.raises(ValueError, match="bit string entries must be 0 or 1"):
             build_node(small_cache, sigma)
         assert counted == [] and small_cache.root.kid0 is small_cache.root.kid1 is None
+
+
+    def test_a_sum_past_float_range_is_a_resource_limit_at_its_node(self, small_cache):
+        # the new cap at row 0 of the string 0, above parts that reach inf
+        p0 = small_cache.shape(1)[0][0]
+        with pytest.raises(ResourceLimitError) as err:
+            construction._extend_node(small_cache, small_cache.root, key_of((0,)),
+                                      {p0: (math.inf,)})
+        assert err.value.sigma == (0,)
+        assert small_cache.root.kid0 is None
 
 
 class TestWalkPath:
@@ -501,7 +519,9 @@ class TestExportImport:
         assert export_cache(loaded, tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("index,error", [
-        (lambda n: hex(int(n)), None),
+        # hex is read only where int_text writes it, past the decimal limit
+        # (test_a_window_index_past_the_int_text_limit_round_trips)
+        (lambda n: hex(int(n)), "an int must read as int_text writes it, got {text!r}"),
         (lambda n: "0xZZ", "invalid literal for int() with base 16: '0xZZ'"),
         (lambda n: "0x", "invalid literal for int() with base 16: '0x'"),
     ], ids=["hex", "bad-digits", "no-digits"])
@@ -514,13 +534,128 @@ class TestExportImport:
         lines[lineno - 1] = f"{head},{index(n_end)}"
         edited = tmp_path / "edited.txt"
         edited.write_text("\n".join(lines) + "\n")
-        if error is None:
-            loaded = import_cache(edited)
-            assert loaded.root.kid0.kid1.block == build_node(small_cache, (0, 1)).block
+        error = error.format(text=index(n_end))
+        with pytest.raises(ValueError, match=re.escape(
+                f"edited.txt: line {lineno}: bad record {lines[lineno - 1]!r}: {error}")):
+            import_cache(edited)
+
+    # what export writes -> another spelling of the same number, in a leaf's block
+    @pytest.mark.parametrize("record,was,now,error", [
+        ("0001", "W:0.25,", "W:+0.25,", "a float must read as its repr, got '+0.25'"),
+        ("0001", "W:0.25,", "W:0.25 ,", "a float must read as its repr, got '0.25 '"),
+        ("0001", ",16,", ",1_6,", "an int must read as int_text writes it, got '1_6'"),
+        ("0001", ",16,", ",016,", "an int must read as int_text writes it, got '016'"),
+        ("0001", ",1.0,16", ",1.e0,16", "a float must read as its repr, got '1.e0'"),
+        ("0001", ",1.0,16", ",1.00,16", "a float must read as its repr, got '1.00'"),
+        ("0000", ";L:0.0\n", ";L:170\n", "a float must read as its repr, got '170'"),
+        ("0000", ";L:0.0\n", ";L:0.00\n", "a float must read as its repr, got '0.00'"),
+        ("0000", ";L:0.0\n", ";L:+.0\n", "a float must read as its repr, got '+.0'"),
+    ], ids=["W:+0.25", "W:0.25-space", "1_6", "016", "1.e0", "1.00", "170", "L:0.00", "L:+.0"])
+    def test_rejects_a_block_number_export_would_write_differently(self, tmp_path, record,
+                                                                   was, now, error):
+        text = export_cache(build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 4),
+                            tmp_path / "cache.txt").read_text()
+        lines = text.splitlines(keepends=True)
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith(record + "|"))
+        assert lines[lineno - 1].count(was) == 1
+        lines[lineno - 1] = lines[lineno - 1].replace(was, now)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {lineno}: bad record {lines[lineno - 1].rstrip()!r}: {error}")):
+            import_cache(bad)
+
+    @pytest.mark.parametrize("edit,message", [
+        # two records of one length, or of two lengths, swapped
+        (lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:],
+         "line 6: record for 0 is out of (length, bits) order"),
+        (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+         "line 7: record for 1 is out of (length, bits) order"),
+        # no root record, or one that is not first
+        (lambda lines: lines[:3] + lines[4:], "line 4: record for 0 appears before its parent"),
+        (lambda lines: lines[:3] + lines[4:6] + [lines[3]] + lines[6:],
+         "line 4: record for 0 appears before its parent"),
+        (lambda lines: lines[:3], "line 4: no records; the first must read '-|M=|phi='"),
+        # what export never writes between or around its lines
+        (lambda lines: lines[:5] + [""] + lines[5:],
+         "line 6: a record needs exactly three '|' fields, got ''"),
+        (lambda lines: [line + "\r" for line in lines], "line 1: not a cache file"),
+        (lambda lines: lines[:1] + [lines[1].replace(" ", "  ")] + lines[2:],
+         "bad header 'a=0.0 q=2.0 explicit=- eta=9.5367431640625e-07 step_budget=100000000' "
+         "on lines 2-3: its lines must read"),
+    ], ids=["same-length", "across-lengths", "no-root", "root-not-first", "no-records",
+            "empty-line", "crlf", "header-spacing"])
+    def test_rejects_what_export_would_lay_out_differently(self, tmp_path, edit, message):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        lines = export_cache(cache, tmp_path / "cache.txt").read_text().splitlines()
+        assert lines[3:6] == ["-|M=|phi=", "0|M=1|phi=L:0.0", "1|M=2|phi=W:1.0,1.0,2,6"]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(("\n".join(edit(lines)) + "\n").encode())
+        with pytest.raises(ValueError, match=re.escape(f"bad.txt: {message}")):
+            import_cache(bad)
+
+    @pytest.fixture(scope="class")
+    def small_export(self, tmp_path_factory):
+        """A folder, and the text of a depth-3 (0, 2) export in it."""
+        folder = tmp_path_factory.mktemp("fuzz")
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 3)
+        return folder, export_cache(cache, folder / "cache.txt").read_text()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_file_is_refused_or_re_exports_to_itself(self, small_export, data):
+        # one change to a small export: a character changed, inserted or
+        # deleted, or a record swapped with another, duplicated or dropped
+        folder, text = small_export
+        lines = text.splitlines(keepends=True)
+        char = st.one_of(st.sampled_from(sorted(set(text)) + list("\r +_x.e-\u0661\u2028")),
+                         st.characters(codec="utf-8"))
+        at = data.draw(st.integers(0, len(text) - 1))
+        record = st.integers(3, len(lines) - 1)
+        mutation = data.draw(st.sampled_from(
+            ["change", "insert", "delete", "swap", "duplicate", "drop"]))
+        if mutation == "change":
+            text = text[:at] + data.draw(char) + text[at + 1:]
+        elif mutation == "insert":
+            text = text[:at] + data.draw(char) + text[at:]
+        elif mutation == "delete":
+            text = text[:at] + text[at + 1:]
         else:
-            with pytest.raises(ValueError, match=re.escape(
-                    f"edited.txt: line {lineno}: bad record {lines[lineno - 1]!r}: {error}")):
-                import_cache(edited)
+            i, j = data.draw(record), data.draw(record)
+            if mutation == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif mutation == "duplicate":
+                lines.insert(j, lines[i])
+            else:
+                del lines[i]
+            text = "".join(lines)
+        path = folder / "mutated.txt"
+        path.write_bytes(text.encode())
+        try:
+            loaded = import_cache(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ") and re.search(r"\blines? \d+", str(err)), err
+        else:
+            again = export_cache(loaded, folder / "again.txt")
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_rejects_a_last_line_with_no_newline(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        text = export_cache(cache, tmp_path / "cache.txt").read_text()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text[:-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad.txt: line {text.count(chr(10))}: the last line does not end in a newline")):
+            import_cache(bad)
+
+    def test_rejects_bytes_that_are_not_utf_8(self, tmp_path):
+        cache = build_tree(ConstructionCache(ExpLadder(0.0, 2.0)), 2)
+        data = export_cache(cache, tmp_path / "cache.txt").read_bytes()
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data.replace(b"\n1|M=2|", b"\n1|M=\xff|"))
+        lineno = data.split(b"\n").index(b"1|M=2|phi=W:1.0,1.0,2,6") + 1
+        with pytest.raises(ValueError, match=re.escape(f"bad.txt: line {lineno}: not UTF-8 text")):
+            import_cache(bad)
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.txt"
